@@ -101,16 +101,8 @@ def build_parser():
                              "six-part objective with differentiable "
                              "density and causal terms (ours_* strategies "
                              "only)")
-    parser.add_argument("--engine", default=None,
-                        choices=["staged", "plan"],
-                        help="run-scenario execution path: 'staged' runs the "
-                             "classic stage-by-stage EngineRunner chain, "
-                             "'plan' compiles it into an ExplainPlan and "
-                             "replays it fused (default: plan exactly when "
-                             "the scenario has a non-default backend "
-                             "assigned)")
     parser.add_argument("--backend", default=None,
-                        help="plan backend for run-scenario --engine plan "
+                        help="plan backend run-scenario compiles onto "
                              "(e.g. numpy, float32; default: the scenario's "
                              "assigned backend)")
     return parser
@@ -185,18 +177,18 @@ def _run_serve_demo(dataset, scale, seed, out_dir, artifact_dir, rows,
     the training split) on top of the warm-started pipeline instead of
     the core generator.  With ``--density`` the named estimator is
     fitted on the desired-class training rows, persisted next to the
-    artifact and served from the warm start (``density="store"``): the
+    artifact and served from the warm start (``overlays={"density": "store"}``): the
     default core path then picks each row's counterfactual from a
     diverse candidate sweep by the Figure 3 proximity+density score,
     while single-candidate baseline strategies gain density scoring and
     density-fingerprinted caching without a selection change.  With
     ``--causal`` the named causal model is fitted on the training split,
     persisted next to the artifact and served from the warm start
-    (``causal="store"``): every served batch is causally repaired before
+    (``overlays={"causal": "store"}``): every served batch is causally repaired before
     validity/feasibility, whichever strategy answers it.  With
     ``--ensemble K`` a K-member black-box ensemble (the artifact's own
     model plus K-1 retrained variants) is trained, persisted next to the
-    artifact and served from the warm start (``ensemble="store"``):
+    artifact and served from the warm start (``overlays={"ensemble": "store"}``):
     every served batch is scored against all members and quorum-robust
     candidates win selection.
 
@@ -400,7 +392,7 @@ def _run_serve_demo(dataset, scale, seed, out_dir, artifact_dir, rows,
 
 def _run_scenario(scenario_name, scale, seed, out_dir, density=None,
                   density_backend=None, causal=None, ensemble=None,
-                  engine=None, backend=None, inloss=False):
+                  backend=None, inloss=False):
     """Run one registered scenario and print its Table IV-style row.
 
     ``density`` / ``causal`` switch to the scenario's ``+<model>``
@@ -411,9 +403,9 @@ def _run_scenario(scenario_name, scale, seed, out_dir, density=None,
     ``ensemble`` switches to the ``+robust`` variant, resized to K
     members when K differs from the registered default.
     ``density_backend`` overrides the scenario's neighbour backend (an
-    ``@ann`` ad-hoc variant) without touching the registry.  ``engine`` /
-    ``backend`` pick the execution path (staged chain vs compiled
-    :class:`repro.engine.ExplainPlan`) and the plan backend.
+    ``@ann`` ad-hoc variant) without touching the registry.  ``backend``
+    picks the backend the scenario's :class:`repro.engine.ExplainPlan`
+    compiles onto.
     """
     import dataclasses
 
@@ -453,8 +445,7 @@ def _run_scenario(scenario_name, scale, seed, out_dir, density=None,
             scenario = dataclasses.replace(scenario, name=variant)
     if ensemble is not None and scenario.ensemble != ensemble:
         scenario = dataclasses.replace(scenario, ensemble=ensemble)
-    result = run_scenario(scenario, scale=scale, seed=seed, engine=engine,
-                          backend=backend)
+    result = run_scenario(scenario, scale=scale, seed=seed, backend=backend)
     report = result.report
     rows = [
         ["validity", report.validity],
@@ -540,8 +531,8 @@ def main(argv=None):
                       density=args.density,
                       density_backend=args.density_backend,
                       causal=args.causal,
-                      ensemble=args.ensemble, engine=args.engine,
-                      backend=args.backend, inloss=args.inloss)
+                      ensemble=args.ensemble, backend=args.backend,
+                      inloss=args.inloss)
     if args.command == "list-scenarios":
         _run_list_scenarios(args.strategy, out_dir)
     if args.command == "all":

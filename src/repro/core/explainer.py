@@ -69,6 +69,7 @@ class FeasibleCFExplainer:
         self.generator = None
         self._compiled = None
         self._runner = None
+        self._strategy = None
 
     @classmethod
     def from_trained(cls, encoder, blackbox, vae, constraint_kind="unary",
@@ -202,12 +203,15 @@ class FeasibleCFExplainer:
         Returns a :class:`CFBatchResult` with validity/feasibility flags
         computed against the black-box and the constraint set.  A thin
         adapter over the shared engine runner: projection, validity and
-        the fused feasibility pass all happen in
-        :meth:`repro.engine.EngineRunner.run`.
+        the fused feasibility pass all happen in the compiled plan
+        :meth:`repro.engine.EngineRunner.run` replays.
         """
         if self.generator is None:
             raise RuntimeError("explainer is not fitted; call fit() first")
-        return self._engine_runner().run(self.as_strategy(), x, desired)
+        if self._strategy is None:
+            # one strategy object, so the runner's plan memo hits
+            self._strategy = self.as_strategy()
+        return self._engine_runner().run(self._strategy, x, desired)
 
     def explain_frame(self, frame, desired=None):
         """Convenience wrapper: explain raw rows from a TabularFrame."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..density import KnnDensity
-from ..utils.validation import check_2d, check_encoded_rows, check_positive
+from ..utils.validation import check_2d, check_encoded_rows, check_positive, resolve_desired
 
 __all__ = ["CandidateSet", "generate_candidates", "DensityCFSelector",
            "candidate_noise_defaults", "perturb_latents",
@@ -154,8 +154,7 @@ def _candidate_args(explainer, x, n_candidates, noise_scale, desired, rng):
     if n_candidates < 1:
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
     noise_scale, rng = candidate_noise_defaults(explainer, noise_scale, rng)
-    if desired is None:
-        desired = 1 - explainer.blackbox.predict(x)
+    desired = resolve_desired(explainer.blackbox, x, desired)
     return x, n_candidates, rng, noise_scale, desired
 
 

@@ -7,8 +7,8 @@ each tile are computed.  Two backends ship:
 
 * :class:`NumpyBackend` (``"numpy"``, the default) — one float64 tile
   covering the whole batch.  Every array op runs at exactly the shapes
-  the staged :meth:`repro.engine.EngineRunner.run` path uses, which is
-  what makes the compiled replay bit-identical to it (matmul-backed
+  of the historical stage-by-stage chain, which is what makes the
+  compiled replay bit-identical to it (matmul-backed
   stages drift at float precision when their batch shape changes, so
   full bit-parity requires full-batch shapes).
 * :class:`TiledFloat32Backend` (``"float32"``) — streams contiguous row
@@ -18,7 +18,7 @@ each tile are computed.  Two backends ship:
   validates).  Projection, causal repair, the feasibility mask and
   selection stay float64 inside each tile; hard outputs (predictions,
   validity, feasibility, the chosen candidates) are pinned identical to
-  the staged path by the parity suite, while raw logits carry the usual
+  the staged reference by the parity suite, while raw logits carry the usual
   float32/BLAS-blocking caveat.
 
 Backends are registered by name (:func:`register_backend` /
@@ -61,7 +61,7 @@ class PlanBackend:
     #: Registry name; subclasses must override.
     name = "backend"
 
-    #: What the parity suite may pin against the staged path:
+    #: What the parity suite may pin against the staged reference:
     #: ``"bitwise"`` (full float equality) or ``"hard"`` (hard outputs
     #: only — predictions, flags, selection — with float tolerance on
     #: matmul-backed values).
@@ -88,7 +88,7 @@ class PlanBackend:
 
 
 class NumpyBackend(PlanBackend):
-    """Default whole-batch float64 backend: bit-identical to the staged path."""
+    """Default whole-batch float64 backend: bit-identical to the staged reference."""
 
     name = "numpy"
     parity = "bitwise"

@@ -1,14 +1,12 @@
-"""Compiled explain plans: trace the fixed chain once, replay it fused.
+"""Compiled explain plans: the one implementation of the row -> CF chain.
 
-The staged :meth:`repro.engine.EngineRunner.run` path executes the
-pipeline — propose, immutable projection, causal repair, validity,
-feasibility mask, density scoring, robust scoring, selection — as
-separate passes, re-deriving per-call bookkeeping (which constraint
-columns flag the strategy, whether models are hosted, what validation
-each stage repeats) on every request.  Following the drjit
-loop-recording idea, :class:`ExplainPlan` *traces* that chain once at
-compile time against a fixed ``(runner, strategy)`` pair and replays it
-as a single sweep over candidate tiles:
+The pipeline — propose, immutable projection, causal repair, validity,
+feasibility mask, density scoring, robust scoring, selection — is
+*traced* once at compile time against a fixed ``(runner, strategy)``
+pair (following the drjit loop-recording idea) and replayed as a single
+sweep over candidate tiles.  :meth:`repro.engine.EngineRunner.run`,
+``evaluate``, ``FeasibleCFExplainer.explain`` and every serving path
+replay a plan; there is no second, staged implementation:
 
 * the constraint flag columns are resolved once
   (``runner.flag_indices``) instead of per call,
@@ -19,18 +17,18 @@ as a single sweep over candidate tiles:
   evaluation are fused into one pass per candidate tile, with each
   tile's sweep reduced to per-row outputs before the next tile starts —
   a tiled backend therefore never materialises the full ``(n, m, d)``
-  intermediates the staged path allocates between stages,
+  intermediates,
 * the backend seam (:mod:`repro.engine.backends`) decides tiling and
   the predict dtype: the default ``"numpy"`` backend replays the whole
-  batch in one float64 tile and is **bit-identical** to the staged
-  path (the parity suite pins every strategy on every registry
-  dataset); the ``"float32"`` backend streams contiguous tiles with a
-  float32 validity GEMM and is pinned on hard outputs.
+  batch in one float64 tile and is **bit-identical** to the historical
+  stage-by-stage chain (the parity suite pins every strategy on every
+  registry dataset against the staged reference in
+  ``tests/helpers/parity.py``); the ``"float32"`` backend streams
+  contiguous tiles with a float32 validity GEMM and is pinned on hard
+  outputs.
 
-The staged path stays the parity reference — plans are an execution
-strategy, not a second implementation of the pipeline's math: every
-stage calls the exact projector/causal/kernel/selection code the runner
-calls, just orchestrated once instead of per request.
+Every stage calls the exact projector/causal/kernel/selection code the
+runner hosts, orchestrated once instead of per request.
 """
 
 from __future__ import annotations
@@ -151,11 +149,12 @@ class ExplainPlan:
 
     # -- replay --------------------------------------------------------------
     def execute(self, x, desired=None, return_diagnostics=False):
-        """Replay the traced chain; same contract as ``EngineRunner.run``.
+        """Replay the traced chain; the body behind ``EngineRunner.run``.
 
         One proposal, then one fused sweep over the backend's candidate
-        tiles.  Returns a :class:`CFBatchResult` (and the identical
-        diagnostics dict the staged path builds, when asked).
+        tiles.  Returns a :class:`CFBatchResult` (and, when asked, the
+        diagnostics dict: feasibility report, chosen indices, usable
+        counts and the hosted models' per-row scores).
         """
         from ..utils.validation import check_encoded_rows
 
@@ -262,15 +261,13 @@ class ExplainPlan:
             if density_rows:
                 diagnostics["row_density"] = np.concatenate(density_rows)
             else:
-                # m == 1: score the selected rows in one full-batch query,
-                # the exact call shape the staged path uses
+                # m == 1: score the selected rows in one full-batch query
                 diagnostics["row_density"] = runner.density.score(x_cf)
         if causal_parts:
             diagnostics["row_causal"] = np.concatenate(causal_parts)
         if runner.ensemble is not None:
             # candidate_robustness averages the *full sweep*, not the
-            # selected rows — concatenating the per-tile sweeps sums the
-            # same 0/1 values np.mean reduces on the staged path
+            # selected rows
             sweep = np.concatenate(robust_sweeps) if robust_sweeps else np.empty(0, dtype=bool)
             diagnostics["row_cross_validity"] = np.concatenate(cross_parts)
             diagnostics["row_robust"] = np.concatenate(robust_parts)
@@ -279,5 +276,5 @@ class ExplainPlan:
 
     # -- Table IV scoring ----------------------------------------------------
     def evaluate(self, x, desired=None, **kwargs):
-        """Compiled-path Table IV scoring; mirrors ``EngineRunner.evaluate``."""
+        """Table IV scoring through this plan; see ``EngineRunner.evaluate``."""
         return self.runner.evaluate(self.strategy, x, desired, plan=self, **kwargs)

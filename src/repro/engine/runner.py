@@ -5,7 +5,9 @@ generation was forked three ways: ``core/explainer.py`` ran its own
 project/predict/feasibility loop, every baseline re-implemented immutable
 projection and validity checks inside ``BaseCFExplainer``, and the
 serving layer only knew how to drive the core path.  ``EngineRunner``
-hosts that plumbing exactly once:
+hosts that plumbing exactly once, and :class:`~repro.engine.plan.ExplainPlan`
+is its one implementation — :meth:`EngineRunner.run` replays the
+strategy's compiled plan:
 
 1. ask a :class:`~repro.engine.strategy.CFStrategy` for raw candidates,
 2. project immutable attributes for the whole ``(n, m, d)`` batch in one
@@ -22,7 +24,8 @@ hosts that plumbing exactly once:
    matching models are hosted).
 
 Outputs are bit-identical to the pre-engine per-method paths — the
-parity tests in ``tests/engine/`` hold the line — and a runner without a
+parity tests in ``tests/engine/`` hold the line against a staged
+reference kept in ``tests/helpers/parity.py`` — and a runner without a
 density model runs the exact pre-density code path.
 """
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..constraints import ConstraintSet, ImmutableProjector, build_constraints
-from ..core.result import CFBatchResult
+from .backends import DEFAULT_BACKEND
 from .kernel import CompiledConstraintSet, FeasibilityReport
 
 __all__ = ["EngineRunner"]
@@ -124,6 +127,9 @@ class EngineRunner:
             raise ValueError(
                 f"robust_quorum must be in (0, 1], got {robust_quorum}")
         self.robust_quorum = float(robust_quorum)
+        #: ``(strategy, backend, plan)`` single-slot memo behind
+        #: :meth:`plan_for`.
+        self._plan_memo = None
 
     # -- constraint bookkeeping ---------------------------------------------
     def flag_indices(self, strategy):
@@ -142,15 +148,15 @@ class EngineRunner:
             return list(range(len(self.kernel)))
 
     # -- compiled plans -----------------------------------------------------
-    def compile(self, strategy, backend="numpy"):
-        """Trace the fixed chain for ``strategy`` into an :class:`ExplainPlan`.
+    def compile(self, strategy, backend=DEFAULT_BACKEND):
+        """Trace the fixed chain for ``strategy`` into a fresh :class:`ExplainPlan`.
 
         The plan resolves the constraint flag columns and lets the
         backend prepare once, then replays the whole pipeline as a
         single fused sweep per :meth:`ExplainPlan.execute` call.  The
-        default ``"numpy"`` backend is bit-identical to the staged
-        :meth:`run` path (the parity reference); ``"float32"`` streams
-        contiguous tiles with a float32 validity GEMM.
+        default ``"numpy"`` backend runs the whole batch as one float64
+        tile; ``"float32"`` streams contiguous tiles with a float32
+        validity GEMM.
         """
         from .plan import ExplainPlan
 
@@ -161,123 +167,46 @@ class EngineRunner:
         """Immutable projection over a full ``(n, m, d)`` candidate batch."""
         return self.projector.project(x, candidates)
 
+    def plan_for(self, strategy, backend=DEFAULT_BACKEND):
+        """The memoised :class:`ExplainPlan` for ``strategy`` on ``backend``.
+
+        A single-slot memo keyed on the strategy's identity and the
+        backend spec: serving the same strategy again replays the plan
+        compiled for it, while a different strategy or backend compiles
+        afresh and replaces the slot — so the runner never holds more
+        than one plan (and one strategy) alive.
+        """
+        memo = self._plan_memo
+        if memo is not None and memo[0] is strategy and memo[1] == backend:
+            return memo[2]
+        plan = self.compile(strategy, backend=backend)
+        self._plan_memo = (strategy, backend, plan)
+        return plan
+
     def run(self, strategy, x, desired=None, return_diagnostics=False, plan=None):
         """Explain ``x`` with ``strategy``; returns a :class:`CFBatchResult`.
 
-        One strategy proposal, one broadcast projection, one validity
-        call, one fused feasibility pass — regardless of how many
-        candidates per row the strategy proposed.  Multi-candidate
-        batches are reduced to one counterfactual per row by the serving
-        selection policy: closest by L1 among valid & feasible, then
-        valid-only, then the first (deterministic) candidate.
+        Replays the strategy's compiled :class:`ExplainPlan`
+        (:meth:`plan_for`): one strategy proposal, one broadcast
+        projection, one validity call, one fused feasibility pass —
+        regardless of how many candidates per row the strategy proposed.
+        Multi-candidate batches are reduced to one counterfactual per
+        row by the serving selection policy: closest by L1 among valid &
+        feasible, then valid-only, then the first (deterministic)
+        candidate.
 
-        ``plan`` routes the request through a compiled
-        :class:`ExplainPlan` (from :meth:`compile`) instead of the
-        staged chain; ``strategy`` may then be ``None`` (the plan
-        carries its own) but must otherwise be the compiled strategy.
+        ``plan`` replays an explicitly compiled plan (from
+        :meth:`compile`, e.g. on another backend) instead; ``strategy``
+        may then be ``None`` (the plan carries its own) but must
+        otherwise be the compiled strategy.
         """
-        from ..utils.validation import check_encoded_rows
-
-        if plan is not None:
-            if plan.runner is not self:
-                raise ValueError("plan was compiled against a different runner")
-            if strategy is not None and plan.strategy is not strategy:
-                raise ValueError("plan was compiled for a different strategy instance")
-            return plan.execute(x, desired, return_diagnostics=return_diagnostics)
-
-        x = check_encoded_rows(x, self.encoder, "x")
-        batch = strategy.propose(x, desired)
-        x, desired = batch.x, batch.desired
-        n, m, d = batch.candidates.shape
-        candidates = self.project(x, batch.candidates)
-
-        sweep_causal = None
-        if self.causal is not None and (self.causal_repair or return_diagnostics):
-            # ONE batched pass repairs (and/or scores) the full sweep;
-            # validate=False because x was checked at run() entry and
-            # the candidates are the runner's own projection output; the
-            # per-candidate repair distance is only reduced when a
-            # caller asked for diagnostics (evaluate does; serving not)
-            repaired = self.causal.repair_batch(x, candidates, validate=False)
-            if return_diagnostics:
-                sweep_causal = np.abs(repaired - candidates).sum(axis=2)
-            if self.causal_repair:
-                candidates = repaired
-        flat = candidates.reshape(n * m, d)
-
-        predicted = self.blackbox.predict(flat)
-        report = self.kernel.evaluate(x, flat)
-        flags = report.subset_satisfied(self.flag_indices(strategy))
-        valid = predicted == np.repeat(desired, m)
-
-        sweep_density = None
-        if self.density is not None and m > 1:
-            # ONE tiled query scores the full (n, m, d) sweep
-            sweep_density = self.density.score_tiled(candidates)
-
-        sweep_cross = robust2d = None
-        if self.ensemble is not None:
-            # ONE fused K-model pass scores the full sweep against every
-            # ensemble member; the quorum turns agreement into a robust
-            # flag that steers selection below
-            sweep_cross = self.ensemble.agreement(
-                flat, np.repeat(desired, m)).reshape(n, m)
-            robust2d = sweep_cross >= self.robust_quorum
-
-        if m == 1:
-            x_cf = candidates[:, 0, :]
-            chosen = np.zeros(n, dtype=int)
-            row_predicted, row_feasible = predicted, flags
-        else:
-            valid2d, flags2d = valid.reshape(n, m), flags.reshape(n, m)
-            if sweep_density is None:
-                chosen = _select_candidates(
-                    x, candidates, valid2d, flags2d, robust=robust2d)
-            else:
-                chosen = _select_candidates_density(
-                    x, candidates, valid2d, flags2d, sweep_density,
-                    self.density_weight, robust=robust2d
-                )
-            rows = np.arange(n)
-            x_cf = candidates[rows, chosen]
-            row_predicted = predicted.reshape(n, m)[rows, chosen]
-            row_feasible = flags.reshape(n, m)[rows, chosen]
-
-        result = CFBatchResult(
-            x=x,
-            x_cf=x_cf,
-            desired=desired,
-            predicted=row_predicted,
-            valid=row_predicted == desired,
-            feasible=row_feasible,
-            encoder=self.encoder,
-        )
-        if return_diagnostics:
-            diagnostics = {
-                "report": report,
-                "chosen": chosen,
-                "n_candidates": m,
-                "n_usable": (valid & flags).reshape(n, m).sum(axis=1),
-                "candidate_validity": float(valid.mean()) if valid.size else 0.0,
-            }
-            if self.density is not None:
-                if sweep_density is None:
-                    row_density = self.density.score(x_cf)
-                else:
-                    row_density = sweep_density[np.arange(n), chosen]
-                diagnostics["row_density"] = row_density
-            if sweep_causal is not None:
-                # repair distance of each row's selected candidate: how
-                # far the raw proposal was from causal consistency
-                diagnostics["row_causal"] = sweep_causal[np.arange(n), chosen]
-            if sweep_cross is not None:
-                rows = np.arange(n)
-                diagnostics["row_cross_validity"] = sweep_cross[rows, chosen]
-                diagnostics["row_robust"] = robust2d[rows, chosen]
-                diagnostics["candidate_robustness"] = (
-                    float(robust2d.mean()) if robust2d.size else 0.0)
-            return result, diagnostics
-        return result
+        if plan is None:
+            plan = self.plan_for(strategy)
+        elif plan.runner is not self:
+            raise ValueError("plan was compiled against a different runner")
+        elif strategy is not None and plan.strategy is not strategy:
+            raise ValueError("plan was compiled for a different strategy instance")
+        return plan.execute(x, desired, return_diagnostics=return_diagnostics)
 
     # -- Table IV scoring ---------------------------------------------------
     def evaluate(
@@ -299,9 +228,9 @@ class EngineRunner:
         kernel pass instead of re-evaluating the scored rows.  A hosted
         density model additionally fills the report's
         ``mean_knn_distance`` column from the run's own density scores.
-        ``plan`` scores through a compiled :class:`ExplainPlan` instead
-        of the staged chain (same report, bit for bit on the default
-        backend).
+        ``plan`` scores through an explicitly compiled
+        :class:`ExplainPlan` (e.g. on another backend) instead of the
+        strategy's memoised one.
         """
         from ..metrics import evaluate_counterfactuals
 
@@ -353,8 +282,7 @@ def _select_candidates(x, candidates, valid, feasible, robust=None):
     Preference order: valid & feasible (& quorum-robust first, when an
     ensemble is hosted), then valid, then candidate 0 (the deterministic
     decode).  Within a pool the candidate closest to the input by L1
-    distance wins — identical to ``repro.serve.service._pick_candidate``
-    applied row by row.
+    distance wins.
     """
     distances = np.abs(candidates - x[:, None, :]).sum(axis=2)
     n, m = distances.shape

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..core import FeasibleCFExplainer, paper_config
 from ..manifold import TSNE, centroid_separation, knn_label_agreement, render_scatter
+from ..utils.validation import resolve_desired
 from .harness import prepare_context
 
 __all__ = ["ManifoldView", "Figure6Result", "build_figure6"]
@@ -76,7 +77,7 @@ def build_figure6(dataset, scale="fast", seed=0, n_points=400,
     n_points = min(n_points, len(context.x_train))
     picked = rng.choice(len(context.x_train), n_points, replace=False)
     x = context.x_train[picked]
-    desired = 1 - context.blackbox.predict(x)
+    desired = resolve_desired(context.blackbox, x, None)
 
     # latent samples for the picked inputs, then decode + project
     vae = explainer.generator.vae

@@ -57,14 +57,14 @@ about ("as fast as the hardware allows"):
 * **plan** — the compiled :class:`repro.engine.ExplainPlan`
   (:meth:`repro.engine.EngineRunner.compile`: the fixed
   project/repair/validity/feasibility/select chain traced once and
-  replayed as one fused sweep) against the per-request staged chain a
-  pre-plan serving stack runs (one ``EngineRunner.run`` call per row).
-  The workload is the C-CHVAE serving shape — a fixed 40-candidate
-  sweep per row with a hosted SCM causal model and k-NN density — and
-  the compiled path is asserted bit-identical to the batched staged
-  path before timing and must hold a >= 3x speedup over the
-  per-request chain; the tiled float32 backend rides along as an
-  informational rate.
+  replayed as one fused sweep over the whole batch) against the
+  per-request chain an uncoalesced serving stack runs (one
+  ``EngineRunner.run`` call per row).  The workload is the C-CHVAE
+  serving shape — a fixed 40-candidate sweep per row with a hosted SCM
+  causal model — and the compiled path is asserted bit-identical to
+  the batched ``EngineRunner.run`` before timing and must hold a >= 3x
+  speedup over the per-request chain; the tiled float32 backend rides
+  along as an informational rate.
 * **density** — the batched density-aware selection
   (:meth:`repro.core.DensityCFSelector.select_batch`: ONE tiled density
   query + one vectorized score pass for the whole sweep) against the
@@ -135,8 +135,8 @@ MIN_CAUSAL_SPEEDUP = 3.0
 MIN_ROBUST_SPEEDUP = 3.0
 
 #: Acceptance floor: the compiled explain plan must beat the
-#: per-request staged chain by at least this factor on the C-CHVAE
-#: serving workload.
+#: per-request chain by at least this factor on the C-CHVAE serving
+#: workload.
 MIN_PLAN_SPEEDUP = 3.0
 
 #: Acceptance floor: a 4-replica worker pool must sustain at least this
@@ -627,24 +627,25 @@ class _FixedSweepStrategy:
 
 
 def _plan_section(explainer, bundle, spec, min_seconds, seed):
-    """Time the compiled explain plan against the per-request staged chain.
+    """Time the compiled explain plan against the per-request chain.
 
     The workload is the C-CHVAE serving shape: ``plan_rows`` requests,
     each carrying a fixed ``plan_candidates``-candidate sweep (the
     baseline's ``n_candidates=40`` matrix shape), answered by a runner
     hosting the dataset's SCM causal model — so every request runs the
     full projection + causal repair + validity + feasibility +
-    selection chain.  The loop reference issues one staged
-    ``EngineRunner.run`` per request, exactly the pre-plan serving
+    selection chain.  The loop reference issues one
+    ``EngineRunner.run`` per request, exactly the uncoalesced serving
     shape; the compiled path replays ONE fused ``ExplainPlan.execute``
     over the whole batch.  A density estimator is deliberately NOT
     hosted here: the k-NN query costs per *point* (cKDTree), so it
     neither amortises across requests nor measures what the plan fuses
     — its batched-vs-loop story is the gated ``density`` section.
 
-    The compiled path is asserted bit-identical to the *batched* staged
-    path before timing (the plan's parity contract; the parity suite
-    pins it per strategy and dataset).  Per-request staged results are
+    The compiled path is asserted bit-identical to the *batched*
+    ``EngineRunner.run`` before timing (the parity suite pins both
+    against the staged reference per strategy and dataset).  Per-request
+    results are
     additionally sanity-checked to agree on nearly every row — they may
     drift from the batch on selection near-ties because the validity
     GEMM's BLAS blocking changes with batch shape, the same caveat every
@@ -669,40 +670,40 @@ def _plan_section(explainer, bundle, spec, min_seconds, seed):
     runner = EngineRunner(bundle.encoder, explainer.blackbox, causal=causal)
     plan = runner.compile(strategy)
 
-    result_staged = runner.run(strategy, x, desired)
+    result_batch = runner.run(strategy, x, desired)
     result_plan = plan.execute(x, desired)
     for field in ("x_cf", "predicted", "valid", "feasible"):
         if not np.array_equal(getattr(result_plan, field),
-                              getattr(result_staged, field)):
+                              getattr(result_batch, field)):
             raise AssertionError(
-                f"compiled plan diverges from the staged chain on {field}")
+                f"compiled plan diverges from the batched run on {field}")
 
-    def staged_requests():
+    def per_request():
         parts = [
             runner.run(strategy, x[i:i + 1], desired[i:i + 1]).x_cf
             for i in range(n)
         ]
         return np.concatenate(parts)
 
-    per_request_cf = staged_requests()
-    row_match = float((per_request_cf == result_staged.x_cf).all(axis=1).mean())
+    per_request_cf = per_request()
+    row_match = float((per_request_cf == result_batch.x_cf).all(axis=1).mean())
     if row_match < 0.9:
         raise AssertionError(
-            f"per-request staged chain agrees with the batch on only "
+            f"per-request chain agrees with the batch on only "
             f"{row_match:.0%} of rows — more than near-tie drift")
 
-    loop_rate, loop_calls = _throughput(staged_requests, n, min_seconds)
+    loop_rate, loop_calls = _throughput(per_request, n, min_seconds)
     fast_rate, fast_calls = _throughput(
         lambda: plan.execute(x, desired), n, min_seconds)
     speedup = fast_rate / loop_rate
     if speedup < MIN_PLAN_SPEEDUP:
         raise AssertionError(
             f"compiled plan speedup {speedup:.2f}x over the per-request "
-            f"staged chain is below the {MIN_PLAN_SPEEDUP}x floor")
+            f"chain is below the {MIN_PLAN_SPEEDUP}x floor")
 
     plan32 = runner.compile(strategy, backend="float32")
     if not np.array_equal(plan32.execute(x, desired).predicted,
-                          result_staged.predicted):
+                          result_batch.predicted):
         raise AssertionError(
             "float32 plan backend changed hard validity predictions")
     f32_rate, _ = _throughput(
@@ -847,7 +848,7 @@ def _serve_section(spec, seed):
     artifact must do).  Warm start = rebuild the service from the store
     and answer the same batch.  The cache-hit replay answers it a second
     time from the LRU cache.  A density-aware warm start (k-NN state
-    persisted next to the artifact, served via ``density="store"``)
+    persisted next to the artifact, served via ``overlays={"density": "store"}``)
     rides along to prove the paper's density criterion survives a
     process restart.
     """

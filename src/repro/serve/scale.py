@@ -8,9 +8,10 @@ fleet.  Three pieces compose:
   :class:`~repro.serve.store.ArtifactStore` through the standard
   ``warm_start(overlays={...})`` contract; siblings wrap the same
   pipeline object and adopt the leader's compiled execution state
-  (runner, core strategy, compiled plan) — so the pool compiles ONE
-  plan, not N.  With ``shared_weights=True`` every model array lives in
-  one :class:`~repro.serve.shm.SharedWeights` segment and replicas hold
+  (runner with its plan memo, core strategies) — so the pool compiles
+  ONE plan per served strategy, not N.  With ``shared_weights=True``
+  every model array lives in one
+  :class:`~repro.serve.shm.SharedWeights` segment and replicas hold
   zero-copy views.  Requests shard across replicas by
   :class:`~repro.serve.routing.ConsistentHashRing` over the composite
   cache fingerprint plus row bytes, so each replica's LRU cache owns a
@@ -40,6 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ..core.result import CFBatchResult
+from ..utils.validation import resolve_desired
 from .routing import ConsistentHashRing, request_key
 from .service import ExplanationService, PendingTicketError
 from .shm import SharedWeights, attach_pipeline, pipeline_weight_arrays
@@ -176,8 +178,8 @@ class WorkerPool:
     backend:
         ``"thread"`` (default) or ``"process"`` — the one seam between
         in-process replicas and forked worker processes.
-    overlays, strategy, engine, plan_backend, cache_size,
-    density_weight, density_candidates, robust_quorum:
+    overlays, strategy, cache_size, density_weight, density_candidates,
+    robust_quorum:
         Forwarded to :meth:`ExplanationService.warm_start` for the
         leader; siblings replicate the exact configuration and share the
         leader's hosted model objects.
@@ -202,8 +204,6 @@ class WorkerPool:
         backend="thread",
         overlays=None,
         strategy=None,
-        engine="staged",
-        plan_backend="numpy",
         cache_size=4096,
         density_weight=1.0,
         density_candidates=8,
@@ -231,8 +231,6 @@ class WorkerPool:
             density_weight=density_weight,
             density_candidates=density_candidates,
             robust_quorum=robust_quorum,
-            engine=engine,
-            plan_backend=plan_backend,
         )
         self.shared = None
         if shared_weights:
@@ -257,15 +255,11 @@ class WorkerPool:
                 causal=leader.causal,
                 ensemble=leader.ensemble,
                 robust_quorum=robust_quorum,
-                engine=engine,
-                plan_backend=plan_backend,
             )
             sibling.adopt_execution_from(leader)
             services.append(sibling)
 
-        #: The pool's composite cache fingerprint — also forces the
-        #: leader's runner/plan to exist BEFORE process replicas fork,
-        #: so the pool compiles once and every fork inherits it.
+        #: The pool's composite cache fingerprint (the routing key).
         self.fingerprint = leader.cache_fingerprint
         self._template = leader
 
@@ -306,15 +300,7 @@ class WorkerPool:
 
     def _resolve(self, rows, desired):
         rows = self._template._check_rows(rows)
-        if desired is not None and not np.isscalar(desired):
-            # per-row specs may mix None ("flip") with explicit classes
-            specs = list(desired)
-            if len(specs) == len(rows) and any(s is None for s in specs):
-                resolved = np.asarray(
-                    [-1 if s is None else int(s) for s in specs])
-                flipped = 1 - self._template.explainer.blackbox.predict(rows)
-                return rows, np.where(resolved < 0, flipped, resolved)
-        return rows, self._template._resolve_desired(rows, desired)
+        return rows, resolve_desired(self._template.explainer.blackbox, rows, desired)
 
     # -- batch serving -------------------------------------------------------
     def explain_batch(self, rows, desired=None):

@@ -20,7 +20,6 @@ import hashlib
 import json
 import pathlib
 import time
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -137,14 +136,6 @@ def _overlay_kind(kind):
 register_overlay_kind(OverlayKind("density", _DENSITY, _DENSITY_META, _rebuild_density))
 register_overlay_kind(OverlayKind("causal", _CAUSAL, _CAUSAL_META, _rebuild_causal))
 register_overlay_kind(OverlayKind("ensemble", _ENSEMBLE, _ENSEMBLE_META, _rebuild_ensemble))
-
-
-def _deprecated_overlay_method(old, new):
-    warnings.warn(
-        f"ArtifactStore.{old} is deprecated; use ArtifactStore.{new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class ArtifactError(RuntimeError):
@@ -540,54 +531,6 @@ class ArtifactStore:
         model = spec.rebuild(self, name, state, vae=vae, encoder=encoder)
         return self._check_overlay_fingerprint(
             name, model, meta, spec.name, expected_fingerprint)
-
-    # -- deprecated per-kind wrappers ----------------------------------------
-    def save_density(self, name, model):
-        """Deprecated: use ``save_overlay(name, "density", model)``."""
-        _deprecated_overlay_method("save_density", 'save_overlay(name, "density", model)')
-        return self.save_overlay(name, "density", model)
-
-    def has_density(self, name):
-        """Deprecated: use ``has_overlay(name, "density")``."""
-        _deprecated_overlay_method("has_density", 'has_overlay(name, "density")')
-        return self.has_overlay(name, "density")
-
-    def load_density(self, name, vae=None, expected_fingerprint=None):
-        """Deprecated: use ``load_overlay(name, "density", vae=...)``."""
-        _deprecated_overlay_method("load_density", 'load_overlay(name, "density")')
-        return self.load_overlay(
-            name, "density", expected_fingerprint=expected_fingerprint, vae=vae)
-
-    def save_causal(self, name, model):
-        """Deprecated: use ``save_overlay(name, "causal", model)``."""
-        _deprecated_overlay_method("save_causal", 'save_overlay(name, "causal", model)')
-        return self.save_overlay(name, "causal", model)
-
-    def has_causal(self, name):
-        """Deprecated: use ``has_overlay(name, "causal")``."""
-        _deprecated_overlay_method("has_causal", 'has_overlay(name, "causal")')
-        return self.has_overlay(name, "causal")
-
-    def load_causal(self, name, encoder=None, expected_fingerprint=None):
-        """Deprecated: use ``load_overlay(name, "causal", encoder=...)``."""
-        _deprecated_overlay_method("load_causal", 'load_overlay(name, "causal")')
-        return self.load_overlay(
-            name, "causal", expected_fingerprint=expected_fingerprint, encoder=encoder)
-
-    def save_ensemble(self, name, ensemble):
-        """Deprecated: use ``save_overlay(name, "ensemble", ensemble)``."""
-        _deprecated_overlay_method("save_ensemble", 'save_overlay(name, "ensemble", ensemble)')
-        return self.save_overlay(name, "ensemble", ensemble)
-
-    def has_ensemble(self, name):
-        """Deprecated: use ``has_overlay(name, "ensemble")``."""
-        _deprecated_overlay_method("has_ensemble", 'has_overlay(name, "ensemble")')
-        return self.has_overlay(name, "ensemble")
-
-    def load_ensemble(self, name, expected_fingerprint=None):
-        """Deprecated: use ``load_overlay(name, "ensemble")``."""
-        _deprecated_overlay_method("load_ensemble", 'load_overlay(name, "ensemble")')
-        return self.load_overlay(name, "ensemble", expected_fingerprint=expected_fingerprint)
 
     # -- train-or-load ------------------------------------------------------
     def ensure(

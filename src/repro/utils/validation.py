@@ -11,7 +11,8 @@ import numpy as np
 
 __all__ = ["SchemaMismatchError", "check_2d", "check_2d_fast",
            "check_binary_labels", "check_encoded_rows", "check_encoded_sweep",
-           "check_probability", "check_positive", "check_schema_width"]
+           "check_probability", "check_positive", "check_schema_width",
+           "resolve_desired"]
 
 
 class SchemaMismatchError(ValueError):
@@ -174,3 +175,35 @@ def check_positive(value, name="value"):
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
+
+
+def resolve_desired(blackbox, rows, desired):
+    """Per-row desired classes, with ``None`` meaning "flip the prediction".
+
+    ``desired`` may be ``None`` (every row flips), a scalar (broadcast to
+    every row), a 1-D array of classes, or a per-row list mixing
+    ``None`` and ints.  Flipping is binary (``1 - predict``); the
+    black-box runs at most once, over all ``rows``.  Returns an int
+    vector of length ``len(rows)``; a length mismatch or a matrix
+    raises ``ValueError``.
+    """
+    n_rows = len(rows)
+    if desired is None:
+        return 1 - blackbox.predict(rows)
+    if isinstance(desired, (list, tuple)) and any(d is None for d in desired):
+        if len(desired) != n_rows:
+            raise ValueError(
+                f"desired ({len(desired)}) and rows ({n_rows}) row counts differ")
+        flipped = 1 - blackbox.predict(rows)
+        return np.array([flipped[i] if d is None else int(d)
+                         for i, d in enumerate(desired)], dtype=int)
+    desired = np.asarray(desired)
+    if desired.ndim == 0:
+        return np.full(n_rows, int(desired), dtype=int)
+    if desired.ndim != 1:
+        raise ValueError(
+            f"desired must be a scalar or 1-D vector, got shape {desired.shape}")
+    if len(desired) != n_rows:
+        raise ValueError(
+            f"desired ({len(desired)}) and rows ({n_rows}) row counts differ")
+    return desired.astype(int)

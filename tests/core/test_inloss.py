@@ -29,6 +29,7 @@ from repro.data import load_dataset
 from repro.density import DifferentiableKde
 from repro.models import BlackBoxClassifier, ConditionalVAE, train_classifier
 from repro.nn import Adam, Tensor
+from repro.utils.validation import resolve_desired
 from tests.helpers.parity import assert_bit_identical
 
 
@@ -140,9 +141,9 @@ class TestDesiredClasses:
 
     def test_scalar_broadcasts(self, pieces, generator):
         _, x, _, _, _ = pieces
-        desired = generator._desired_classes(x[:7], 1)
+        desired = resolve_desired(generator.blackbox, x[:7], 1)
         assert desired.tolist() == [1] * 7
-        assert generator._desired_classes(x[:3], np.int64(0)).tolist() == [0, 0, 0]
+        assert resolve_desired(generator.blackbox, x[:3], np.int64(0)).tolist() == [0, 0, 0]
 
     def test_generate_accepts_scalar_desired(self, pieces, generator):
         # the historical crash: len() of unsized object on a scalar
@@ -153,16 +154,16 @@ class TestDesiredClasses:
     def test_matrix_desired_rejected(self, pieces, generator):
         _, x, _, _, _ = pieces
         with pytest.raises(ValueError, match="scalar or 1-D"):
-            generator._desired_classes(x[:4], np.zeros((4, 1)))
+            resolve_desired(generator.blackbox, x[:4], np.zeros((4, 1)))
 
     def test_length_mismatch_rejected(self, pieces, generator):
         _, x, _, _, _ = pieces
         with pytest.raises(ValueError, match="row counts differ"):
-            generator._desired_classes(x[:4], np.zeros(3))
+            resolve_desired(generator.blackbox, x[:4], np.zeros(3))
 
     def test_none_flips_blackbox_prediction(self, pieces, generator):
         _, x, _, _, _ = pieces
-        desired = generator._desired_classes(x[:10], None)
+        desired = resolve_desired(generator.blackbox, x[:10], None)
         assert desired.tolist() == (
             1 - generator.blackbox.predict(x[:10])).tolist()
 

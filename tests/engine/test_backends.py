@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import (
     DEFAULT_BACKEND,
+    EngineRunner,
     NumpyBackend,
     PlanBackend,
     TiledFloat32Backend,
@@ -16,6 +17,7 @@ from repro.engine import (
 )
 from repro.engine import backends as backends_module
 from repro.experiments.runconfig import ExperimentScale
+from tests.helpers.parity import staged_runner
 
 SCALE = ExperimentScale("tiny", 900, 12, 4)
 
@@ -92,8 +94,10 @@ class TestRunScenarioDispatch:
         return prepare_context("adult", scale=SCALE, seed=0)
 
     def test_plan_engine_reproduces_staged_report(self, context):
-        staged = run_scenario("adult/cem", context=context, engine="staged")
-        compiled = run_scenario("adult/cem", context=context, engine="plan")
+        # a runner whose run is the staged reference scores the same row
+        reference = staged_runner(EngineRunner(context.bundle.encoder, context.blackbox))
+        staged = run_scenario("adult/cem", context=context, runner=reference)
+        compiled = run_scenario("adult/cem", context=context)
         assert compiled.report == staged.report
 
     def test_assigned_backend_switches_the_default_engine(self, context):
@@ -109,5 +113,6 @@ class TestRunScenarioDispatch:
         assert assigned.report.validity == staged.report.validity
 
     def test_rejects_unknown_engine(self, context):
-        with pytest.raises(ValueError, match="engine"):
-            run_scenario("adult/cem", context=context, engine="warp")
+        # the staged/plan knob is gone: every scenario replays a plan
+        with pytest.raises(TypeError, match="engine"):
+            run_scenario("adult/cem", context=context, engine="plan")

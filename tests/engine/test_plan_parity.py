@@ -1,26 +1,33 @@
-"""Compiled ExplainPlan parity: the fused replay vs the staged runner.
+"""Compiled ExplainPlan parity: every runner path vs the staged reference.
 
-The acceptance bar for the compiled-plan refactor: replaying the traced
-chain through ``EngineRunner.compile`` must produce exactly what the
-staged ``EngineRunner.run`` path produces — same counterfactuals, same
-flags, same diagnostics — for every strategy on every registry dataset,
-with and without hosted density/causal/ensemble models.  The default
-``"numpy"`` backend is pinned bit-identical; the tiled ``"float32"``
-backend is pinned on hard outputs (predictions, validity, feasibility,
-the chosen candidates).  Built on the shared ``tests.helpers.parity``
-harness.
+``ExplainPlan`` is the one implementation of the row -> CF chain:
+``EngineRunner.run`` replays a memoised plan, ``compile().execute``
+replays a fresh one and ``evaluate`` scores a run.  Each must produce
+exactly what the historical stage-by-stage chain
+(``tests.helpers.parity.staged_run``) produces — same counterfactuals,
+same flags, same diagnostics — for every strategy on every registry
+dataset, with and without hosted density/causal/ensemble models.  The
+default ``"numpy"`` backend is pinned bit-identical; the tiled
+``"float32"`` backend is pinned on hard outputs (predictions, validity,
+feasibility, the chosen candidates).
 """
 
 import numpy as np
 import pytest
 
 from repro.core import fast_config
-from repro.engine import CandidateBatch, EngineRunner, build_strategy
+from repro.engine import CandidateBatch, CoreCFStrategy, EngineRunner, build_strategy
 from repro.engine.plan import ExplainPlan
 from repro.experiments.harness import prepare_context
 from repro.experiments.runconfig import ExperimentScale
 from repro.utils.validation import SchemaMismatchError
-from tests.helpers.parity import DATASETS, assert_bit_identical, candidate_sweep
+from tests.helpers.parity import (
+    DATASETS,
+    assert_bit_identical,
+    candidate_sweep,
+    staged_run,
+    staged_runner,
+)
 
 SCALE = ExperimentScale("tiny", 900, 10, 4)
 
@@ -112,33 +119,52 @@ class _SweepStrategy:
         return "test-sweep"
 
 
+def assert_paths_match_staged(runner, make_strategy, x, desired, context):
+    """Pin ``runner.run`` and ``compile().execute`` to the staged reference.
+
+    ``make_strategy`` returns a fresh strategy per call (or the same
+    RNG-free instance), so every path proposes from identical state.
+    """
+    staged = staged_run(runner, make_strategy(), x, desired, return_diagnostics=True)
+    via_run = runner.run(make_strategy(), x, desired, return_diagnostics=True)
+    via_plan = runner.compile(make_strategy()).execute(
+        x, desired, return_diagnostics=True)
+    assert_bit_identical(unpack(via_run), unpack(staged), context=f"run vs staged ({context})")
+    assert_bit_identical(
+        unpack(via_plan), unpack(staged), context=f"plan vs staged ({context})")
+
+
 class TestNumpyBackendBitParity:
     @pytest.mark.parametrize(
         "method,params", BASELINES, ids=[m for m, _ in BASELINES])
     def test_baseline_matches_staged(self, context, method, params):
         runner = EngineRunner(context.bundle.encoder, context.blackbox)
-        staged = runner.run(
-            built(context, method, params), context.x_explain,
-            context.desired, return_diagnostics=True)
-        plan = runner.compile(built(context, method, params))
-        compiled = plan.execute(
-            context.x_explain, context.desired, return_diagnostics=True)
-        assert_bit_identical(
-            unpack(compiled), unpack(staged),
-            context=f"plan vs staged ({method})")
+        assert_paths_match_staged(
+            runner, lambda: built(context, method, params),
+            context.x_explain, context.desired, method)
 
     def test_mahajan_matches_staged(self, context):
         params = {"config": fast_config(epochs=2), "min_epochs": 2}
         runner = EngineRunner(context.bundle.encoder, context.blackbox)
-        staged = runner.run(
-            built(context, "mahajan_unary", params), context.x_explain,
-            context.desired, return_diagnostics=True)
-        plan = runner.compile(built(context, "mahajan_unary", params))
-        compiled = plan.execute(
-            context.x_explain, context.desired, return_diagnostics=True)
-        assert_bit_identical(
-            unpack(compiled), unpack(staged),
-            context="plan vs staged (mahajan_unary)")
+        assert_paths_match_staged(
+            runner, lambda: built(context, "mahajan_unary", params),
+            context.x_explain, context.desired, "mahajan_unary")
+
+    def test_core_sweep_matches_staged(self, context, hosted):
+        # the serving core path: a diverse CF-VAE sweep with a fixed rng
+        density, causal, _ = hosted
+        runner = EngineRunner(
+            context.bundle.encoder, context.blackbox, density=density,
+            causal=causal)
+        core = built(context, "ours_unary", {"config": fast_config(epochs=2)})
+
+        def fresh():
+            return CoreCFStrategy(
+                core.explainer, n_candidates=6, rng=np.random.default_rng(4))
+
+        assert_paths_match_staged(
+            runner, fresh, context.x_explain, context.desired,
+            "core sweep, density+causal")
 
     def test_full_hosted_sweep_matches_staged(self, context, hosted):
         density, causal, ensemble = hosted
@@ -146,14 +172,9 @@ class TestNumpyBackendBitParity:
             context.bundle.encoder, context.blackbox, density=density,
             causal=causal, ensemble=ensemble)
         strategy = _SweepStrategy(context.x_explain, m=12, seed=7)
-        staged = runner.run(
-            strategy, context.x_explain, context.desired,
-            return_diagnostics=True)
-        compiled = runner.compile(strategy).execute(
-            context.x_explain, context.desired, return_diagnostics=True)
-        assert_bit_identical(
-            unpack(compiled), unpack(staged),
-            context="plan vs staged (density+causal+ensemble sweep)")
+        assert_paths_match_staged(
+            runner, lambda: strategy, context.x_explain, context.desired,
+            "density+causal+ensemble sweep")
 
     def test_density_only_sweep_matches_staged(self, context, hosted):
         density, _, _ = hosted
@@ -161,57 +182,130 @@ class TestNumpyBackendBitParity:
             context.bundle.encoder, context.blackbox, density=density,
             density_weight=2.0)
         strategy = _SweepStrategy(context.x_explain, m=8, seed=11)
-        staged = runner.run(
-            strategy, context.x_explain, context.desired,
-            return_diagnostics=True)
-        compiled = runner.compile(strategy).execute(
-            context.x_explain, context.desired, return_diagnostics=True)
-        assert_bit_identical(
-            unpack(compiled), unpack(staged),
-            context="plan vs staged (density sweep)")
+        assert_paths_match_staged(
+            runner, lambda: strategy, context.x_explain, context.desired,
+            "density sweep")
 
     def test_causal_repair_single_candidate_matches_staged(
             self, context, hosted):
         _, causal, _ = hosted
         runner = EngineRunner(
             context.bundle.encoder, context.blackbox, causal=causal)
-        staged = runner.run(
-            built(context, "dice_random", {"max_attempts": 10}),
-            context.x_explain, context.desired, return_diagnostics=True)
-        plan = runner.compile(
-            built(context, "dice_random", {"max_attempts": 10}))
-        compiled = plan.execute(
-            context.x_explain, context.desired, return_diagnostics=True)
-        assert_bit_identical(
-            unpack(compiled), unpack(staged),
-            context="plan vs staged (causal repair, m=1)")
+        assert_paths_match_staged(
+            runner, lambda: built(context, "dice_random", {"max_attempts": 10}),
+            context.x_explain, context.desired, "causal repair, m=1")
 
     def test_result_without_diagnostics_matches_staged(self, context):
         runner = EngineRunner(context.bundle.encoder, context.blackbox)
         strategy = _SweepStrategy(context.x_explain, m=5, seed=3)
-        staged = runner.run(strategy, context.x_explain, context.desired)
-        compiled = runner.run(
-            strategy, context.x_explain, context.desired,
-            plan=runner.compile(strategy))
-        assert_bit_identical(
-            {"x_cf": compiled.x_cf, "predicted": compiled.predicted,
-             "valid": compiled.valid, "feasible": compiled.feasible},
-            {"x_cf": staged.x_cf, "predicted": staged.predicted,
-             "valid": staged.valid, "feasible": staged.feasible},
-            context="run(plan=) vs staged")
+        staged = staged_run(runner, strategy, context.x_explain, context.desired)
+        for label, compiled in (
+            ("run", runner.run(strategy, context.x_explain, context.desired)),
+            ("run(plan=)", runner.run(
+                strategy, context.x_explain, context.desired,
+                plan=runner.compile(strategy))),
+        ):
+            assert_bit_identical(
+                {"x_cf": compiled.x_cf, "predicted": compiled.predicted,
+                 "valid": compiled.valid, "feasible": compiled.feasible},
+                {"x_cf": staged.x_cf, "predicted": staged.predicted,
+                 "valid": staged.valid, "feasible": staged.feasible},
+                context=f"{label} vs staged")
 
-    def test_evaluate_matches_staged_report(self, context):
+    def test_evaluate_matches_staged_report(self, context, hosted):
+        density, causal, ensemble = hosted
+        for runner in (
+            EngineRunner(context.bundle.encoder, context.blackbox),
+            EngineRunner(context.bundle.encoder, context.blackbox,
+                         density=density, causal=causal, ensemble=ensemble),
+        ):
+            kwargs = {"x_train": context.x_train, "stats": context.stats}
+            staged = staged_runner(runner).evaluate(
+                built(context, "dice_random", {"max_attempts": 10}),
+                context.x_explain, context.desired, **kwargs)
+            via_run = runner.evaluate(
+                built(context, "dice_random", {"max_attempts": 10}),
+                context.x_explain, context.desired, **kwargs)
+            plan = runner.compile(
+                built(context, "dice_random", {"max_attempts": 10}))
+            compiled = plan.evaluate(context.x_explain, context.desired, **kwargs)
+            assert via_run.as_row() == staged.as_row()
+            assert compiled.as_row() == staged.as_row()
+
+
+class TestRunnerMemo:
+    def test_same_strategy_reuses_the_plan(self, context):
         runner = EngineRunner(context.bundle.encoder, context.blackbox)
-        staged = runner.evaluate(
-            built(context, "dice_random", {"max_attempts": 10}),
-            context.x_explain, context.desired, x_train=context.x_train,
-            stats=context.stats)
-        plan = runner.compile(
-            built(context, "dice_random", {"max_attempts": 10}))
-        compiled = plan.evaluate(
-            context.x_explain, context.desired, x_train=context.x_train,
-            stats=context.stats)
-        assert compiled.as_row() == staged.as_row()
+        strategy = _SweepStrategy(context.x_explain, m=3, seed=1)
+        plan = runner.plan_for(strategy)
+        runner.run(strategy, context.x_explain, context.desired)
+        assert runner.plan_for(strategy) is plan
+        assert plan.strategy is strategy
+
+    def test_different_strategy_recompiles(self, context):
+        runner = EngineRunner(context.bundle.encoder, context.blackbox)
+        first = _SweepStrategy(context.x_explain, m=3, seed=1)
+        second = _SweepStrategy(context.x_explain, m=3, seed=1)
+        plan = runner.plan_for(first)
+        runner.run(second, context.x_explain, context.desired)
+        replaced = runner.plan_for(second)
+        assert replaced is not plan
+        assert replaced.strategy is second
+        # single slot: switching back compiles again, nothing is retained
+        assert runner.plan_for(first) is not plan
+
+    def test_backend_switch_recompiles(self, context):
+        runner = EngineRunner(context.bundle.encoder, context.blackbox)
+        strategy = _SweepStrategy(context.x_explain, m=3, seed=1)
+        numpy_plan = runner.plan_for(strategy)
+        tiled = runner.plan_for(strategy, backend="float32")
+        assert tiled is not numpy_plan
+        assert tiled.backend.name == "float32"
+        assert runner.plan_for(strategy, backend="float32") is tiled
+        assert runner.plan_for(strategy).backend.name == "numpy"
+
+    def test_concurrent_runs_never_cross_strategies(self, context):
+        # threads share one runner (as pool replicas do) and keep
+        # replacing its single memo slot; each run must still replay
+        # its own strategy's chain
+        import sys
+        import threading
+
+        runner = EngineRunner(context.bundle.encoder, context.blackbox)
+        strategies = [
+            _SweepStrategy(context.x_explain, m=m, seed=seed)
+            for m, seed in ((2, 1), (3, 2), (4, 3))]
+        expected = [
+            staged_run(runner, s, context.x_explain, context.desired).x_cf
+            for s in strategies]
+        mismatches = []
+
+        def worker(offset):
+            for i in range(30):
+                j = (offset + i) % len(strategies)
+                out = runner.run(strategies[j], context.x_explain, context.desired)
+                if not np.array_equal(out.x_cf, expected[j]):
+                    mismatches.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_compile_always_builds_a_fresh_plan(self, context):
+        runner = EngineRunner(context.bundle.encoder, context.blackbox)
+        strategy = _SweepStrategy(context.x_explain, m=3, seed=1)
+        memoised = runner.plan_for(strategy)
+        assert runner.compile(strategy) is not memoised
+        assert runner.plan_for(strategy) is memoised
 
 
 class TestTiledFloat32HardParity:
@@ -221,7 +315,7 @@ class TestTiledFloat32HardParity:
             context.bundle.encoder, context.blackbox, density=density,
             causal=causal)
         strategy = _SweepStrategy(context.x_explain, m=9, seed=5)
-        staged = runner.run(strategy, context.x_explain, context.desired)
+        staged = staged_run(runner, strategy, context.x_explain, context.desired)
         # tile_rows=7 exercises a ragged final tile on every dataset
         from repro.engine import TiledFloat32Backend
 

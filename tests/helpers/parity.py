@@ -16,7 +16,12 @@ home for it:
 * :func:`assert_close` — the float-tolerance variant for matmul-backed
   paths whose BLAS blocking varies with batch shape,
 * :func:`assert_batched_matches_loop` — run a batched callable and its
-  loop reference on the same inputs and pin the outputs together.
+  loop reference on the same inputs and pin the outputs together,
+* :func:`staged_run` — the historical stage-by-stage engine chain, the
+  reference ``EngineRunner.run`` / ``ExplainPlan.execute`` are pinned to
+  (:func:`staged_runner` wraps it as a runner for ``evaluate``),
+* :func:`pick_candidate` — the historical per-row serving pick, the
+  reference the vectorized runner selection is pinned to.
 """
 
 import numpy as np
@@ -143,3 +148,127 @@ def assert_batched_matches_loop(batched_fn, loop_fn, *args, atol=None,
     else:
         assert_close(fast, loop, atol=atol, context=where)
     return fast, loop
+
+
+def staged_run(runner, strategy, x, desired=None, return_diagnostics=False):
+    """Reference stage-by-stage engine chain (the pre-plan ``EngineRunner.run``).
+
+    Propose, project, causally repair, predict, evaluate the kernel,
+    score density and ensemble, then select — each stage one separate
+    pass over the full ``(n, m, d)`` sweep, with the flag columns
+    re-resolved per call.  The compiled plan every runner path replays
+    must reproduce this bit for bit on the default backend.
+    """
+    from repro.core.result import CFBatchResult
+    from repro.engine.runner import _select_candidates, _select_candidates_density
+    from repro.utils.validation import check_encoded_rows
+
+    x = check_encoded_rows(x, runner.encoder, "x")
+    batch = strategy.propose(x, desired)
+    x, desired = batch.x, batch.desired
+    n, m, d = batch.candidates.shape
+    candidates = runner.project(x, batch.candidates)
+
+    sweep_causal = None
+    if runner.causal is not None and (runner.causal_repair or return_diagnostics):
+        repaired = runner.causal.repair_batch(x, candidates, validate=False)
+        if return_diagnostics:
+            sweep_causal = np.abs(repaired - candidates).sum(axis=2)
+        if runner.causal_repair:
+            candidates = repaired
+    flat = candidates.reshape(n * m, d)
+
+    predicted = runner.blackbox.predict(flat)
+    report = runner.kernel.evaluate(x, flat)
+    flags = report.subset_satisfied(runner.flag_indices(strategy))
+    valid = predicted == np.repeat(desired, m)
+
+    sweep_density = None
+    if runner.density is not None and m > 1:
+        sweep_density = runner.density.score_tiled(candidates)
+
+    sweep_cross = robust2d = None
+    if runner.ensemble is not None:
+        sweep_cross = runner.ensemble.agreement(
+            flat, np.repeat(desired, m)).reshape(n, m)
+        robust2d = sweep_cross >= runner.robust_quorum
+
+    rows = np.arange(n)
+    if m == 1:
+        x_cf = candidates[:, 0, :]
+        chosen = np.zeros(n, dtype=int)
+        row_predicted, row_feasible = predicted, flags
+    else:
+        valid2d, flags2d = valid.reshape(n, m), flags.reshape(n, m)
+        if sweep_density is None:
+            chosen = _select_candidates(
+                x, candidates, valid2d, flags2d, robust=robust2d)
+        else:
+            chosen = _select_candidates_density(
+                x, candidates, valid2d, flags2d, sweep_density,
+                runner.density_weight, robust=robust2d)
+        x_cf = candidates[rows, chosen]
+        row_predicted = predicted.reshape(n, m)[rows, chosen]
+        row_feasible = flags.reshape(n, m)[rows, chosen]
+
+    result = CFBatchResult(
+        x=x, x_cf=x_cf, desired=desired, predicted=row_predicted,
+        valid=row_predicted == desired, feasible=row_feasible,
+        encoder=runner.encoder)
+    if not return_diagnostics:
+        return result
+    diagnostics = {
+        "report": report,
+        "chosen": chosen,
+        "n_candidates": m,
+        "n_usable": (valid & flags).reshape(n, m).sum(axis=1),
+        "candidate_validity": float(valid.mean()) if valid.size else 0.0,
+    }
+    if runner.density is not None:
+        diagnostics["row_density"] = (
+            runner.density.score(x_cf) if sweep_density is None
+            else sweep_density[rows, chosen])
+    if sweep_causal is not None:
+        diagnostics["row_causal"] = sweep_causal[rows, chosen]
+    if sweep_cross is not None:
+        diagnostics["row_cross_validity"] = sweep_cross[rows, chosen]
+        diagnostics["row_robust"] = robust2d[rows, chosen]
+        diagnostics["candidate_robustness"] = (
+            float(robust2d.mean()) if robust2d.size else 0.0)
+    return result, diagnostics
+
+
+def staged_runner(runner):
+    """A twin of ``runner`` whose ``run`` is :func:`staged_run`.
+
+    ``evaluate`` and ``run_scenario`` call ``runner.run``, so scoring
+    through the twin yields the staged reference's Table IV row.
+    """
+    from repro.engine import EngineRunner
+
+    twin = EngineRunner(
+        runner.encoder, runner.blackbox, constraints=runner.kernel,
+        density=runner.density, density_weight=runner.density_weight,
+        causal=runner.causal, causal_repair=runner.causal_repair,
+        ensemble=runner.ensemble, robust_quorum=runner.robust_quorum)
+
+    def run(strategy, x, desired=None, return_diagnostics=False, plan=None):
+        return staged_run(twin, strategy, x, desired, return_diagnostics)
+
+    twin.run = run
+    return twin
+
+
+def pick_candidate(candidate_set):
+    """Reference per-row serving pick over one :class:`CandidateSet`.
+
+    Closest by L1 among valid & feasible candidates, then among valid
+    ones, then candidate 0 (the deterministic zero-noise decode).
+    """
+    distances = np.abs(
+        candidate_set.candidates - candidate_set.x[None, :]).sum(axis=1)
+    for mask in (candidate_set.usable_mask, candidate_set.valid):
+        if mask.any():
+            pool = np.flatnonzero(mask)
+            return int(pool[np.argmin(distances[pool])])
+    return 0

@@ -3,9 +3,8 @@
 The per-kind store triples (``save_density`` / ``save_causal`` /
 ``save_ensemble`` and their load/has siblings) collapsed into
 ``save_overlay(name, kind, model)`` dispatching through registered
-:class:`OverlayKind` entries.  These tests cover the generic surface,
-the kind registry, and the deprecation contract of all nine legacy
-wrappers (still working, each warning once per call).
+:class:`OverlayKind` entries.  These tests cover the generic surface
+and the kind registry.
 """
 
 import numpy as np
@@ -89,47 +88,3 @@ class TestGenericSurface:
                 loaded.score(probe), models["density"].score(probe))
         finally:
             _OVERLAY_KINDS.pop("shadow", None)
-
-
-class TestDeprecatedWrappers:
-    """All nine legacy methods still work and warn."""
-
-    def test_density_wrappers(self, saved):
-        store, models = saved
-        with pytest.warns(DeprecationWarning, match="save_overlay"):
-            store.save_density("t", models["density"])
-        with pytest.warns(DeprecationWarning, match="has_overlay"):
-            assert store.has_density("t")
-        with pytest.warns(DeprecationWarning, match="load_overlay"):
-            loaded = store.load_density("t")
-        assert loaded.fingerprint() == models["density"].fingerprint()
-
-    def test_causal_wrappers(self, saved, tiny_pipeline):
-        store, models = saved
-        with pytest.warns(DeprecationWarning, match="save_overlay"):
-            store.save_causal("t", models["causal"])
-        with pytest.warns(DeprecationWarning, match="has_overlay"):
-            assert store.has_causal("t")
-        with pytest.warns(DeprecationWarning, match="load_overlay"):
-            loaded = store.load_causal("t", encoder=tiny_pipeline.encoder)
-        assert loaded.fingerprint() == models["causal"].fingerprint()
-
-    def test_ensemble_wrappers(self, saved):
-        store, models = saved
-        with pytest.warns(DeprecationWarning, match="save_overlay"):
-            store.save_ensemble("t", models["ensemble"])
-        with pytest.warns(DeprecationWarning, match="has_overlay"):
-            assert store.has_ensemble("t")
-        with pytest.warns(DeprecationWarning, match="load_overlay"):
-            loaded = store.load_ensemble("t")
-        assert loaded.fingerprint() == models["ensemble"].fingerprint()
-
-    def test_wrappers_match_generic_results(self, saved):
-        store, models = saved
-        store.save_overlay("t", "density", models["density"])
-        with pytest.warns(DeprecationWarning):
-            legacy = store.load_density("t")
-        generic = store.load_overlay("t", "density")
-        probe = models["density"].reference_[:7] + 0.05
-        np.testing.assert_array_equal(
-            legacy.score(probe), generic.score(probe))

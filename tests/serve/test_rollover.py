@@ -182,10 +182,10 @@ class TestEnsembleRollover:
         ensemble = train_ensemble(
             x_train, y_train, n_members=2, seed=1, epochs=2,
             include=v2.blackbox)
-        store.save_ensemble("tiny", ensemble)
+        store.save_overlay("tiny", "ensemble", ensemble)
         service = ExplanationService.warm_start(
             store, "tiny", expected_fingerprint=v1_fingerprint,
-            on_stale="migrate", migrate_from=v1_service, ensemble="store")
+            on_stale="migrate", migrate_from=v1_service, overlays={"ensemble": "store"})
         assert service.ensemble.fingerprint() == ensemble.fingerprint()
         # the migrated survivors were keyed under the ensemble-extended
         # composite fingerprint, so robust serving replays them

@@ -94,14 +94,23 @@ class TestWorkerPool:
             assert 0.0 <= entry["hit_rate"] <= 1.0
             assert entry["mean_batch_size"] >= 0.0
 
-    def test_pool_compiles_one_execution_state(self, store):
-        with WorkerPool(store, "tiny", n_replicas=3, engine="plan") as pool:
+    def test_pool_compiles_one_execution_state(self, store, explain_rows):
+        with WorkerPool(store, "tiny", n_replicas=3,
+                        flush_kwargs={"n_candidates": 4}) as pool:
             leader = pool.replicas[0].service
             for replica in pool.replicas[1:]:
                 assert replica.service.runner is leader.runner
-                assert replica.service.plan is leader.plan
                 assert replica.service.core_strategy is leader.core_strategy
                 assert replica.service.pipeline is leader.pipeline
+            # every replica flushes through the one shared strategy, so
+            # the shared runner's single-slot memo holds ONE plan
+            pool.flush_rows(explain_rows[:12])
+            strategy = leader._core_strategy_for(4)
+            plan = leader.runner.plan_for(strategy)
+            pool.flush_rows(explain_rows[12:24])
+            for replica in pool.replicas:
+                assert replica.service._core_strategy_for(4) is strategy
+                assert replica.service.runner.plan_for(strategy) is plan
 
     def test_shared_weights_bind_every_replica(self, store, explain_rows):
         with WorkerPool(store, "tiny", n_replicas=2) as pool:
@@ -143,17 +152,20 @@ class TestAdoptExecution:
         sibling = ExplanationService(tiny_pipeline, density_weight=2.0)
         with pytest.raises(ValueError, match="density configuration"):
             sibling.adopt_execution_from(leader)
-        other_engine = ExplanationService(tiny_pipeline, engine="plan")
-        with pytest.raises(ValueError, match="engine"):
-            other_engine.adopt_execution_from(leader)
+        quorum = ExplanationService(tiny_pipeline, robust_quorum=0.75)
+        with pytest.raises(ValueError, match="robust_quorum"):
+            quorum.adopt_execution_from(leader)
 
-    def test_adopts_runner_strategy_and_plan(self, tiny_pipeline):
-        leader = ExplanationService(tiny_pipeline, engine="plan")
-        sibling = ExplanationService(tiny_pipeline, engine="plan")
+    def test_adopts_runner_strategy_and_plan(self, tiny_pipeline, explain_rows):
+        leader = ExplanationService(tiny_pipeline)
+        sibling = ExplanationService(tiny_pipeline)
         assert sibling.adopt_execution_from(leader) is sibling
         assert sibling.runner is leader.runner
         assert sibling.core_strategy is leader.core_strategy
-        assert sibling.plan is leader.plan
+        leader.explain_batch(explain_rows[:3])
+        plan = leader.runner.plan_for(leader.core_strategy)
+        sibling.explain_batch(explain_rows[3:6])
+        assert sibling.runner.plan_for(sibling.core_strategy) is plan
 
 
 class TestThreadSafety:

@@ -93,7 +93,7 @@ class TestMicroBatching:
 
     def test_flush_matches_direct_candidate_sweep(self, service, explain_rows):
         from repro.core import generate_candidates
-        from repro.serve.service import _pick_candidate
+        from tests.helpers.parity import pick_candidate
 
         rows = explain_rows[:4]
         tickets = [service.submit(row) for row in rows]
@@ -108,7 +108,7 @@ class TestMicroBatching:
             rng=np.random.default_rng(3),
         )
         for ticket, candidate_set in zip(tickets, candidate_sets):
-            index = _pick_candidate(candidate_set)
+            index = pick_candidate(candidate_set)
             assert np.array_equal(
                 ticket.result()["x_cf"], candidate_set.candidates[index]
             )

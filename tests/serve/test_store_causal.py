@@ -33,11 +33,11 @@ class TestCausalOverlay:
     def test_round_trip_preserves_fingerprint_and_repairs(self, saved, kind):
         store, pipeline = saved
         model = fitted_causal(pipeline, kind)
-        assert not store.has_causal("tiny")
-        store.save_causal("tiny", model)
-        assert store.has_causal("tiny")
+        assert not store.has_overlay("tiny", "causal")
+        store.save_overlay("tiny", "causal", model)
+        assert store.has_overlay("tiny", "causal")
 
-        loaded = store.load_causal("tiny", encoder=pipeline.encoder)
+        loaded = store.load_overlay("tiny", "causal", encoder=pipeline.encoder)
         assert loaded.fingerprint() == model.fingerprint()
         x = pipeline.bundle.encoded[:8]
         sweep = np.clip(
@@ -49,62 +49,62 @@ class TestCausalOverlay:
 
     def test_load_rebuilds_encoder_from_manifest_when_omitted(self, saved):
         store, pipeline = saved
-        store.save_causal("tiny", fitted_causal(pipeline))
-        loaded = store.load_causal("tiny")
+        store.save_overlay("tiny", "causal", fitted_causal(pipeline))
+        loaded = store.load_overlay("tiny", "causal")
         assert loaded.encoder.schema.name == "adult"
         assert loaded.fingerprint() == fitted_causal(pipeline).fingerprint()
 
     def test_save_requires_existing_artifact(self, tmp_path, tiny_pipeline):
         store = ArtifactStore(tmp_path / "empty")
         with pytest.raises(ArtifactError, match="save the pipeline first"):
-            store.save_causal("ghost", fitted_causal(tiny_pipeline))
+            store.save_overlay("ghost", "causal", fitted_causal(tiny_pipeline))
 
     def test_load_missing_overlay_raises(self, saved):
         store, _ = saved
         with pytest.raises(ArtifactError, match="no causal state"):
-            store.load_causal("tiny")
+            store.load_overlay("tiny", "causal")
 
     def test_corrupted_npz_fails_checksum(self, saved):
         store, pipeline = saved
-        store.save_causal("tiny", fitted_causal(pipeline, "mined"))
+        store.save_overlay("tiny", "causal", fitted_causal(pipeline, "mined"))
         (store.artifact_dir("tiny") / "causal.npz").write_bytes(b"gandalf")
         with pytest.raises(ArtifactError, match="checksum"):
-            store.load_causal("tiny", encoder=pipeline.encoder)
+            store.load_overlay("tiny", "causal", encoder=pipeline.encoder)
 
     def test_tampered_state_is_stale(self, saved):
         store, pipeline = saved
-        store.save_causal("tiny", fitted_causal(pipeline, "mined"))
+        store.save_overlay("tiny", "causal", fitted_causal(pipeline, "mined"))
         meta_path = store.artifact_dir("tiny") / "causal.json"
         meta = json.loads(meta_path.read_text())
         meta["state"]["strict_margin"] = 0.5  # drifted knob, stale fingerprint
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(StaleArtifactError, match="stale"):
-            store.load_causal("tiny", encoder=pipeline.encoder)
+            store.load_overlay("tiny", "causal", encoder=pipeline.encoder)
 
     def test_wrong_format_version_is_stale(self, saved):
         store, pipeline = saved
-        store.save_causal("tiny", fitted_causal(pipeline))
+        store.save_overlay("tiny", "causal", fitted_causal(pipeline))
         meta_path = store.artifact_dir("tiny") / "causal.json"
         meta = json.loads(meta_path.read_text())
         meta["format_version"] = 99
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(StaleArtifactError, match="format_version"):
-            store.load_causal("tiny", encoder=pipeline.encoder)
+            store.load_overlay("tiny", "causal", encoder=pipeline.encoder)
 
     def test_expected_fingerprint_mismatch_is_stale(self, saved):
         store, pipeline = saved
-        store.save_causal("tiny", fitted_causal(pipeline))
+        store.save_overlay("tiny", "causal", fitted_causal(pipeline))
         with pytest.raises(StaleArtifactError, match="does not match"):
-            store.load_causal(
-                "tiny", encoder=pipeline.encoder, expected_fingerprint="bogus")
+            store.load_overlay(
+                "tiny", "causal", encoder=pipeline.encoder, expected_fingerprint="bogus")
 
 
 class TestCausalAwareServing:
     def test_warm_start_from_store_serves_repaired_batches(self, saved, explain_rows):
         store, pipeline = saved
         model = fitted_causal(pipeline)
-        store.save_causal("tiny", model)
-        service = ExplanationService.warm_start(store, "tiny", causal="store")
+        store.save_overlay("tiny", "causal", model)
+        service = ExplanationService.warm_start(store, "tiny", overlays={"causal": "store"})
         result = service.explain_batch(explain_rows)
         assert len(result) == len(explain_rows)
         # served counterfactuals are causally consistent

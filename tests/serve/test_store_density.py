@@ -27,9 +27,9 @@ class TestDensityPersistence:
     def test_roundtrip_bitwise(self, trained):
         store, pipeline, reference = trained
         model = KnnDensity(k_neighbors=5).fit(reference)
-        store.save_density("t", model)
-        assert store.has_density("t")
-        loaded = store.load_density("t")
+        store.save_overlay("t", "density", model)
+        assert store.has_overlay("t", "density")
+        loaded = store.load_overlay("t", "density")
         assert loaded.fingerprint() == model.fingerprint()
         probe = reference[:7] + 0.05
         np.testing.assert_array_equal(loaded.score(probe), model.score(probe))
@@ -38,8 +38,8 @@ class TestDensityPersistence:
         store, pipeline, reference = trained
         vae = pipeline.explainer.generator.vae
         model = LatentDensity(vae=vae, k_neighbors=5).fit(reference)
-        store.save_density("t", model)
-        loaded = store.load_density("t", vae=vae)
+        store.save_overlay("t", "density", model)
+        loaded = store.load_overlay("t", "density", vae=vae)
         probe = reference[:7]
         np.testing.assert_array_equal(loaded.score(probe), model.score(probe))
 
@@ -47,42 +47,42 @@ class TestDensityPersistence:
         _, _, reference = trained
         empty = ArtifactStore(tmp_path / "empty")
         with pytest.raises(ArtifactError, match="save the pipeline first"):
-            empty.save_density("ghost", KnnDensity().fit(reference))
+            empty.save_overlay("ghost", "density", KnnDensity().fit(reference))
 
     def test_missing_density_state_raises(self, trained, tmp_path):
         store, pipeline, _ = trained
         bare = ArtifactStore(tmp_path / "bare")
         bare.save(pipeline, name="b")
-        assert not bare.has_density("b")
+        assert not bare.has_overlay("b", "density")
         with pytest.raises(ArtifactError, match="no density state"):
-            bare.load_density("b")
+            bare.load_overlay("b", "density")
 
     def test_corrupted_npz_fails_checksum(self, trained, tmp_path):
         store, pipeline, reference = trained
         broken = ArtifactStore(tmp_path / "broken")
         broken.save(pipeline, name="b")
-        broken.save_density("b", KnnDensity(k_neighbors=5).fit(reference))
+        broken.save_overlay("b", "density", KnnDensity(k_neighbors=5).fit(reference))
         npz = broken.artifact_dir("b") / "density.npz"
         npz.write_bytes(npz.read_bytes()[:-8] + b"corrupted")
         with pytest.raises(ArtifactError, match="checksum"):
-            broken.load_density("b")
+            broken.load_overlay("b", "density")
 
     def test_fingerprint_mismatch_is_stale(self, trained, tmp_path):
         store, pipeline, reference = trained
         other = ArtifactStore(tmp_path / "other")
         other.save(pipeline, name="b")
         model = KnnDensity(k_neighbors=5).fit(reference)
-        other.save_density("b", model)
+        other.save_overlay("b", "density", model)
         with pytest.raises(StaleArtifactError, match="does not match"):
-            other.load_density("b", expected_fingerprint="deadbeefdeadbeef")
+            other.load_overlay("b", "density", expected_fingerprint="deadbeefdeadbeef")
 
 
 class TestDensityAwareServing:
     def test_warm_start_from_store_state(self, trained):
         store, pipeline, reference = trained
         model = KnnDensity(k_neighbors=5).fit(reference)
-        store.save_density("t", model)
-        service = ExplanationService.warm_start(store, "t", density="store")
+        store.save_overlay("t", "density", model)
+        service = ExplanationService.warm_start(store, "t", overlays={"density": "store"})
         assert service.density is not None
         assert service.density.fingerprint() == model.fingerprint()
         x_test, _ = pipeline.bundle.split("test")

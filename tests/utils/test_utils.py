@@ -16,6 +16,7 @@ from repro.utils import (
     render_table,
     spawn,
 )
+from repro.utils.validation import resolve_desired
 
 
 class TestRng:
@@ -117,3 +118,58 @@ class TestValidation:
         assert check_positive(2) == 2.0
         with pytest.raises(ValueError):
             check_positive(0)
+
+
+class _ThresholdBlackBox:
+    """Predicts class 1 for rows whose first feature exceeds 0.5."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def predict(self, rows):
+        self.calls += 1
+        return (np.asarray(rows)[:, 0] > 0.5).astype(int)
+
+
+class TestResolveDesired:
+    rows = np.array([[0.9, 0.0], [0.1, 0.0], [0.7, 1.0], [0.2, 1.0]])
+
+    def test_none_flips_every_prediction(self):
+        blackbox = _ThresholdBlackBox()
+        out = resolve_desired(blackbox, self.rows, None)
+        assert out.tolist() == [0, 1, 0, 1]
+        assert blackbox.calls == 1
+
+    def test_scalar_broadcasts_without_predicting(self):
+        blackbox = _ThresholdBlackBox()
+        assert resolve_desired(blackbox, self.rows, 1).tolist() == [1] * 4
+        assert resolve_desired(blackbox, self.rows, np.int64(0)).tolist() == [0] * 4
+        assert blackbox.calls == 0
+
+    def test_array_passes_through_as_ints(self):
+        blackbox = _ThresholdBlackBox()
+        out = resolve_desired(blackbox, self.rows, np.array([1.0, 0.0, 1.0, 1.0]))
+        assert out.dtype.kind == "i"
+        assert out.tolist() == [1, 0, 1, 1]
+        assert resolve_desired(blackbox, self.rows, [0, 0, 1, 1]).tolist() == [0, 0, 1, 1]
+        assert blackbox.calls == 0
+
+    def test_mixed_list_flips_only_the_none_rows(self):
+        blackbox = _ThresholdBlackBox()
+        out = resolve_desired(blackbox, self.rows, [None, 0, 1, None])
+        assert out.tolist() == [0, 0, 1, 1]
+        assert blackbox.calls == 1
+        assert resolve_desired(blackbox, self.rows, (None,) * 4).tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("desired", [
+        [1, 0],
+        np.zeros(5, dtype=int),
+        [None, 1],
+    ], ids=["short-list", "long-array", "short-mixed"])
+    def test_length_mismatch_raises(self, desired):
+        with pytest.raises(ValueError, match="row counts differ"):
+            resolve_desired(_ThresholdBlackBox(), self.rows, desired)
+
+    def test_matrix_raises(self):
+        with pytest.raises(ValueError, match="scalar or 1-D"):
+            resolve_desired(_ThresholdBlackBox(), self.rows, np.zeros((4, 1)))
