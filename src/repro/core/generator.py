@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import SGD, Adam, Tensor
+from ..nn import SGD, Adam, Tensor, check_finite_loss
 from ..utils.validation import check_2d, resolve_desired
 from .losses import FourPartLoss
 
@@ -132,7 +132,9 @@ class CFVAEGenerator:
         row, which matches the CF definition (input class vs the desired,
         opposite class).  Returns ``self``; per-epoch loss-part averages
         accumulate in :attr:`history` (a re-fit moves the previous run
-        into :attr:`history_segments` first).
+        into :attr:`history_segments` first).  Raises
+        :class:`~repro.nn.TrainingDivergedError` at the first non-finite
+        loss, before the optimiser steps on it.
         """
         x = check_2d(x, "x")  # rejects empty batches with a clean ValueError
         cfg = self.config.scaled_for(len(x))
@@ -189,6 +191,8 @@ class CFVAEGenerator:
                         x[batch], desired[batch], perturb=True)
                     total, parts = self.loss_fn(
                         x[batch], x_cf, desired[batch], mu, log_var)
+                    check_finite_loss(parts["total"], "CFVAEGenerator.fit",
+                                      epoch, len(epoch_parts))
                     total.backward()
                     optimizer.step()
                     epoch_parts.append(parts)

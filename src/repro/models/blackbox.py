@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import SGD, Adam, Linear, Module, ReLU, Sequential, bce_with_logits
+from ..nn import SGD, Adam, Linear, Module, ReLU, Sequential, bce_with_logits, check_finite_loss
 from ..nn.functional import sigmoid_forward
 from ..utils.validation import check_2d, check_2d_fast, check_binary_labels
 
@@ -81,7 +81,9 @@ def train_classifier(model, x, y, epochs=30, lr=0.05, batch_size=256,
     class on skewed datasets (KDD Census has ~12% positives).
 
     Returns the per-epoch mean loss history.  The classifier is left in
-    eval mode, ready to be frozen inside the explainers.
+    eval mode, ready to be frozen inside the explainers.  Raises
+    :class:`~repro.nn.TrainingDivergedError` at the first non-finite loss,
+    before the optimiser steps on it.
     """
     x = check_2d(x, "x")
     y = check_binary_labels(y, "y").astype(np.float64)
@@ -116,9 +118,10 @@ def train_classifier(model, x, y, epochs=30, lr=0.05, batch_size=256,
             logits = model.forward(x[batch])
             batch_weights = None if sample_weights is None else sample_weights[batch]
             loss = bce_with_logits(logits, y[batch], weights=batch_weights)
+            value = check_finite_loss(loss.item(), "train_classifier", epoch, len(losses))
             loss.backward()
             opt.step()
-            losses.append(loss.item())
+            losses.append(value)
         history.append(float(np.mean(losses)))
         if verbose:
             print(f"epoch {epoch + 1}/{epochs}  bce={history[-1]:.4f}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Adam, gaussian_kl, mse_loss
+from ..nn import Adam, check_finite_loss, gaussian_kl, mse_loss
 from ..utils.validation import check_2d
 
 __all__ = ["train_reconstruction_vae"]
@@ -22,7 +22,8 @@ def train_reconstruction_vae(vae, x, labels, epochs=30, lr=1e-3, batch_size=256,
     """Fit ``vae`` to reconstruct ``x`` conditioned on ``labels``.
 
     Loss per batch: ``MSE(x_hat, x) + beta * KL(q(z|x) || N(0, I))``.
-    Returns the per-epoch loss history.
+    Returns the per-epoch loss history; raises
+    :class:`~repro.nn.TrainingDivergedError` at the first non-finite loss.
     """
     x = check_2d(x, "x")
     labels = np.asarray(labels, dtype=np.float64)
@@ -34,7 +35,7 @@ def train_reconstruction_vae(vae, x, labels, epochs=30, lr=1e-3, batch_size=256,
     vae.train()
     history = []
     n_rows = len(x)
-    for _ in range(epochs):
+    for epoch in range(epochs):
         order = rng.permutation(n_rows)
         losses = []
         for start in range(0, n_rows, batch_size):
@@ -42,9 +43,11 @@ def train_reconstruction_vae(vae, x, labels, epochs=30, lr=1e-3, batch_size=256,
             optimizer.zero_grad()
             reconstruction, mu, log_var, _ = vae(x[batch], labels[batch])
             loss = mse_loss(reconstruction, x[batch]) + gaussian_kl(mu, log_var) * beta
+            value = check_finite_loss(
+                loss.item(), "train_reconstruction_vae", epoch, len(losses))
             loss.backward()
             optimizer.step()
-            losses.append(loss.item())
+            losses.append(value)
         history.append(float(np.mean(losses)))
         if verbose:
             print(f"vae loss {history[-1]:.5f}")

@@ -30,7 +30,14 @@ from .tensor import (
     no_grad,
     set_default_dtype,
 )
-from .training_utils import CosineDecay, EarlyStopping, StepDecay, clip_grad_norm
+from .training_utils import (
+    CosineDecay,
+    EarlyStopping,
+    StepDecay,
+    TrainingDivergedError,
+    check_finite_loss,
+    clip_grad_norm,
+)
 
 __all__ = [
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
@@ -42,5 +49,6 @@ __all__ = [
     "Optimizer", "SGD", "Adam",
     "save_state", "load_state",
     "he_uniform", "xavier_uniform", "zeros",
+    "TrainingDivergedError", "check_finite_loss",
     "clip_grad_norm", "StepDecay", "CosineDecay", "EarlyStopping",
 ]

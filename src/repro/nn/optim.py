@@ -3,6 +3,17 @@
 ``SGD`` (with optional momentum) and ``Adam`` cover everything the paper
 trains: the black-box classifier, the CF-VAE (Table III uses plain SGD
 learning rates of 0.1/0.2) and the gradient-based baselines.
+
+Both keep their state (momentum, Adam moments) in one flat buffer per
+parameter dtype and make one fused elementwise update per step over all
+parameters' gradients gathered end to end.  The formula is the textbook
+per-parameter one, so the result is bit-identical to updating tensor by
+tensor (as long as the gradients of one parameter dtype share a dtype,
+which every model here satisfies; mixed gradients combine at the
+promoted dtype).  Parameters are updated in place (``p.data -= ...``): a module
+whose weights are bound to external arrays stays bound, and a read-only
+binding (e.g. a shared-memory serving view) raises instead of being
+silently replaced by a private copy.
 """
 
 from __future__ import annotations
@@ -10,6 +21,57 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["Optimizer", "SGD", "Adam"]
+
+_ALL = slice(None)
+
+
+class _FlatGroup:
+    """Parameters of one dtype, laid end to end in flat state buffers."""
+
+    def __init__(self, parameters):
+        self.parameters = parameters
+        self.dtype = parameters[0].data.dtype
+        self.ends = np.cumsum([p.data.size for p in parameters]).tolist()
+
+    def state(self):
+        """A zeroed state buffer (float32 parameters keep float32 state)."""
+        return np.zeros(self.ends[-1], dtype=self.dtype)
+
+    def gather(self):
+        """``(live, grad, index)`` over the parameters holding a gradient.
+
+        ``grad`` is their gradients raveled end to end and ``index``
+        selects their elements of a state buffer: ``_ALL`` when every
+        parameter has a gradient, else an index array, so a parameter
+        without one keeps its state untouched.  None when no parameter
+        has a gradient.
+        """
+        live, spans = [], []
+        start = 0
+        for parameter, end in zip(self.parameters, self.ends):
+            if parameter.grad is not None:
+                if not parameter.data.flags.writeable:
+                    raise ValueError(
+                        "cannot update a read-only parameter in place; it is "
+                        "bound to a read-only view (e.g. shared serving weights)")
+                live.append(parameter)
+                spans.append((start, end))
+            start = end
+        if not live:
+            return None
+        grad = np.concatenate([np.ravel(p.grad) for p in live])
+        if len(live) == len(self.parameters):
+            return live, grad, _ALL
+        return live, grad, np.concatenate([np.arange(a, b) for a, b in spans])
+
+    @staticmethod
+    def apply(live, update):
+        """``p.data -= update`` for each live parameter's slice, in place."""
+        offset = 0
+        for parameter in live:
+            size = parameter.data.size
+            parameter.data -= update[offset:offset + size].reshape(parameter.data.shape)
+            offset += size
 
 
 class Optimizer:
@@ -22,6 +84,10 @@ class Optimizer:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = float(lr)
+        by_dtype = {}
+        for parameter in self.parameters:
+            by_dtype.setdefault(parameter.data.dtype, []).append(parameter)
+        self._groups = [_FlatGroup(group) for group in by_dtype.values()]
 
     def zero_grad(self):
         """Clear gradients on all managed parameters."""
@@ -41,19 +107,24 @@ class SGD(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+        self._velocity = [group.state() for group in self._groups]
 
     def step(self):
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
+        for group, velocity_all in zip(self._groups, self._velocity):
+            gathered = group.gather()
+            if gathered is None:
                 continue
+            live, grad, index = gathered
             if self.momentum:
+                velocity = velocity_all[index]
                 velocity *= self.momentum
-                velocity += parameter.grad
+                velocity += grad
+                if index is not _ALL:
+                    velocity_all[index] = velocity
                 update = velocity
             else:
-                update = parameter.grad
-            parameter.data = parameter.data - self.lr * update
+                update = grad
+            group.apply(live, self.lr * update)
 
 
 class Adam(Optimizer):
@@ -64,21 +135,27 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
         self._step_count = 0
-        self._first_moment = [np.zeros_like(p.data) for p in self.parameters]
-        self._second_moment = [np.zeros_like(p.data) for p in self.parameters]
+        self._first_moment = [group.state() for group in self._groups]
+        self._second_moment = [group.state() for group in self._groups]
 
     def step(self):
         self._step_count += 1
         bias1 = 1.0 - self.beta1 ** self._step_count
         bias2 = 1.0 - self.beta2 ** self._step_count
-        for parameter, m, v in zip(self.parameters, self._first_moment, self._second_moment):
-            if parameter.grad is None:
+        for group, m_all, v_all in zip(self._groups, self._first_moment,
+                                       self._second_moment):
+            gathered = group.gather()
+            if gathered is None:
                 continue
-            grad = parameter.grad
+            live, grad, index = gathered
+            m, v = m_all[index], v_all[index]
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2
             v += (1.0 - self.beta2) * grad * grad
+            if index is not _ALL:
+                m_all[index] = m
+                v_all[index] = v
             m_hat = m / bias1
             v_hat = v / bias2
-            parameter.data = parameter.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            group.apply(live, self.lr * m_hat / (np.sqrt(v_hat) + self.eps))

@@ -13,9 +13,22 @@ The design mirrors the micro-autograd style popularised by PyTorch: each
 primitive op stores a closure that knows how to push the output gradient
 back to its parents.  All gradients are verified against central finite
 differences in ``tests/nn/test_gradcheck.py``.
+
+Gradient contract (PyTorch's default):
+
+* only *leaves* — tensors created with ``requires_grad=True`` rather than
+  produced by an op — receive :attr:`Tensor.grad`; interior nodes keep
+  ``grad is None`` after :meth:`Tensor.backward`;
+* an operand whose ``requires_grad`` is False when ``backward()`` runs
+  gets no gradient computed at all, so a frozen weight (or a constant
+  such as a dropout mask) costs no ``x.T @ g`` or reduction.  The flag
+  is read at backward time, so freezing a weight between the forward
+  and the backward pass is honoured.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,6 +41,7 @@ __all__ = [
 
 _GRAD_ENABLED = True
 _DEFAULT_DTYPE = np.float64
+_FLOAT_TYPES = (np.float32, np.float64)
 
 
 def set_default_dtype(dtype):
@@ -143,7 +157,7 @@ class Tensor:
         # float32 through graph ops even outside a dtype_scope);
         # everything else coerces to the configured default.
         data = np.asarray(data)
-        if data.dtype.type not in (np.float32, np.float64):
+        if data.dtype.type not in _FLOAT_TYPES:
             data = data.astype(_DEFAULT_DTYPE)
         self.data = data
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
@@ -197,13 +211,31 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def _make(data, parents, backward):
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = False
+        if _GRAD_ENABLED:
+            for parent in parents:
+                if parent.requires_grad:
+                    requires = True
+                    break
         if not requires:
-            return Tensor(data)
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
+            parents, backward = (), None
+        if data.__class__ is not np.ndarray or data.dtype.type not in _FLOAT_TYPES:
+            # numpy scalars (full reductions) and non-float results take
+            # the coercing constructor
+            return Tensor(data, requires, parents, backward)
+        out = Tensor.__new__(Tensor)
+        out.data = data
+        out.requires_grad = requires
+        out.grad = None
+        out._parents = parents
+        out._backward = backward
+        return out
 
     def backward(self, grad=None):
         """Backpropagate from this tensor through the recorded graph.
+
+        Gradients accumulate into :attr:`grad` of the leaves only (see the
+        module docstring); interior nodes are never written.
 
         Parameters
         ----------
@@ -220,7 +252,9 @@ class Tensor:
         else:
             grad = np.asarray(grad, dtype=self.data.dtype)
 
-        # Reverse topological order over the DAG.
+        # Reverse topological order over the DAG.  The visit order fixes
+        # the floating-point order in which three or more contributions
+        # to one node are summed, so it must not change.
         order = []
         visited = set()
         stack = [(self, False)]
@@ -229,44 +263,47 @@ class Tensor:
             if processed:
                 order.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
+                if parent.requires_grad and parent not in visited:
                     stack.append((parent, False))
 
-        # ``grads`` maps node id -> pending gradient.  Entries in ``owned``
-        # are buffers allocated by this pass, so further fan-in
-        # contributions accumulate into them in place; entries not in
-        # ``owned`` may alias an upstream array (many backwards return the
-        # output gradient itself) and are only combined out of place.
-        grads = {id(self): grad}
+        # ``grads`` maps node (hashed by identity) -> pending gradient.
+        # Entries in ``owned`` are buffers allocated by this pass, so
+        # further fan-in contributions accumulate into them in place (and
+        # a leaf may keep one as its ``.grad`` without a copy); entries
+        # not in ``owned`` may alias an upstream array (many backwards
+        # return the output gradient itself) and are only combined out of
+        # place.
+        grads = {self: grad}
         owned = set()
         for node in reversed(order):
-            key = id(node)
-            node_grad = grads.pop(key, None)
-            owned.discard(key)
+            node_grad = grads.pop(node, None)
             if node_grad is None:
                 continue
-            if node.grad is None:
-                node.grad = node_grad.copy()
-            else:
-                np.add(node.grad, node_grad, out=node.grad)
-            if node._backward is None:
+            backward = node._backward
+            if backward is None:
+                # a leaf: the only kind of node that keeps a gradient
+                if node.grad is not None:
+                    np.add(node.grad, node_grad, out=node.grad)
+                elif node in owned:
+                    node.grad = node_grad
+                else:
+                    node.grad = node_grad.copy()
                 continue
-            for parent, parent_grad in node._backward(node_grad):
+            for parent, parent_grad in backward(node_grad):
                 if not parent.requires_grad:
                     continue
-                parent_key = id(parent)
-                if parent_key not in grads:
-                    grads[parent_key] = parent_grad
-                elif parent_key in owned:
-                    np.add(grads[parent_key], parent_grad, out=grads[parent_key])
+                if parent not in grads:
+                    grads[parent] = parent_grad
+                elif parent in owned:
+                    np.add(grads[parent], parent_grad, out=grads[parent])
                 else:
-                    grads[parent_key] = grads[parent_key] + parent_grad
-                    owned.add(parent_key)
+                    grads[parent] = grads[parent] + parent_grad
+                    owned.add(parent)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -276,8 +313,12 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(g):
-            return ((self, _unbroadcast(g, self.shape)),
-                    (other, _unbroadcast(g, other.shape)))
+            grads = []
+            if self.requires_grad:
+                grads.append((self, _unbroadcast(g, self.shape)))
+            if other.requires_grad:
+                grads.append((other, _unbroadcast(g, other.shape)))
+            return grads
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -300,8 +341,12 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(g):
-            return ((self, _unbroadcast(g * other.data, self.shape)),
-                    (other, _unbroadcast(g * self.data, other.shape)))
+            grads = []
+            if self.requires_grad:
+                grads.append((self, _unbroadcast(g * other.data, self.shape)))
+            if other.requires_grad:
+                grads.append((other, _unbroadcast(g * self.data, other.shape)))
+            return grads
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -312,8 +357,13 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(g):
-            return ((self, _unbroadcast(g / other.data, self.shape)),
-                    (other, _unbroadcast(-g * self.data / (other.data ** 2), other.shape)))
+            grads = []
+            if self.requires_grad:
+                grads.append((self, _unbroadcast(g / other.data, self.shape)))
+            if other.requires_grad:
+                grads.append((other, _unbroadcast(-g * self.data / (other.data ** 2),
+                                                  other.shape)))
+            return grads
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -335,10 +385,14 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward(g):
-            grad_self = g @ other.data.T if other.data.ndim > 1 else np.outer(g, other.data)
-            grad_other = self.data.T @ g if self.data.ndim > 1 else np.outer(self.data, g)
-            return ((self, grad_self.reshape(self.shape)),
-                    (other, grad_other.reshape(other.shape)))
+            grads = []
+            if self.requires_grad:
+                grad_self = g @ other.data.T if other.data.ndim > 1 else np.outer(g, other.data)
+                grads.append((self, grad_self.reshape(self.shape)))
+            if other.requires_grad:
+                grad_other = self.data.T @ g if self.data.ndim > 1 else np.outer(self.data, g)
+                grads.append((other, grad_other.reshape(other.shape)))
+            return grads
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -429,8 +483,12 @@ class Tensor:
         out_data = np.where(take_self, self.data, other.data)
 
         def backward(g):
-            return ((self, _unbroadcast(g * take_self, self.shape)),
-                    (other, _unbroadcast(g * ~take_self, other.shape)))
+            grads = []
+            if self.requires_grad:
+                grads.append((self, _unbroadcast(g * take_self, self.shape)))
+            if other.requires_grad:
+                grads.append((other, _unbroadcast(g * ~take_self, other.shape)))
+            return grads
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -446,6 +504,9 @@ class Tensor:
             grad = np.asarray(g)
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
+            # a contiguous copy, not the broadcast view: BLAS matmuls and
+            # reductions downstream can round a zero-stride operand
+            # differently from a contiguous one
             return ((self, np.broadcast_to(grad, shape).copy()),)
 
         return Tensor._make(out_data, (self,), backward)
@@ -455,7 +516,8 @@ class Tensor:
         if axis is None:
             count = self.data.size
         else:
-            count = self.data.shape[axis]
+            axes = axis if isinstance(axis, tuple) else (axis,)
+            count = math.prod(self.data.shape[ax] for ax in axes)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def reshape(self, *shape):
@@ -511,8 +573,12 @@ class Tensor:
         out_data = np.where(cond, a.data, b.data)
 
         def backward(g):
-            return ((a, _unbroadcast(g * cond, a.shape)),
-                    (b, _unbroadcast(g * ~cond, b.shape)))
+            grads = []
+            if a.requires_grad:
+                grads.append((a, _unbroadcast(g * cond, a.shape)))
+            if b.requires_grad:
+                grads.append((b, _unbroadcast(g * ~cond, b.shape)))
+            return grads
 
         return Tensor._make(out_data, (a, b), backward)
 
@@ -539,14 +605,15 @@ def linear(x, weight, bias):
     out_data = functional.linear_forward(x.data, weight.data, bias.data)
 
     def backward(g):
-        if g.ndim == 1:
-            grad_weight = np.outer(x.data, g)
-            grad_bias = g
-        else:
-            grad_weight = x.data.T @ g
-            grad_bias = g.sum(axis=0)
-        return ((x, g @ weight.data.T),
-                (weight, grad_weight),
-                (bias, grad_bias))
+        # a frozen weight (e.g. the black box inside the CF loss) or a
+        # constant input gets no gradient computed
+        grads = []
+        if x.requires_grad:
+            grads.append((x, g @ weight.data.T))
+        if weight.requires_grad:
+            grads.append((weight, np.outer(x.data, g) if g.ndim == 1 else x.data.T @ g))
+        if bias.requires_grad:
+            grads.append((bias, g if g.ndim == 1 else g.sum(axis=0)))
+        return grads
 
     return Tensor._make(out_data, (x, weight, bias), backward)

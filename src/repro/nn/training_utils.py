@@ -1,4 +1,4 @@
-"""Training utilities: gradient clipping, LR schedules, early stopping.
+"""Training utilities: divergence guard, gradient clipping, LR schedules, early stopping.
 
 Quality-of-life pieces a production training loop needs around the bare
 optimisers — all used by the longer-running experiment configurations
@@ -7,9 +7,39 @@ and available to downstream users of :mod:`repro.nn`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["clip_grad_norm", "StepDecay", "CosineDecay", "EarlyStopping"]
+__all__ = [
+    "TrainingDivergedError", "check_finite_loss",
+    "clip_grad_norm", "StepDecay", "CosineDecay", "EarlyStopping",
+]
+
+
+class TrainingDivergedError(RuntimeError):
+    """A fit loop met a non-finite loss.
+
+    Raised before the optimiser steps on that loss, so the fit stops
+    loudly instead of returning a model trained on it that would then
+    be persisted and served.
+    """
+
+    def __init__(self, where, epoch, batch, loss):
+        super().__init__(
+            f"{where} diverged: non-finite loss {loss!r} at epoch {epoch}, "
+            f"batch {batch} (try a lower learning rate)")
+        self.where = where
+        self.epoch = epoch
+        self.batch = batch
+        self.loss = loss
+
+
+def check_finite_loss(loss, where, epoch, batch):
+    """Return the scalar ``loss``; raise :class:`TrainingDivergedError` if non-finite."""
+    if not math.isfinite(loss):
+        raise TrainingDivergedError(where, epoch, batch, loss)
+    return loss
 
 
 def clip_grad_norm(parameters, max_norm):

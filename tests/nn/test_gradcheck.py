@@ -128,6 +128,15 @@ class TestReductionsAndIndexing:
     def test_mean_all(self):
         check(lambda t: t.mean(), RNG.normal(size=(3, 4)))
 
+    @pytest.mark.parametrize("axis", [(0, 2), -1, (-1, 0)])
+    def test_mean_tuple_and_negative_axes(self, axis):
+        # the numeric side uses numpy's mean, so a wrong element count
+        # cannot cancel out between the two gradients
+        weights = RNG.normal(size=np.zeros((2, 3, 4)).mean(axis=axis).shape)
+        check(lambda t: (t.mean(axis=axis) * Tensor(weights)).sum(),
+              RNG.normal(size=(2, 3, 4)),
+              fn_numpy=lambda arr: float((arr.mean(axis=axis) * weights).sum()))
+
     def test_reshape(self):
         check(lambda t: (t.reshape(6) * Tensor(np.arange(6.0))).sum(),
               RNG.normal(size=(2, 3)))

@@ -98,3 +98,76 @@ class TestAdam:
             opt.step()
         preds = (layer(x).data.ravel() > 0).astype(float)
         assert (preds == y).mean() > 0.95
+
+
+class TestFusedUpdate:
+    """One flat-buffer update per step, applied to the parameters in place."""
+
+    @pytest.mark.parametrize("make", [
+        lambda params: SGD(params, lr=0.1, momentum=0.9),
+        lambda params: Adam(params, lr=0.1),
+    ])
+    def test_parameter_data_is_updated_in_place(self, make):
+        p = Tensor([1.0, -2.0], requires_grad=True)
+        data = p.data
+        opt = make([p])
+        for _ in range(3):
+            opt.zero_grad()
+            (p * p).sum().backward()
+            opt.step()
+        assert p.data is data
+        assert not np.allclose(data, [1.0, -2.0])
+
+    def test_adam_leaves_a_gradless_parameter_and_its_moments_alone(self):
+        live = Tensor([1.0, 2.0], requires_grad=True)
+        idle = Tensor([[3.0, 4.0], [5.0, 6.0]], requires_grad=True)
+        tail = Tensor([7.0], requires_grad=True)
+        opt = Adam([live, idle, tail], lr=0.1)
+        (live * idle[0] + idle[1] * 2.0 + tail).sum().backward()
+        opt.step()
+        idle_before = idle.data.copy()
+        moments_before = [m.copy() for m in opt._first_moment + opt._second_moment]
+        for _ in range(4):
+            opt.zero_grad()
+            (live * live + tail * 3.0).sum().backward()
+            assert idle.grad is None
+            opt.step()
+        np.testing.assert_array_equal(idle.data, idle_before)
+        # the idle parameter's slice (elements 2..5 of the flat buffers)
+        # neither decays nor moves; its neighbours do
+        for before, after in zip(moments_before, opt._first_moment + opt._second_moment):
+            np.testing.assert_array_equal(after[2:6], before[2:6])
+            assert not np.array_equal(after[:2], before[:2])
+            assert not np.array_equal(after[6:], before[6:])
+
+    def test_float32_parameters_keep_float32_state(self):
+        p32 = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        p64 = Tensor(np.ones(2), requires_grad=True)
+        opt = Adam([p32, p64], lr=0.1)
+        ((p32 * 2.0).sum() + (p64 * 3.0).sum()).backward()
+        opt.step()
+        assert sorted(m.dtype.name for m in opt._first_moment) == ["float32", "float64"]
+        assert p32.data.dtype == np.float32
+        np.testing.assert_allclose(p32.data, 0.9, rtol=1e-6)
+        np.testing.assert_allclose(p64.data, 0.9)
+
+    @pytest.mark.parametrize("make", [
+        lambda params: SGD(params, lr=0.1),
+        lambda params: Adam(params, lr=0.1),
+    ])
+    def test_read_only_shared_view_raises_instead_of_detaching(self, make):
+        from repro.serve import SharedWeights, attach_module
+
+        layer = Linear(3, 2, np.random.default_rng(0))
+        with SharedWeights.publish(
+                {f"m/{k}": v for k, v in layer.state_dict().items()}) as shared:
+            attach_module(layer, shared, "m/")
+            bound = [p.data for p in layer.parameters()]
+            opt = make(layer.parameters())
+            layer(np.ones((4, 3))).sum().backward()
+            with pytest.raises(ValueError, match="read-only"):
+                opt.step()
+            # still bound to the shared views, weights untouched
+            assert all(p.data is view for p, view in zip(layer.parameters(), bound))
+            assert all(shared.owns_buffer_of(p.data) for p in layer.parameters())
+            del bound

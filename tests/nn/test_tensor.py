@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, as_tensor, is_grad_enabled, no_grad
+from repro.nn import Tensor, as_tensor, is_grad_enabled, linear, no_grad
 
 
 class TestConstruction:
@@ -195,6 +195,63 @@ class TestBackwardBasics:
         x = Tensor([1.0], requires_grad=True)
         y = (x * 2.0).detach()
         assert not y.requires_grad
+
+
+class TestLeafOnlyGradients:
+    """``.grad`` lands on leaves only; frozen or constant operands get none."""
+
+    def test_interior_node_grad_stays_none(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        hidden = x * 3.0
+        out = hidden.exp().sum()
+        out.backward()
+        assert hidden.grad is None
+        assert out.grad is None
+        np.testing.assert_allclose(x.grad, 3.0 * np.exp(3.0 * x.data))
+
+    def test_leaf_as_root_gets_grad(self):
+        x = Tensor([2.0], requires_grad=True)
+        x.backward()
+        np.testing.assert_array_equal(x.grad, [1.0])
+
+    def test_frozen_linear_weight_gets_no_grad(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(3, 2)))  # frozen: no requires_grad
+        bias = Tensor(rng.normal(size=2), requires_grad=True)
+        linear(x, weight, bias).sum().backward()
+        assert weight.grad is None
+        np.testing.assert_array_equal(x.grad, np.ones((5, 2)) @ weight.data.T)
+        np.testing.assert_array_equal(bias.grad, [5.0, 5.0])
+
+    def test_requires_grad_flipped_after_forward_is_honoured(self):
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        bias = Tensor(np.zeros(2), requires_grad=True)
+        out = linear(x, weight, bias).sum()
+        weight.requires_grad = False  # frozen between forward and backward
+        out.backward()
+        assert weight.grad is None
+        np.testing.assert_array_equal(x.grad, np.ones((4, 2)) @ weight.data.T)
+
+    def test_constant_operand_gets_no_grad(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        mask = Tensor([0.0, 2.0])
+        (x * mask + mask).sum().backward()
+        assert mask.grad is None
+        np.testing.assert_array_equal(x.grad, [0.0, 2.0])
+
+    def test_sum_into_matmul_matches_contiguous_gradient(self):
+        # a (n, 1) output summed straight into the weight's ``x.T @ g``:
+        # BLAS rounds a zero-stride broadcast ``g`` differently, so the
+        # pinned values are those of a contiguous ones matrix
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(300, 12))
+        weight = Tensor(rng.normal(size=(12, 1)), requires_grad=True)
+        bias = Tensor(np.zeros(1), requires_grad=True)
+        linear(x, weight, bias).sum().backward()
+        np.testing.assert_array_equal(weight.grad, x.T @ np.ones((300, 1)))
 
 
 class TestNoGrad:
