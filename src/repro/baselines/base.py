@@ -16,6 +16,7 @@ use — one proposal plus one batched projection.
 from __future__ import annotations
 
 from abc import abstractmethod
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,7 +24,26 @@ from ..constraints import ImmutableProjector
 from ..engine.strategy import CandidateBatch, CFStrategy
 from ..utils.validation import check_encoded_rows, resolve_desired
 
-__all__ = ["BaseCFExplainer"]
+__all__ = ["BaseCFExplainer", "frozen"]
+
+
+@contextmanager
+def frozen(*modules):
+    """Hold the modules' parameters at ``requires_grad=False`` for a block.
+
+    Each parameter's prior flag is restored on exit (also on error), so a
+    search through a shared black box leaves it as retrainable as it was.
+    """
+    flags = [(parameter, parameter.requires_grad)
+             for module in modules
+             for _, parameter in module.named_parameters(include_frozen=True)]
+    for parameter, _ in flags:
+        parameter.requires_grad = False
+    try:
+        yield
+    finally:
+        for parameter, flag in flags:
+            parameter.requires_grad = flag
 
 
 class BaseCFExplainer(CFStrategy):

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor, hinge_loss
-from .base import BaseCFExplainer
+from ..nn import Tensor, check_finite_loss, hinge_loss
+from .base import BaseCFExplainer, frozen
 
 __all__ = ["CEMExplainer"]
 
@@ -52,14 +52,16 @@ class CEMExplainer(BaseCFExplainer):
         """CEM needs no training — it only queries the classifier."""
 
     def _generate(self, x, desired):
-        for parameter in self.blackbox.parameters():
-            parameter.requires_grad = False
+        with frozen(self.blackbox):
+            return self._search(x, desired)
+
+    def _search(self, x, desired):
         delta = np.zeros_like(x)
         mutable = ~self.projector.mask
         best = x.copy()
         best_found = np.zeros(len(x), dtype=bool)
 
-        for _ in range(self.steps):
+        for index in range(self.steps):
             delta_tensor = Tensor(delta, requires_grad=True)
             candidate = Tensor(x) + delta_tensor
             # sum-reduce so each row's gradient magnitude is independent of
@@ -68,7 +70,9 @@ class CEMExplainer(BaseCFExplainer):
             hinge = hinge_loss(self.blackbox.forward(candidate), desired,
                                margin=self.kappa) * len(x)
             ridge = (delta_tensor ** 2).sum(axis=1).sum() * self.l2_weight
-            (hinge + ridge).backward()
+            loss = hinge + ridge
+            check_finite_loss(loss.item(), "CEMExplainer.search", 0, index)
+            loss.backward()
             gradient = delta_tensor.grad
 
             # gradient step on the smooth part, then soft-threshold (ISTA)

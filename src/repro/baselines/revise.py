@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..models import ConditionalVAE, train_reconstruction_vae
-from ..nn import Adam, Tensor, hinge_loss, no_grad
-from .base import BaseCFExplainer
+from ..nn import Adam, CompiledStep, Tensor, check_finite_loss, hinge_loss, no_grad
+from .base import BaseCFExplainer, frozen
 
 __all__ = ["ReviseExplainer"]
 
@@ -59,10 +59,10 @@ class ReviseExplainer(BaseCFExplainer):
             lr=3e-3, beta=0.02, rng=np.random.default_rng(self.seed + 2))
 
     def _generate(self, x, desired):
-        for parameter in self.vae.parameters():
-            parameter.requires_grad = False
-        for parameter in self.blackbox.parameters():
-            parameter.requires_grad = False
+        with frozen(self.vae, self.blackbox):
+            return self._search(x, desired)
+
+    def _search(self, x, desired):
         self.vae.eval()
         zeros = np.zeros(len(x))
 
@@ -72,14 +72,20 @@ class ReviseExplainer(BaseCFExplainer):
         optimizer = Adam([z], lr=self.lr)
         x_tensor = Tensor(x)
 
-        for _ in range(self.steps):
-            optimizer.zero_grad()
+        def step():
             decoded = self.vae.decode(z, zeros)
             validity = hinge_loss(self.blackbox.forward(decoded), desired,
                                   margin=0.5)
             distance = (decoded - x_tensor).abs().mean()
-            (validity + distance * self.distance_weight).backward()
-            optimizer.step()
+            return validity + distance * self.distance_weight
+
+        with CompiledStep(step, name="ReviseExplainer.search") as compiled:
+            for index in range(self.steps):
+                optimizer.zero_grad()
+                loss = compiled()
+                check_finite_loss(loss.item(), "ReviseExplainer.search", 0, index)
+                loss.backward()
+                optimizer.step()
 
         with no_grad():
             return self.vae.decode(Tensor(z.data), zeros).data

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor, as_tensor
+from ..nn import Tensor, as_tensor, host
 from .models import MinedCausalModel, ScmCausalModel
 
 __all__ = ["ScmLossSurrogate", "MinedLossSurrogate", "causal_loss_surrogate"]
@@ -41,7 +41,18 @@ def _soft_rank(x_cf, block, weights):
     return (x_cf[:, block] * weights).sum(axis=1)
 
 
-def _read_cf(codec, encoder, x_cf, name):
+def _rank_weights(model):
+    """Rank weights of every categorical feature, built once per surrogate."""
+    return {name: model.encoder.category_rank_weights(name)
+            for name, kind in model._codec.kinds.items() if kind == "categorical"}
+
+
+def _active_mask(delta, tolerance):
+    """1.0 where the cause did not move down by more than ``tolerance``."""
+    return (delta > -tolerance).astype(np.float64)
+
+
+def _read_cf(codec, rank_weights, x_cf, name):
     """Differentiable raw-unit read of one feature from the candidate Tensor.
 
     The graph twin of ``_FeatureCodec.read`` with one relaxation: the
@@ -51,7 +62,7 @@ def _read_cf(codec, encoder, x_cf, name):
     """
     kind = codec.kinds[name]
     if kind == "categorical":
-        return _soft_rank(x_cf, codec.columns[name], encoder.category_rank_weights(name))
+        return _soft_rank(x_cf, codec.columns[name], rank_weights[name])
     if kind == "continuous":
         low, high = codec.ranges[name]
         return x_cf[:, codec.columns[name]] * (high - low) + low
@@ -68,6 +79,7 @@ class ScmLossSurrogate:
             raise TypeError(f"expected ScmCausalModel, got {type(model).__name__}")
         self.model = model
         self._codec = model._codec
+        self._rank_weights = _rank_weights(model)
         self._graph_safe = {
             eq.label: self._probe(eq)
             for eq in model.equations
@@ -99,45 +111,72 @@ class ScmLossSurrogate:
                 and np.allclose(got.data, expected))
 
     # -- differentiable term -------------------------------------------
-    def penalty(self, x, x_cf):
-        """Mean squared causal-inconsistency of the candidate batch (Tensor)."""
-        x = np.asarray(x, dtype=np.float64)
-        x_cf = as_tensor(x_cf)
+    def _constants(self, x, x_cf_data):
+        """The batch's detached per-equation constants, in equation order.
+
+        Abduction reads the factual rows and the candidate's data (both
+        constants of the graph): a monotone or floor equation contributes
+        its floor in encoded units; an additive one its ``moved`` mask,
+        then the abducted residual (graph-safe skeleton) or the whole
+        detached target (lookup/clip skeleton).
+        """
         codec = self._codec
         model = self.model
         v_x = codec.read(x, model._features)
-        v_cf_data = codec.read(x_cf.data, model._features)
+        v_cf = codec.read(x_cf_data, model._features)
         residuals = model._residuals(v_x)
-        terms = []
+        constants = []
         for eq in model.equations:
             effect = eq.effect
-            column = codec.columns[effect]
-            low, high = codec.clip_range(effect)
-            effect_cf = x_cf[:, column]  # encoded units
             if eq.mode == "monotone":
                 # effect must not fall below its factual value
-                floor_enc = codec.encode_value(effect, v_x[effect])
-                gap = (floor_enc - effect_cf).clip_min(0.0)
+                constants.append(codec.encode_value(effect, v_x[effect]))
             elif eq.mode == "floor":
                 # support bound from the candidate's causes; lookups are
                 # table-based, so the bound is a detached constant
-                floor_raw = eq.predict({c: v_cf_data[c] for c in eq.causes})
-                floor_enc = codec.encode_value(effect, np.clip(floor_raw, low, high))
-                gap = (floor_enc - effect_cf).clip_min(0.0)
+                low, high = codec.clip_range(effect)
+                floor_raw = eq.predict({c: v_cf[c] for c in eq.causes})
+                constants.append(codec.encode_value(effect, np.clip(floor_raw, low, high)))
             else:
-                moved = model._causes_moved(eq, v_x, v_cf_data)
+                constants.append(model._causes_moved(eq, v_x, v_cf).astype(np.float64))
                 if self._graph_safe[eq.label]:
-                    causes = {c: _read_cf(codec, model.encoder, x_cf, c)
-                              for c in eq.causes}
-                    target_raw = eq.predict(causes) + residuals[eq.label]
+                    constants.append(residuals[eq.label])
                 else:
-                    predicted = eq.predict({c: v_cf_data[c] for c in eq.causes})
-                    target_raw = as_tensor(predicted + residuals[eq.label])
+                    predicted = eq.predict({c: v_cf[c] for c in eq.causes})
+                    constants.append(predicted + residuals[eq.label])
+        return tuple(constants)
+
+    def penalty(self, x, x_cf):
+        """Mean squared causal-inconsistency of the candidate batch (Tensor).
+
+        Traced and replayed inside a compiled training step: an array or
+        a Python number it derives from the batch goes through
+        :func:`~repro.nn.host` (trace contract in :mod:`repro.nn.tensor`).
+        """
+        x = np.asarray(x, dtype=np.float64)
+        x_cf = as_tensor(x_cf)
+        codec = self._codec
+        constants = iter(host(self._constants, x, x_cf.data))
+        terms = []
+        for eq in self.model.equations:
+            effect = eq.effect
+            effect_cf = x_cf[:, codec.columns[effect]]  # encoded units
+            if eq.mode in ("monotone", "floor"):
+                gap = (next(constants) - effect_cf).clip_min(0.0)
+            else:
+                moved = next(constants)
+                if self._graph_safe[eq.label]:
+                    causes = {c: _read_cf(codec, self._rank_weights, x_cf, c)
+                              for c in eq.causes}
+                    target_raw = eq.predict(causes) + next(constants)
+                else:
+                    target_raw = as_tensor(next(constants))
                 if codec.kinds[effect] == "continuous":
+                    low, high = codec.clip_range(effect)
                     target_enc = (target_raw - low) * (1.0 / (high - low))
                 else:
                     target_enc = target_raw
-                gap = (effect_cf - target_enc) * moved.astype(np.float64)
+                gap = (effect_cf - target_enc) * moved
             terms.append((gap ** 2).mean())
         if not terms:
             return Tensor(0.0)
@@ -162,19 +201,24 @@ class MinedLossSurrogate:
         model._require_fitted()
         self.model = model
         self._codec = model._codec
+        self._rank_weights = _rank_weights(model)
 
     def penalty(self, x, x_cf):
-        """Mean squared monotone-implication violation (Tensor)."""
+        """Mean squared monotone-implication violation (Tensor).
+
+        Traced and replayed inside a compiled training step: an array or
+        a Python number it derives from the batch goes through
+        :func:`~repro.nn.host` (trace contract in :mod:`repro.nn.tensor`).
+        """
         x = np.asarray(x, dtype=np.float64)
         x_cf = as_tensor(x_cf)
         model = self.model
         codec = self._codec
         terms = []
         for cause, effect, slope in model.relations:
-            cause_x = model._cause_values(x, cause)
+            cause_x = host(model._cause_values, x, cause)
             if codec.kinds[cause] == "categorical":
-                cause_cf = _soft_rank(x_cf, codec.columns[cause],
-                                      model.encoder.category_rank_weights(cause))
+                cause_cf = _soft_rank(x_cf, codec.columns[cause], self._rank_weights[cause])
             else:
                 cause_cf = x_cf[:, codec.columns[cause]]
             column = codec.columns[effect]
@@ -183,7 +227,7 @@ class MinedLossSurrogate:
             delta = cause_cf - cause_x
             # the repair's dead zone: a cause moved *down* frees the
             # effect entirely (constant mask, from detached values)
-            active = (delta.data > -model.tolerance).astype(np.float64)
+            active = host(_active_mask, delta.data, model.tolerance)
             floor = effect_x + delta.clip_min(0.0) * slope + model.strict_margin
             # cap at the encoded ceiling like the repair does
             capped = -((-floor).clip_min(-1.0))

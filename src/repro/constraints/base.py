@@ -40,6 +40,16 @@ class Constraint(ABC):
         ``x`` is a plain ndarray (the fixed input); ``x_cf`` is a Tensor
         so gradients flow into the generator.  Must be non-negative and
         zero when :meth:`satisfied` holds everywhere.
+
+        Inside a compiled training step (:mod:`repro.nn.compile`) this
+        runs on the first two batches of each shape only; later batches
+        replay what it recorded without calling it.  Follow the trace
+        contract of :mod:`repro.nn.tensor`: compute every array and every
+        Python number derived from ``x`` or ``x_cf.data`` through
+        :func:`repro.nn.host`.  A fresh array, or a number that differs
+        between the first two batches, refuses the step and the fit runs
+        eager; a number or branch that first changes on a later batch is
+        not detected, and the replay keeps the traced one.
         """
 
     def satisfaction_rate(self, x, x_cf):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.schema import FeatureType
-from ..nn import Tensor, as_tensor
+from ..nn import Tensor, as_tensor, host
 from .base import Constraint
 
 __all__ = ["OrdinalImplicationConstraint"]
@@ -109,7 +109,7 @@ class OrdinalImplicationConstraint(Constraint):
     def penalty(self, x, x_cf):
         x = np.asarray(x)
         x_cf = as_tensor(x_cf)
-        cause_before = self._cause_values_np(x)
+        cause_before = host(self._cause_values_np, x)
         cause_after = self._cause_values_tensor(x_cf)
         delta_cause = cause_after - Tensor(cause_before)
         delta_effect = x_cf[:, self._effect_column] - Tensor(x[:, self._effect_column])

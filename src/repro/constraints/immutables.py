@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor, as_tensor
+from ..nn import Tensor, as_tensor, host
 from .base import Constraint
 
 __all__ = ["ImmutableProjector", "ImmutablesRespected"]
@@ -67,6 +67,7 @@ class ImmutablesRespected(Constraint):
     def __init__(self, encoder, tolerance=1e-6):
         self.encoder = encoder
         self.mask = encoder.immutable_mask()
+        self._columns = np.flatnonzero(self.mask)
         self.tolerance = float(tolerance)
         names = ", ".join(encoder.schema.immutable_names)
         self.name = f"immutable[{names}]"
@@ -84,6 +85,6 @@ class ImmutablesRespected(Constraint):
         x_cf = as_tensor(x_cf)
         if not self.mask.any():
             return Tensor(0.0)
-        columns = np.flatnonzero(self.mask)
-        drift = x_cf[:, columns] - Tensor(x[:, columns])
+        columns = self._columns
+        drift = x_cf[:, columns] - Tensor(host(np.take, x, columns, 1))
         return drift.abs().mean()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import SGD, Adam, Tensor, check_finite_loss
+from ..nn import SGD, Adam, CompiledStep, Tensor, check_finite_loss, host
 from ..utils.validation import check_2d, resolve_desired
 from .losses import FourPartLoss
 
@@ -84,8 +84,7 @@ class CFVAEGenerator:
         mu, log_var = self.vae.encode(Tensor(x), desired)
         z = self.vae.reparameterize(mu, log_var)
         if perturb and self.config.latent_noise:
-            noise = self.rng.normal(0.0, self.config.latent_noise, size=z.shape)
-            z = z + noise
+            z = z + host(self.rng.normal, 0.0, self.config.latent_noise, z.shape)
         decoded = self.vae.decode(z, desired)
         projected = self.projector.project_tensor(x, decoded)
         return projected, mu, log_var
@@ -177,33 +176,40 @@ class CFVAEGenerator:
             optimizer = SGD(self.vae.parameters(), lr=cfg.learning_rate,
                             momentum=cfg.momentum)
 
+        def step(x_batch, desired_batch):
+            x_cf, mu, log_var = self._generate_batch(
+                x_batch, desired_batch, perturb=True)
+            total, _ = self.loss_fn(x_batch, x_cf, desired_batch, mu, log_var)
+            # a replay does not call the loss: its parts are re-read from
+            # the part nodes
+            return total, self.loss_fn.part_nodes
+
         self.vae.train()
         n_rows = len(x)
         self.loss_fn.freeze()
         try:
-            for epoch in range(cfg.epochs):
-                order = self.rng.permutation(n_rows)
-                epoch_parts = []
-                for start in range(0, n_rows, cfg.batch_size):
-                    batch = order[start:start + cfg.batch_size]
-                    optimizer.zero_grad()
-                    x_cf, mu, log_var = self._generate_batch(
-                        x[batch], desired[batch], perturb=True)
-                    total, parts = self.loss_fn(
-                        x[batch], x_cf, desired[batch], mu, log_var)
-                    check_finite_loss(parts["total"], "CFVAEGenerator.fit",
-                                      epoch, len(epoch_parts))
-                    total.backward()
-                    optimizer.step()
-                    epoch_parts.append(parts)
-                averaged = {
-                    key: float(np.mean([p[key] for p in epoch_parts]))
-                    for key in epoch_parts[0]
-                }
-                self.history.append(averaged)
-                if verbose:
-                    rendered = ", ".join(f"{k}={v:.4f}" for k, v in averaged.items())
-                    print(f"epoch {epoch + 1}/{cfg.epochs}  {rendered}")
+            with CompiledStep(step, (x, desired), name="CFVAEGenerator.fit") as compiled:
+                for epoch in range(cfg.epochs):
+                    order = self.rng.permutation(n_rows)
+                    epoch_parts = []
+                    for start in range(0, n_rows, cfg.batch_size):
+                        batch = order[start:start + cfg.batch_size]
+                        optimizer.zero_grad()
+                        total, part_nodes = compiled(batch)
+                        parts = {name: node.item() for name, node in part_nodes.items()}
+                        check_finite_loss(parts["total"], "CFVAEGenerator.fit",
+                                          epoch, len(epoch_parts))
+                        total.backward()
+                        optimizer.step()
+                        epoch_parts.append(parts)
+                    averaged = {
+                        key: float(np.mean([p[key] for p in epoch_parts]))
+                        for key in epoch_parts[0]
+                    }
+                    self.history.append(averaged)
+                    if verbose:
+                        rendered = ", ".join(f"{k}={v:.4f}" for k, v in averaged.items())
+                        print(f"epoch {epoch + 1}/{cfg.epochs}  {rendered}")
         finally:
             # the classifier leaves training exactly as retrainable as it
             # arrived — a later train_classifier/rollover must see its

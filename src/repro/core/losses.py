@@ -80,6 +80,8 @@ class FourPartLoss:
         self.density_model = density_model
         self.causal_model = causal_model
         self._prior_flags = None
+        #: Part name -> scalar Tensor of the latest call (see ``__call__``).
+        self.part_nodes = {}
         # Freeze the classifier: gradients flow through, never into, it.
         self.freeze()
 
@@ -109,8 +111,11 @@ class FourPartLoss:
 
         After release the blackbox is trainable again — a later
         ``train_classifier`` (e.g. a serving rollover retrain) sees its
-        parameters.  No-op if the loss never froze anything.
+        parameters.  Also drops :attr:`part_nodes`, so the last step's
+        graph does not outlive training.  Otherwise a no-op if the loss
+        never froze anything.
         """
+        self.part_nodes = {}
         if self._prior_flags is None:
             return self
         for tensor, flag in self._prior_flags:
@@ -136,7 +141,9 @@ class FourPartLoss:
         -------
         (total, parts):
             ``total`` is the weighted scalar Tensor; ``parts`` maps each
-            component name to its unweighted float value.
+            component name to its unweighted float value.  The Tensors
+            behind ``parts`` stay in :attr:`part_nodes` (same keys), which
+            a compiled training step re-reads after each replay.
         """
         x = np.asarray(x)
         x_cf = as_tensor(x_cf)
@@ -163,23 +170,24 @@ class FourPartLoss:
                  + proximity * cfg.proximity_weight
                  + feasibility * cfg.feasibility_weight
                  + sparsity)
-        parts = {
-            "validity": validity.item(),
-            "proximity": proximity.item(),
-            "feasibility": feasibility.item(),
-            "sparsity": sparsity.item(),
+        nodes = {
+            "validity": validity,
+            "proximity": proximity,
+            "feasibility": feasibility,
+            "sparsity": sparsity,
         }
         if cfg.density_weight_inloss and self.density_model is not None:
             density = self.density_model.penalty(x_cf, desired)
             total = total + density * cfg.density_weight_inloss
-            parts["density"] = density.item()
+            nodes["density"] = density
         if cfg.causal_weight_inloss and self.causal_model is not None:
             causal = self.causal_model.penalty(x, x_cf)
             total = total + causal * cfg.causal_weight_inloss
-            parts["causal"] = causal.item()
+            nodes["causal"] = causal
         if mu is not None and log_var is not None and cfg.kl_weight:
             kl = gaussian_kl(mu, log_var)
             total = total + kl * cfg.kl_weight
-            parts["kl"] = kl.item()
-        parts["total"] = total.item()
-        return total, parts
+            nodes["kl"] = kl
+        nodes["total"] = total
+        self.part_nodes = nodes
+        return total, {name: node.item() for name, node in nodes.items()}

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import as_tensor
+from ..nn import as_tensor, host
 from ..nn.losses import logsumexp
 from ..utils.validation import check_2d
 from .base import DensityModel
@@ -72,6 +72,7 @@ class DifferentiableKde(DensityModel):
         self.seed = int(seed)
         self.reference_ = None
         self.bandwidth_ = None
+        self._inverse_bandwidth = None
         self._whitened = None
         self._ref_norms = None
         self._log_norm = None
@@ -85,6 +86,7 @@ class DifferentiableKde(DensityModel):
         sigma = np.where(sigma > 1e-12, sigma, 1.0)
         self.bandwidth_ = sigma * n ** (-1.0 / (d + 4)) * self.bandwidth_scale
         self.reference_ = reference
+        self._inverse_bandwidth = 1.0 / self.bandwidth_
         self._whitened = reference / self.bandwidth_
         self._ref_norms = (self._whitened ** 2).sum(axis=1)
         self._log_norm = float(
@@ -106,10 +108,14 @@ class DifferentiableKde(DensityModel):
         ``desired`` is accepted for interface parity with the latent
         surrogate and ignored — the KDE reference is already the
         desired-class population.
+
+        Traced and replayed inside a compiled training step: an array or
+        a Python number it derives from the batch goes through
+        :func:`~repro.nn.host` (trace contract in :mod:`repro.nn.tensor`).
         """
         self._require_fitted()
         x_cf = as_tensor(x_cf)
-        whitened = x_cf * (1.0 / self.bandwidth_)
+        whitened = x_cf * self._inverse_bandwidth
         sq = ((whitened ** 2).sum(axis=1, keepdims=True)
               - (whitened @ self._whitened.T) * 2.0
               + self._ref_norms)
@@ -216,20 +222,31 @@ class LatentSoftMinDensity(DensityModel):
             self.vae.train()
         return mu
 
+    def _reference_terms(self):
+        """``(ref.T, |ref|^2 per row)`` of the current reference latents."""
+        ref = self._latent_reference()
+        return ref.T, (ref ** 2).sum(axis=1)
+
     # -- differentiable term -------------------------------------------
     def penalty(self, x_cf, desired=None):
-        """Mean soft-min squared latent distance to the reference (Tensor)."""
+        """Mean soft-min squared latent distance to the reference (Tensor).
+
+        Traced and replayed inside a compiled training step: an array or
+        a Python number it derives from the batch goes through
+        :func:`~repro.nn.host` (trace contract in :mod:`repro.nn.tensor`).
+        """
         self._require_fitted()
         x_cf = as_tensor(x_cf)
         if desired is None:
-            labels = np.full(x_cf.shape[0], float(self.desired_class))
+            labels = host(np.full, x_cf.shape[0], float(self.desired_class))
         else:
-            labels = np.asarray(desired, dtype=np.float64)
+            labels = host(np.asarray, desired, np.float64)
         mu, _ = self.vae.encode(x_cf, labels)
-        ref = self._latent_reference()
+        # the reference latents move with the encoder weights every step
+        ref_t, ref_sq = host(self._reference_terms)
         sq = ((mu ** 2).sum(axis=1, keepdims=True)
-              - (mu @ ref.T) * 2.0
-              + (ref ** 2).sum(axis=1))
+              - (mu @ ref_t) * 2.0
+              + ref_sq)
         soft_min = logsumexp(sq.clip_min(0.0) * (-1.0 / self.temperature),
                              axis=1) * -self.temperature
         return soft_min.mean()

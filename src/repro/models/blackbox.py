@@ -12,7 +12,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import SGD, Adam, Linear, Module, ReLU, Sequential, bce_with_logits, check_finite_loss
+from ..nn import (
+    SGD,
+    Adam,
+    CompiledStep,
+    Linear,
+    Module,
+    ReLU,
+    Sequential,
+    bce_with_logits,
+    check_finite_loss,
+)
 from ..nn.functional import sigmoid_forward
 from ..utils.validation import check_2d, check_2d_fast, check_binary_labels
 
@@ -106,24 +116,26 @@ def train_classifier(model, x, y, epochs=30, lr=0.05, batch_size=256,
     else:
         raise ValueError(f"unknown optimizer {optimizer!r}")
 
+    def step(x_batch, y_batch, batch_weights):
+        return bce_with_logits(model.forward(x_batch), y_batch, weights=batch_weights)
+
     model.train()
     history = []
     n_rows = len(x)
-    for epoch in range(epochs):
-        order = rng.permutation(n_rows)
-        losses = []
-        for start in range(0, n_rows, batch_size):
-            batch = order[start:start + batch_size]
-            opt.zero_grad()
-            logits = model.forward(x[batch])
-            batch_weights = None if sample_weights is None else sample_weights[batch]
-            loss = bce_with_logits(logits, y[batch], weights=batch_weights)
-            value = check_finite_loss(loss.item(), "train_classifier", epoch, len(losses))
-            loss.backward()
-            opt.step()
-            losses.append(value)
-        history.append(float(np.mean(losses)))
-        if verbose:
-            print(f"epoch {epoch + 1}/{epochs}  bce={history[-1]:.4f}")
+    with CompiledStep(step, (x, y, sample_weights), name="train_classifier") as compiled:
+        for epoch in range(epochs):
+            order = rng.permutation(n_rows)
+            losses = []
+            for start in range(0, n_rows, batch_size):
+                batch = order[start:start + batch_size]
+                opt.zero_grad()
+                loss = compiled(batch)
+                value = check_finite_loss(loss.item(), "train_classifier", epoch, len(losses))
+                loss.backward()
+                opt.step()
+                losses.append(value)
+            history.append(float(np.mean(losses)))
+            if verbose:
+                print(f"epoch {epoch + 1}/{epochs}  bce={history[-1]:.4f}")
     model.eval()
     return history

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Adam, check_finite_loss, gaussian_kl, mse_loss
+from ..nn import Adam, CompiledStep, check_finite_loss, gaussian_kl, mse_loss
 from ..utils.validation import check_2d
 
 __all__ = ["train_reconstruction_vae"]
@@ -31,25 +31,29 @@ def train_reconstruction_vae(vae, x, labels, epochs=30, lr=1e-3, batch_size=256,
         raise ValueError(f"labels ({len(labels)}) and x ({len(x)}) row counts differ")
     rng = rng or np.random.default_rng(0)
 
+    def step(x_batch, labels_batch):
+        reconstruction, mu, log_var, _ = vae(x_batch, labels_batch)
+        return mse_loss(reconstruction, x_batch) + gaussian_kl(mu, log_var) * beta
+
     optimizer = Adam(vae.parameters(), lr=lr)
     vae.train()
     history = []
     n_rows = len(x)
-    for epoch in range(epochs):
-        order = rng.permutation(n_rows)
-        losses = []
-        for start in range(0, n_rows, batch_size):
-            batch = order[start:start + batch_size]
-            optimizer.zero_grad()
-            reconstruction, mu, log_var, _ = vae(x[batch], labels[batch])
-            loss = mse_loss(reconstruction, x[batch]) + gaussian_kl(mu, log_var) * beta
-            value = check_finite_loss(
-                loss.item(), "train_reconstruction_vae", epoch, len(losses))
-            loss.backward()
-            optimizer.step()
-            losses.append(value)
-        history.append(float(np.mean(losses)))
-        if verbose:
-            print(f"vae loss {history[-1]:.5f}")
+    with CompiledStep(step, (x, labels), name="train_reconstruction_vae") as compiled:
+        for epoch in range(epochs):
+            order = rng.permutation(n_rows)
+            losses = []
+            for start in range(0, n_rows, batch_size):
+                batch = order[start:start + batch_size]
+                optimizer.zero_grad()
+                loss = compiled(batch)
+                value = check_finite_loss(
+                    loss.item(), "train_reconstruction_vae", epoch, len(losses))
+                loss.backward()
+                optimizer.step()
+                losses.append(value)
+            history.append(float(np.mean(losses)))
+            if verbose:
+                print(f"vae loss {history[-1]:.5f}")
     vae.eval()
     return history

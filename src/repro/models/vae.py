@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Dropout, Linear, Module, ReLU, Sequential, Tensor, no_grad
+from ..nn import Dropout, Linear, Module, ReLU, Sequential, Tensor, host, no_grad
 from ..nn.functional import sigmoid_forward
 
 __all__ = ["ConditionalVAE", "LATENT_DIM", "ENCODER_WIDTHS", "DECODER_WIDTHS"]
@@ -32,6 +32,12 @@ LATENT_DIM = 10
 ENCODER_WIDTHS = (20, 16, 14, 12)
 DECODER_WIDTHS = (12, 14, 16, 18)
 DROPOUT_P = 0.3
+
+
+def _class_column(labels, dtype):
+    """The class labels as a ``(n, 1)`` column of ``dtype`` (a view when no
+    conversion is needed)."""
+    return np.asarray(labels, dtype=dtype).reshape(-1, 1)
 
 
 def _mlp(widths, rng, dropout_rng, dropout_p):
@@ -80,9 +86,8 @@ class ConditionalVAE(Module):
     @staticmethod
     def _with_class(x, labels):
         """Append the class label as an extra column (dtype follows x)."""
-        labels = np.asarray(labels, dtype=x.data.dtype).reshape(-1, 1)
-        column = Tensor(labels)
-        return Tensor.concatenate([x, column], axis=1)
+        column = host(_class_column, labels, x.data.dtype)
+        return Tensor.concatenate([x, Tensor(column)], axis=1)
 
     def encode(self, x, labels):
         """Map inputs + class to ``(mu, log_var)``.
@@ -96,11 +101,13 @@ class ConditionalVAE(Module):
         log_var = self.log_var_head(hidden)
         return mu, log_var
 
+    def _draw_eps(self, shape, dtype):
+        return self._noise_rng.standard_normal(shape).astype(dtype, copy=False)
+
     def reparameterize(self, mu, log_var):
         """Sample ``z = mu + sigma * eps`` with pathwise gradients."""
-        eps = self._noise_rng.standard_normal(mu.shape).astype(
-            mu.data.dtype, copy=False)
-        floor = Tensor(np.full(log_var.shape, -10.0, dtype=log_var.data.dtype))
+        eps = host(self._draw_eps, mu.shape, mu.data.dtype)
+        floor = Tensor(host(np.full, log_var.shape, -10.0, log_var.data.dtype))
         sigma = (log_var * 0.5).maximum(floor).exp()
         return mu + sigma * eps
 

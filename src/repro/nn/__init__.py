@@ -6,6 +6,7 @@ autograd, layer modules, losses, optimisers and serialisation.
 """
 
 from . import functional
+from .compile import CompiledStep
 from .init import he_uniform, xavier_uniform, zeros
 from .layers import Dropout, Linear, Module, ReLU, Sequential, Sigmoid, Tanh
 from .losses import (
@@ -25,6 +26,7 @@ from .tensor import (
     as_tensor,
     dtype_scope,
     get_default_dtype,
+    host,
     is_grad_enabled,
     linear,
     no_grad,
@@ -41,7 +43,7 @@ from .training_utils import (
 
 __all__ = [
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
-    "linear", "functional",
+    "linear", "functional", "host", "CompiledStep",
     "get_default_dtype", "set_default_dtype", "dtype_scope",
     "Module", "Linear", "ReLU", "Sigmoid", "Tanh", "Dropout", "Sequential",
     "bce_with_logits", "cross_entropy", "hinge_loss", "l1_loss", "mse_loss",

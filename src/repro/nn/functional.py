@@ -8,7 +8,9 @@ the training path — there is no second formula to drift.
 
 All kernels are dtype-preserving: they compute in whatever float dtype
 the inputs carry (float64 by default, float32 in fast mode — see
-:func:`repro.nn.tensor.set_default_dtype`).
+:func:`repro.nn.tensor.set_default_dtype`).  Each takes an optional
+``out=`` array, which a replayed training step (:mod:`repro.nn.compile`)
+passes to refresh a node in place; the result is the same either way.
 """
 
 from __future__ import annotations
@@ -18,31 +20,40 @@ import numpy as np
 __all__ = ["linear_forward", "relu_forward", "sigmoid_forward", "tanh_forward"]
 
 
-def linear_forward(x, weight, bias):
+def linear_forward(x, weight, bias, out=None):
     """Fused affine kernel ``x @ weight + bias`` with one allocation.
 
-    The bias add happens in place on the fresh matmul output, so the
-    fused op allocates a single array where the ``matmul`` + ``add``
-    chain allocated two.
+    The bias add happens in place on the matmul output, so the fused op
+    allocates a single array where the ``matmul`` + ``add`` chain
+    allocated two (and none when ``out`` is given).
     """
-    out = x @ weight
+    out = np.matmul(x, weight, out)
     out += bias
     return out
 
 
-def relu_forward(x):
+def relu_forward(x, out=None):
     """``max(x, 0)`` elementwise."""
-    return np.maximum(x, 0.0)
+    return np.maximum(x, 0.0, out=out)
 
 
-def sigmoid_forward(x):
-    """Numerically stable logistic sigmoid (split at 0 to avoid overflow)."""
-    clipped = np.clip(x, -500, 500)
-    return np.where(x >= 0,
-                    1.0 / (1.0 + np.exp(-clipped)),
-                    np.exp(clipped) / (1.0 + np.exp(clipped)))
+def sigmoid_forward(x, out=None):
+    """Numerically stable logistic sigmoid.
+
+    Both branches share ``e = exp(-|x|)``, which cannot overflow:
+    ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)`` below.  Inputs are
+    clipped to ±500 first (the result saturates long before); NaN stays
+    NaN.
+    """
+    e = np.exp(-np.abs(np.clip(x, -500, 500)))
+    denom = 1.0 + e
+    if out is None:
+        return np.where(x >= 0, 1.0 / denom, e / denom)
+    np.divide(e, denom, out=out)
+    np.divide(1.0, denom, out=out, where=x >= 0)
+    return out
 
 
-def tanh_forward(x):
+def tanh_forward(x, out=None):
     """Hyperbolic tangent."""
-    return np.tanh(x)
+    return np.tanh(x, out)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import functional
 from .init import he_uniform, xavier_uniform, zeros
-from .tensor import Tensor, as_tensor, linear, no_grad
+from .tensor import Tensor, as_tensor, host, linear, no_grad
 
 __all__ = ["Module", "Linear", "ReLU", "Sigmoid", "Tanh", "Dropout", "Sequential"]
 
@@ -227,19 +227,20 @@ class Dropout(Module):
         self.p = float(p)
         self._rng = rng
 
+    def _mask(self, shape, dtype):
+        keep = 1.0 - self.p
+        mask = (self._rng.random(shape) < keep) / keep
+        return mask.astype(dtype, copy=False)
+
     def forward(self, x):
         if not self.training or self.p == 0.0:
             return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep) / keep
-        return x * mask.astype(x.data.dtype, copy=False)
+        return x * host(self._mask, x.shape, x.data.dtype)
 
     def forward_array(self, x):
         if not self.training or self.p == 0.0:
             return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(np.shape(x)) < keep) / keep
-        return x * mask.astype(np.asarray(x).dtype, copy=False)
+        return x * self._mask(np.shape(x), np.asarray(x).dtype)
 
     def __repr__(self):
         return f"Dropout(p={self.p})"

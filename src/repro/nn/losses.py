@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import as_tensor
+from .tensor import as_tensor, host
 
 __all__ = [
     "bce_with_logits",
@@ -21,6 +21,21 @@ __all__ = [
     "logsumexp",
     "softmax",
 ]
+
+
+# Constants the losses derive from batch data, computed through
+# :func:`~repro.nn.tensor.host` so a replayed training step recomputes them.
+def _inverse_sum(weights):
+    return 1.0 / weights.sum()
+
+
+def _max_shift(data, axis):
+    return np.max(data, axis=axis, keepdims=True)
+
+
+def _negated_signs(desired):
+    """``-(2 * desired - 1)``: -1 where class 1 is desired, +1 where class 0 is."""
+    return -(2.0 * np.asarray(desired, dtype=np.float64) - 1.0)
 
 
 def bce_with_logits(logits, targets, weights=None):
@@ -38,14 +53,14 @@ def bce_with_logits(logits, targets, weights=None):
     per_element = relu_part - logits * targets + softplus
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
-        return (per_element * weights).sum() * (1.0 / weights.sum())
+        return (per_element * weights).sum() * host(_inverse_sum, weights)
     return per_element.mean()
 
 
 def logsumexp(logits, axis=-1):
     """Differentiable log-sum-exp with max-shift stabilisation."""
     logits = as_tensor(logits)
-    shift = np.max(logits.data, axis=axis, keepdims=True)
+    shift = host(_max_shift, logits.data, axis)
     shifted = logits - shift
     return (shifted.exp().sum(axis=axis, keepdims=True)).log() + shift
 
@@ -91,9 +106,7 @@ def hinge_loss(logits, desired, margin=1.0):
         Decision margin; the paper uses the standard hinge (margin 1).
     """
     logits = as_tensor(logits)
-    desired = np.asarray(desired, dtype=np.float64)
-    signs = 2.0 * desired - 1.0
-    margins = (logits * (-signs)) + margin
+    margins = (logits * host(_negated_signs, desired)) + margin
     return margins.clip_min(0.0).mean()
 
 

@@ -24,22 +24,48 @@ Gradient contract (PyTorch's default):
   such as a dropout mask) costs no ``x.T @ g`` or reduction.  The flag
   is read at backward time, so freezing a weight between the forward
   and the backward pass is honoured.
+
+Compiled steps (:mod:`repro.nn.compile`): a training loop traces its
+step per batch shape and then *replays* it.  While a step is traced
+every op records its forward formula with ``out=`` the node's array
+(and the masks its backward captured); a replay re-runs those kernels in
+order, then :meth:`Tensor.backward` walks the root's cached order.  The
+trace contract — inside a traced step an operand or argument may be:
+
+* a parameter, or a Tensor/ndarray that existed before the trace;
+* a Python scalar that does not depend on the batch;
+* a view of a bound batch input or of an op's output;
+* the output of :func:`host`: a recorded RNG draw, or a host-side numpy
+  kernel computing a constant from batch data.
+
+An ndarray created inside the step that is none of these would be stale
+on a replay; the tracer refuses such a step (naming where the array
+entered the graph) and the loop runs eager.  A Python number derived
+from batch data would be stale too and must go through :func:`host`:
+the tracer refuses a number that differs between the first two batches
+of a shape, but a number or a branch that first changes on a later
+batch is not detected.
+Parameters must be updated in place (every optimizer here does), and
+``requires_grad`` flags must not change while a compiled loop runs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from . import functional
 
 __all__ = [
-    "Tensor", "as_tensor", "linear", "no_grad", "is_grad_enabled",
+    "Tensor", "as_tensor", "linear", "host", "no_grad", "is_grad_enabled",
     "get_default_dtype", "set_default_dtype", "dtype_scope",
 ]
 
 _GRAD_ENABLED = True
+#: The :class:`repro.nn.compile.StepTrace` recording the current step, if any.
+_TRACE = None
 _DEFAULT_DTYPE = np.float64
 _FLOAT_TYPES = (np.float32, np.float64)
 
@@ -137,6 +163,65 @@ def as_tensor(value, requires_grad=False):
     return Tensor(value, requires_grad=requires_grad)
 
 
+def host(fn, *args):
+    """Run a host-side kernel ``fn(*args)`` whose result a step treats as constant.
+
+    Use it for every ndarray a step computes outside the ops: RNG draws
+    (dropout masks, reparameterisation noise) and constants derived from
+    batch data (hinge signs, a max-shift, masks read off ``.data``).
+    Results come back as ndarrays (a tuple of them when ``fn`` returns a
+    tuple).  Inside a traced step the call is recorded, so a replay
+    re-runs ``fn`` — drawing from the same Generator in the same order —
+    and writes the result into the same arrays.
+    """
+    result = fn(*args)
+    if isinstance(result, tuple):
+        result = tuple(np.asarray(part) for part in result)
+    else:
+        result = np.asarray(result)
+    if _TRACE is not None:
+        _TRACE.host(result, fn, args)
+    return result
+
+
+def _where_into(cond, a, b, out):
+    """``np.where(cond, a, b)`` written into ``out`` (a pure selection)."""
+    np.copyto(out, b)
+    np.copyto(out, a, where=cond)
+
+
+def _maximum_into(a, b, out):
+    """``np.maximum(a, b)`` written into ``out``."""
+    np.maximum(a, b, out=out)
+
+
+def _sum_into(a, axis, keepdims, out):
+    """``a.sum(axis, keepdims=keepdims)`` written into ``out``."""
+    np.add.reduce(a, axis, None, out, keepdims)
+
+
+def _copy_into(fn, a, arg, out):
+    """``fn(a, arg)`` — an indexing or reshape that copied — written into ``out``."""
+    np.copyto(out, fn(a, arg))
+
+
+def _power(a, exponent, out=None):
+    """``a ** exponent`` (numpy's own fast path squares for exponent 2)."""
+    if exponent == 2:
+        return np.square(a, out)
+    if out is None:
+        return a ** exponent
+    np.copyto(out, a ** exponent)
+    return out
+
+
+def _root(array):
+    """The array owning ``array``'s memory (itself unless it is a view)."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
 class Tensor:
     """A numpy array with reverse-mode autograd.
 
@@ -149,13 +234,14 @@ class Tensor:
         during :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_order")
     __array_priority__ = 100  # make numpy defer to our __r*__ operators
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         # float32/float64 data keeps its dtype (so float32 models stay
         # float32 through graph ops even outside a dtype_scope);
         # everything else coerces to the configured default.
+        source = data
         data = np.asarray(data)
         if data.dtype.type not in _FLOAT_TYPES:
             data = data.astype(_DEFAULT_DTYPE)
@@ -164,6 +250,9 @@ class Tensor:
         self.grad = None
         self._parents = _parents if self.requires_grad or _parents else ()
         self._backward = _backward
+        self._order = None
+        if _TRACE is not None:
+            _TRACE.constant(source, data)
 
     # ------------------------------------------------------------------
     # introspection helpers
@@ -210,7 +299,13 @@ class Tensor:
     # graph construction
     # ------------------------------------------------------------------
     @staticmethod
-    def _make(data, parents, backward):
+    def _make(data, parents, backward, kernel=None, args=()):
+        """The node an op returns: ``data`` with its parents and backward.
+
+        ``kernel(*args, out)`` is the op's forward written into ``out``;
+        while a step is traced it is recorded with ``out`` the node's
+        array, so a replay refreshes the node in place.
+        """
         requires = False
         if _GRAD_ENABLED:
             for parent in parents:
@@ -220,16 +315,44 @@ class Tensor:
         if not requires:
             parents, backward = (), None
         if data.__class__ is not np.ndarray or data.dtype.type not in _FLOAT_TYPES:
-            # numpy scalars (full reductions) and non-float results take
-            # the coercing constructor
-            return Tensor(data, requires, parents, backward)
+            # numpy scalars (full reductions) become 0-d arrays, so a
+            # replay can refresh them in place; non-float results coerce
+            data = np.asarray(data)
+            if data.dtype.type not in _FLOAT_TYPES:
+                data = data.astype(_DEFAULT_DTYPE)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.requires_grad = requires
         out.grad = None
         out._parents = parents
         out._backward = backward
+        out._order = None
+        if _TRACE is not None and kernel is not None:
+            _TRACE.kernel(data, kernel, *args, data)
         return out
+
+    def _topological_order(self):
+        """Post-order of the nodes reachable through ``requires_grad`` parents.
+
+        The visit order fixes the floating-point order in which three or
+        more contributions to one node are summed, so it must not change.
+        """
+        order = []
+        visited = set()
+        stack = [(self, False)]
+        while stack:
+            node, processed = stack.pop()
+            if processed:
+                order.append(node)
+                continue
+            if node in visited:
+                continue
+            visited.add(node)
+            stack.append((node, True))
+            for parent in node._parents:
+                if parent.requires_grad and parent not in visited:
+                    stack.append((parent, False))
+        return order
 
     def backward(self, grad=None):
         """Backpropagate from this tensor through the recorded graph.
@@ -252,24 +375,14 @@ class Tensor:
         else:
             grad = np.asarray(grad, dtype=self.data.dtype)
 
-        # Reverse topological order over the DAG.  The visit order fixes
-        # the floating-point order in which three or more contributions
-        # to one node are summed, so it must not change.
-        order = []
-        visited = set()
-        stack = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if node in visited:
-                continue
-            visited.add(node)
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and parent not in visited:
-                    stack.append((parent, False))
+        # A compiled step's root keeps its order for the replays (an
+        # empty list marks a traced root whose order is not known yet).
+        order = self._order
+        if not order:
+            found = self._topological_order()
+            if order is not None:
+                self._order = found
+            order = found
 
         # ``grads`` maps node (hashed by identity) -> pending gradient.
         # Entries in ``owned`` are buffers allocated by this pass, so
@@ -308,9 +421,15 @@ class Tensor:
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
+    # Each op computes its forward through one numpy expression and hands
+    # ``_make`` that expression's ``out=`` form, which a traced step
+    # records (see ``_make``); masks a backward closure captured are
+    # recorded the same way (``_TRACE.kernel(out, fn, *args)`` records
+    # ``fn(*args)``, which writes ``out``).  Views (basic indexing,
+    # reshape, transpose) need no refresh.
     def __add__(self, other):
         other = as_tensor(other)
-        out_data = self.data + other.data
+        a, b = self.data, other.data
 
         def backward(g):
             grads = []
@@ -320,7 +439,7 @@ class Tensor:
                 grads.append((other, _unbroadcast(g, other.shape)))
             return grads
 
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(np.add(a, b), (self, other), backward, np.add, (a, b))
 
     __radd__ = __add__
 
@@ -328,7 +447,7 @@ class Tensor:
         def backward(g):
             return ((self, -g),)
 
-        return Tensor._make(-self.data, (self,), backward)
+        return self._unary(np.negative, backward)
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
@@ -338,7 +457,7 @@ class Tensor:
 
     def __mul__(self, other):
         other = as_tensor(other)
-        out_data = self.data * other.data
+        a, b = self.data, other.data
 
         def backward(g):
             grads = []
@@ -348,13 +467,13 @@ class Tensor:
                 grads.append((other, _unbroadcast(g * self.data, other.shape)))
             return grads
 
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(np.multiply(a, b), (self, other), backward, np.multiply, (a, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = as_tensor(other)
-        out_data = self.data / other.data
+        a, b = self.data, other.data
 
         def backward(g):
             grads = []
@@ -365,7 +484,7 @@ class Tensor:
                                                   other.shape)))
             return grads
 
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(np.true_divide(a, b), (self, other), backward, np.true_divide, (a, b))
 
     def __rtruediv__(self, other):
         return as_tensor(other) / self
@@ -373,16 +492,16 @@ class Tensor:
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out_data = self.data ** exponent
+        a = self.data
 
         def backward(g):
             return ((self, g * exponent * self.data ** (exponent - 1)),)
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(_power(a, exponent), (self,), backward, _power, (a, exponent))
 
     def __matmul__(self, other):
         other = as_tensor(other)
-        out_data = self.data @ other.data
+        a, b = self.data, other.data
 
         def backward(g):
             grads = []
@@ -394,35 +513,44 @@ class Tensor:
                 grads.append((other, grad_other.reshape(other.shape)))
             return grads
 
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(np.matmul(a, b), (self, other), backward, np.matmul, (a, b))
 
     # ------------------------------------------------------------------
     # elementwise non-linearities
     # ------------------------------------------------------------------
+    def _unary(self, kernel, backward):
+        """Node ``kernel(self.data)`` (a one-input ``out=``-capable kernel).
+
+        A backward reading the output must capture ``out.data``, not the
+        node: a closure holding its own node is a reference cycle, and
+        the graph would outlive the step until the cyclic GC runs.
+        """
+        return Tensor._make(kernel(self.data), (self,), backward, kernel, (self.data,))
+
     def exp(self):
         """Elementwise exponential."""
-        out_data = np.exp(self.data)
-
         def backward(g):
             return ((self, g * out_data),)
 
-        return Tensor._make(out_data, (self,), backward)
+        out = self._unary(np.exp, backward)
+        out_data = out.data
+        return out
 
     def log(self):
         """Elementwise natural logarithm."""
         def backward(g):
             return ((self, g / self.data),)
 
-        return Tensor._make(np.log(self.data), (self,), backward)
+        return self._unary(np.log, backward)
 
     def sqrt(self):
         """Elementwise square root."""
-        out_data = np.sqrt(self.data)
-
         def backward(g):
             return ((self, g * 0.5 / out_data),)
 
-        return Tensor._make(out_data, (self,), backward)
+        out = self._unary(np.sqrt, backward)
+        out_data = out.data
+        return out
 
     def relu(self):
         """Rectified linear unit, ``max(x, 0)``.
@@ -430,57 +558,63 @@ class Tensor:
         The backward recomputes the pass-through mask from the forward
         *output* (``out > 0``), so no separate mask array is stored.
         """
-        out_data = functional.relu_forward(self.data)
-
         def backward(g):
             return ((self, g * (out_data > 0)),)
 
-        return Tensor._make(out_data, (self,), backward)
+        out = self._unary(functional.relu_forward, backward)
+        out_data = out.data
+        return out
 
     def sigmoid(self):
         """Numerically stable logistic sigmoid.
 
         The backward reuses the forward output: ``g * out * (1 - out)``.
         """
-        out_data = functional.sigmoid_forward(self.data)
-
         def backward(g):
             return ((self, g * out_data * (1.0 - out_data)),)
 
-        return Tensor._make(out_data, (self,), backward)
+        out = self._unary(functional.sigmoid_forward, backward)
+        out_data = out.data
+        return out
 
     def tanh(self):
         """Hyperbolic tangent (backward reuses the forward output)."""
-        out_data = functional.tanh_forward(self.data)
-
         def backward(g):
             return ((self, g * (1.0 - out_data ** 2)),)
 
-        return Tensor._make(out_data, (self,), backward)
+        out = self._unary(functional.tanh_forward, backward)
+        out_data = out.data
+        return out
 
     def abs(self):
         """Elementwise absolute value (subgradient 0 at the kink)."""
-        sign = np.sign(self.data)
+        a = self.data
+        sign = np.sign(a)
 
         def backward(g):
             return ((self, g * sign),)
 
-        return Tensor._make(np.abs(self.data), (self,), backward)
+        if _TRACE is not None:
+            _TRACE.kernel(sign, np.sign, a, sign)
+        return Tensor._make(np.absolute(a), (self,), backward, np.absolute, (a,))
 
     def clip_min(self, low):
         """Elementwise ``max(x, low)`` with pass-through gradient above ``low``."""
-        mask = self.data > low
+        a = self.data
+        mask = np.greater(a, low)
 
         def backward(g):
             return ((self, g * mask),)
 
-        return Tensor._make(np.maximum(self.data, low), (self,), backward)
+        if _TRACE is not None:
+            _TRACE.kernel(mask, np.greater, a, low, mask)
+        return Tensor._make(np.maximum(a, low), (self,), backward, _maximum_into, (a, low))
 
     def maximum(self, other):
         """Elementwise maximum of two tensors (ties send gradient left)."""
         other = as_tensor(other)
-        take_self = self.data >= other.data
-        out_data = np.where(take_self, self.data, other.data)
+        a, b = self.data, other.data
+        take_self = np.greater_equal(a, b)
 
         def backward(g):
             grads = []
@@ -490,14 +624,17 @@ class Tensor:
                 grads.append((other, _unbroadcast(g * ~take_self, other.shape)))
             return grads
 
-        return Tensor._make(out_data, (self, other), backward)
+        if _TRACE is not None:
+            _TRACE.kernel(take_self, np.greater_equal, a, b, take_self)
+        return Tensor._make(np.where(take_self, a, b), (self, other), backward,
+                            _where_into, (take_self, a, b))
 
     # ------------------------------------------------------------------
     # reductions and reshaping
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims=False):
         """Sum over ``axis`` (all elements when None)."""
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        a = self.data
         shape = self.shape
 
         def backward(g):
@@ -509,7 +646,8 @@ class Tensor:
             # differently from a contiguous one
             return ((self, np.broadcast_to(grad, shape).copy()),)
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(a.sum(axis=axis, keepdims=keepdims), (self,), backward,
+                            _sum_into, (a, axis, keepdims))
 
     def mean(self, axis=None, keepdims=False):
         """Arithmetic mean over ``axis`` (all elements when None)."""
@@ -520,6 +658,14 @@ class Tensor:
             count = math.prod(self.data.shape[ax] for ax in axes)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
+    def _view_or_copy(self, data, backward, fn, arg):
+        """Node ``data = fn(self.data, arg)``: refreshed on a replay unless a view."""
+        kernel = None
+        if _TRACE is not None and not (isinstance(data, np.ndarray)
+                                       and _root(data) is _root(self.data)):
+            kernel = _copy_into
+        return Tensor._make(data, (self,), backward, kernel, (fn, self.data, arg))
+
     def reshape(self, *shape):
         """Return a tensor viewing the same data with a new shape."""
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -529,7 +675,7 @@ class Tensor:
         def backward(g):
             return ((self, g.reshape(old_shape)),)
 
-        return Tensor._make(self.data.reshape(shape), (self,), backward)
+        return self._view_or_copy(self.data.reshape(shape), backward, np.reshape, shape)
 
     @property
     def T(self):
@@ -540,7 +686,6 @@ class Tensor:
         return Tensor._make(self.data.T, (self,), backward)
 
     def __getitem__(self, index):
-        out_data = self.data[index]
         shape = self.shape
         dtype = self.data.dtype
 
@@ -549,20 +694,21 @@ class Tensor:
             np.add.at(grad, index, g)
             return ((self, grad),)
 
-        return Tensor._make(out_data, (self,), backward)
+        return self._view_or_copy(self.data[index], backward, operator.getitem, index)
 
     @staticmethod
     def concatenate(tensors, axis=0):
         """Concatenate tensors along ``axis``, differentiable in each input."""
         tensors = [as_tensor(t) for t in tensors]
-        out_data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.data.shape[axis] for t in tensors]
+        arrays = [t.data for t in tensors]
+        sizes = [a.shape[axis] for a in arrays]
 
         def backward(g):
             pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
             return tuple((t, piece) for t, piece in zip(tensors, pieces))
 
-        return Tensor._make(out_data, tuple(tensors), backward)
+        return Tensor._make(np.concatenate(arrays, axis=axis), tuple(tensors), backward,
+                            np.concatenate, (arrays, axis))
 
     @staticmethod
     def where(condition, a, b):
@@ -570,7 +716,6 @@ class Tensor:
         a = as_tensor(a)
         b = as_tensor(b)
         cond = np.asarray(condition, dtype=bool)
-        out_data = np.where(cond, a.data, b.data)
 
         def backward(g):
             grads = []
@@ -580,7 +725,8 @@ class Tensor:
                 grads.append((b, _unbroadcast(g * ~cond, b.shape)))
             return grads
 
-        return Tensor._make(out_data, (a, b), backward)
+        return Tensor._make(np.where(cond, a.data, b.data), (a, b), backward,
+                            _where_into, (cond, a.data, b.data))
 
 
 def linear(x, weight, bias):
@@ -602,7 +748,7 @@ def linear(x, weight, bias):
     x = as_tensor(x)
     weight = as_tensor(weight)
     bias = as_tensor(bias)
-    out_data = functional.linear_forward(x.data, weight.data, bias.data)
+    args = (x.data, weight.data, bias.data)
 
     def backward(g):
         # a frozen weight (e.g. the black box inside the CF loss) or a
@@ -616,4 +762,5 @@ def linear(x, weight, bias):
             grads.append((bias, g if g.ndim == 1 else g.sum(axis=0)))
         return grads
 
-    return Tensor._make(out_data, (x, weight, bias), backward)
+    return Tensor._make(functional.linear_forward(*args), (x, weight, bias), backward,
+                        functional.linear_forward, args)

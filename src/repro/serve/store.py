@@ -207,7 +207,10 @@ class ArtifactStore:
 
         The manifest is written last, so a crash mid-save leaves a
         directory without a manifest — which :meth:`load` reports as a
-        missing artifact rather than a corrupt one.
+        missing artifact rather than a corrupt one.  Non-finite weights
+        raise :class:`ArtifactError` naming the first offending
+        parameter, before anything is written: a diverged model must
+        never be served.
         """
         if pipeline.constraint_kind not in ("unary", "binary"):
             raise ArtifactError(
@@ -218,6 +221,14 @@ class ArtifactStore:
         explainer = pipeline.explainer
         if explainer.generator is None:
             raise ArtifactError("pipeline is not fitted; nothing to persist")
+
+        for owner, module in (("blackbox", explainer.blackbox), ("vae", explainer.generator.vae)):
+            for parameter, value in module.state_dict().items():
+                if not np.isfinite(value).all():
+                    raise ArtifactError(
+                        f"refusing to persist non-finite weights: {owner} "
+                        f"parameter {parameter!r} holds NaN or inf"
+                    )
 
         if name is None:
             name = self.default_name(pipeline.dataset, pipeline.constraint_kind, pipeline.seed)

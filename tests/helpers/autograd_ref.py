@@ -12,7 +12,14 @@ train once with them and once with the library and compare every bit:
 * :func:`make_ref` — node construction through ``Tensor.__init__``;
 * :func:`sgd_step_ref` / :func:`adam_step_ref` — one update per parameter
   tensor, rebinding ``parameter.data`` to a fresh array;
-* :func:`reference_tape` — a context manager swapping all four in.
+* :func:`reference_tape` — a context manager swapping all four in, with
+  every compiled training step held eager (:func:`eager_steps`): the
+  historical tape rebuilt the graph every step.
+
+:func:`eager_steps` alone makes every :class:`repro.nn.CompiledStep`
+refuse its trace, so a loop runs the eager tape through the library's
+own fallback — the reference the compiled-step parity tests pin replays
+against.
 
 The optimiser references keep their own per-parameter state on the
 instance (``_ref_state``), created on first use, so they never read the
@@ -24,6 +31,7 @@ import contextlib
 import numpy as np
 
 from repro.nn import SGD, Adam, Tensor, is_grad_enabled
+from repro.nn.compile import REFUSALS, StepTrace
 
 
 def backward_ref(self, grad=None):
@@ -80,8 +88,9 @@ def backward_ref(self, grad=None):
                 owned.add(parent_key)
 
 
-def make_ref(data, parents, backward):
-    """``Tensor._make`` as it was: every node goes through ``__init__``."""
+def make_ref(data, parents, backward, kernel=None, args=()):
+    """``Tensor._make`` as it was: every node goes through ``__init__``
+    (the reference tape never traces, so ``kernel``/``args`` go unused)."""
     requires = is_grad_enabled() and any(p.requires_grad for p in parents)
     if not requires:
         return Tensor(data)
@@ -131,8 +140,27 @@ def adam_step_ref(self):
 
 
 @contextlib.contextmanager
+def eager_steps():
+    """Make every compiled step refuse its trace inside the block (loops run eager)."""
+    original = StepTrace.__init__
+
+    def refusing(self, inputs):
+        original(self, inputs)
+        self.refuse("held eager by tests.helpers.autograd_ref.eager_steps")
+
+    saved = dict(REFUSALS)
+    StepTrace.__init__ = refusing
+    try:
+        yield
+    finally:
+        StepTrace.__init__ = original
+        REFUSALS.clear()
+        REFUSALS.update(saved)
+
+
+@contextlib.contextmanager
 def reference_tape():
-    """Run the block on the historical tape and optimisers, then restore."""
+    """Run the block on the historical tape and optimisers, eagerly, then restore."""
     swaps = [
         (Tensor, "backward", backward_ref),
         (Tensor, "_make", staticmethod(make_ref)),
@@ -143,7 +171,8 @@ def reference_tape():
     try:
         for owner, name, replacement in swaps:
             setattr(owner, name, replacement)
-        yield
+        with eager_steps():
+            yield
     finally:
         for owner, name, original in originals:
             setattr(owner, name, original)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.constraints import ImmutableProjector, build_constraints
-from repro.core import FourPartLoss, fast_config
+from repro.core import fast_config
+from repro.core import generator as generator_module
 from repro.core.generator import CFVAEGenerator
 from repro.data import load_dataset
 from repro.models import (
@@ -90,24 +91,26 @@ class TestCFVAEGenerator:
             ImmutableProjector(bundle.encoder),
             replace(fast_config(epochs=2), warmstart_epochs=0),
             rng=np.random.default_rng(4))
-        real_call = FourPartLoss.__call__
-        calls = []
-
-        def poisoned(self, *args, **kwargs):
-            total, parts = real_call(self, *args, **kwargs)
-            calls.append(1)
-            if len(calls) == 2:  # the second batch diverges
-                total = total * float("nan")
-                parts = {**parts, "total": total.item()}
-            return total, parts
-
-        monkeypatch.setattr(FourPartLoss, "__call__", poisoned)
         x = bundle.encoded[:200]
-        with pytest.raises(TrainingDivergedError) as info:
+        batch_size = generator.config.scaled_for(len(x)).batch_size
+        assert 2 * batch_size <= len(x)  # batch 1 has batch 0's shape: a replay
+        # the fit's first rng draw is epoch 0's permutation (no warm start)
+        second_batch = np.random.default_rng(4).permutation(len(x))[batch_size:2 * batch_size]
+        poisoned = x.copy()
+        poisoned[second_batch[0], 0] = np.nan
+        # fit validates its input, so poison the rows after validation
+        real_check = generator_module.check_2d
+        monkeypatch.setattr(generator_module, "check_2d",
+                            lambda rows, name: poisoned if rows is x else real_check(rows, name))
+        before = snapshot(vae)
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError) as info:
             generator.fit(x)
         assert (info.value.where, info.value.epoch) == ("CFVAEGenerator.fit", 0)
         assert info.value.batch == 1
-        for name, value in vae.state_dict().items():
+        # one step (batch 0) ran; the poisoned replay never stepped
+        after = vae.state_dict()
+        assert any(not np.array_equal(after[k], v) for k, v in before.items())
+        for name, value in after.items():
             assert np.isfinite(value).all(), name
         # the black box is released from the loss even on the error path
         frozen = [p for _, p in blackbox.named_parameters(include_frozen=True)]

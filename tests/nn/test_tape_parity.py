@@ -5,8 +5,9 @@ frozen and constant operands, builds nodes directly in ``_make``, and
 updates all parameters in one fused flat-buffer optimizer step.  None of
 that may move a single output bit.  Each case below trains twice from the
 same seed in this process — once on the verbatim historical tape and
-per-parameter optimisers (``tests/helpers/autograd_ref.py``), once on the
-library — and compares every ``state_dict()`` array, the loss history and
+per-parameter optimisers (``tests/helpers/autograd_ref.py``), rebuilding
+the graph every step, once on the library, whose training loops replay a
+compiled step — and compares every ``state_dict()`` array, the loss history and
 the produced counterfactuals byte for byte, in float64 and under
 ``dtype_scope("float32")``.  No golden files: both sides run on the same
 numpy build, so the comparison holds across the CI numpy matrix.

@@ -248,3 +248,29 @@ def test_checksum_helper(tmp_path):
     assert _file_sha256(path) == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+
+
+class TestNonFiniteWeights:
+    def test_nan_vae_weight_refuses_save_and_writes_nothing(self, store, tiny_pipeline):
+        weight = tiny_pipeline.explainer.generator.vae.output_head.weight
+        original = weight.data[0, 0]
+        weight.data[0, 0] = np.nan
+        try:
+            with pytest.raises(ArtifactError, match="vae parameter 'output_head.weight'"):
+                store.save(tiny_pipeline, name="diverged")
+        finally:
+            weight.data[0, 0] = original
+        assert not store.exists("diverged")
+        assert not (store.artifact_dir("diverged") / "manifest.json").exists()
+        assert not store.artifact_dir("diverged").exists()  # nothing written at all
+
+    def test_inf_black_box_weight_is_named(self, store, tiny_pipeline):
+        weight = tiny_pipeline.explainer.blackbox.network.layers[0].bias
+        original = weight.data[0]
+        weight.data[0] = np.inf
+        try:
+            with pytest.raises(ArtifactError, match="blackbox parameter 'network.layers.0.bias'"):
+                store.save(tiny_pipeline, name="diverged")
+        finally:
+            weight.data[0] = original
+        assert store.names() == []

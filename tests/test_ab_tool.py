@@ -1,0 +1,95 @@
+"""Tests for the A/B tool's parsing and verdict logic (benchmarks/ab.py)."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+_AB_PATH = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "ab.py"
+WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+RATE = {"name": "rows_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+VALID = {"name": "valid_pct", "unit": "%", "better": "higher", "bound": 0.1}
+
+
+@pytest.fixture(scope="module")
+def ab():
+    spec = importlib.util.spec_from_file_location("ab", _AB_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(wall_s, rows_per_s=50.0):
+    return json.dumps({"correct": True, "attempted": 720, "failed": 0, "metrics": {
+        "wall_s": {"value": wall_s, "unit": "s"},
+        "rows_per_s": {"value": rows_per_s, "unit": "1/s"}}})
+
+
+def test_parse_result_reads_the_last_json_line(ab):
+    stdout = "\n".join(["# wall_s 3.4 s", result_line(9.9), "# raw wall_s 3.5 s",
+                        result_line(3.4, 52.0), ""])
+    result = ab.parse_result(stdout)
+    assert result["correct"] and result["metrics"]["wall_s"]["value"] == 3.4
+    with pytest.raises(ValueError):
+        ab.parse_result("# no result\n")
+
+
+def test_clear_speedup_is_a_gain(ab):
+    base = [3.40, 3.37, 3.47, 3.45, 3.39, 3.41, 3.50, 3.38, 3.43, 3.44]
+    head = [2.25, 2.20, 2.28, 2.26, 2.22, 2.27, 2.24, 2.21, 2.30, 2.23]
+    row = ab.verdict(WALL, base, head)
+    assert row["verdict"] == "gain" and row["wins"] == 10 and row["pairs"] == 10
+    assert row["ratio"] == pytest.approx(2.245 / 3.42, rel=1e-3)
+    assert row["base"][0] <= row["base"][1] <= row["base"][2]
+
+
+def test_higher_is_better_metrics_flip_the_direction(ab):
+    row = ab.verdict(RATE, [50.0] * 10, [80.0] * 10)
+    assert row["verdict"] == "gain" and row["wins"] == 10
+    row = ab.verdict(RATE, [80.0] * 10, [50.0] * 10)
+    assert row["verdict"] == "REGRESSION" and row["wins"] == 0
+
+
+def test_a_slowdown_beyond_the_bound_is_a_regression(ab):
+    base = [3.0, 3.1, 2.9, 3.0]
+    assert ab.verdict(WALL, base, [3.9, 4.0, 3.8, 3.9])["verdict"] == "REGRESSION"
+    # within the 25% bound: not a regression, and not a gain either
+    assert ab.verdict(WALL, base, [3.6, 3.7, 3.5, 3.6])["verdict"] == "ok"
+
+
+def test_a_gain_needs_nine_of_ten_wins_and_a_gap_beyond_the_iqr(ab):
+    base = [3.0, 3.2, 2.8, 3.4, 2.6, 3.0, 3.2, 2.8, 3.4, 2.6]
+    # every pair won, but the gap is inside BASE's interquartile range
+    narrow = [value - 0.1 for value in base]
+    assert ab.verdict(WALL, base, narrow)["verdict"] == "ok"
+    # a wide gap, but only eight of ten pairs won
+    mixed = [value - 1.0 for value in base[:8]] + [value + 0.2 for value in base[8:]]
+    row = ab.verdict(WALL, base, mixed)
+    assert row["wins"] == 8 and row["verdict"] == "ok"
+
+
+def test_identical_quality_metrics_are_ok(ab):
+    row = ab.verdict(VALID, [97.08] * 10, [97.08] * 10)
+    assert row["verdict"] == "ok" and row["wins"] == 0 and row["ratio"] == 1.0
+    assert "97.08" in ab.render(row)
+
+
+def test_a_gain_needs_at_least_ten_pairs(ab):
+    # four pairs, every one won by a gap far beyond the IQR: still only ok
+    base = [3.40, 3.37, 3.47, 3.45]
+    head = [2.25, 2.20, 2.28, 2.26]
+    row = ab.verdict(WALL, base, head)
+    assert row["wins"] == 4 and row["verdict"] == "ok"
+    assert ab.verdict(WALL, base * 3, head * 3)["verdict"] == "gain"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved(ab):
+    # BASE's IQR is 2.0 on a median of 4.0: wider than the 25% bound
+    base = [2.0, 3.0, 4.0, 5.0, 6.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    overlapping = [value * 0.7 for value in base]
+    assert ab.verdict(WALL, base, overlapping)["verdict"] == "unresolved"
+    # no overlap: every HEAD run beats (or loses to) every BASE run
+    assert ab.verdict(WALL, base, [1.0] * 10)["verdict"] == "gain"
+    assert ab.verdict(WALL, base, [9.0] * 10)["verdict"] == "REGRESSION"
+    assert ab.verdict(RATE, base, [1.0] * 10)["verdict"] == "REGRESSION"
