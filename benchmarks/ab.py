@@ -2,18 +2,20 @@
 
 Usage, from the repository root::
 
-    python3 benchmarks/ab.py BASE [HEAD] [--workload fit] [--pairs 10] [--seed 100]
+    python3 benchmarks/ab.py BASE [HEAD] [--workload fit [W ...]] [--pairs 10] [--seed 100]
 
 Each ref is exported with ``git archive`` into its own temporary
 directory, so both sides run committed files only.  The script then runs
 ``--pairs`` pairs of ``e2ebench/run.py --workload W --seed S --seconds T``
-(one run per side per pair, seed ``--seed + pair``, ``T`` the
-``run_seconds`` of ``BENCHMARK.json``), alternating which side runs
-first, and reads each run's last line (the JSON result).
+for each workload W (one run per side per pair, seed ``--seed + pair``,
+``T`` the ``run_seconds`` of ``BENCHMARK.json``), alternating which side
+runs first, and reads each run's last line (the JSON result).  With
+several workloads the pairs interleave: pair 1 of every workload, then
+pair 2 of every workload, and so on.
 
-For every end-to-end metric of ``BENCHMARK.json`` (which it only reads)
-it prints each side's median and quartiles, the HEAD/BASE median ratio,
-the pairs HEAD won, and a verdict:
+For each workload, and every end-to-end metric of ``BENCHMARK.json``
+(which it only reads), it prints a table row with each side's median and
+quartiles, the HEAD/BASE median ratio, the pairs HEAD won, and a verdict:
 
 * ``unresolved`` — BASE's interquartile range exceeds the metric's bound
   (relative to BASE's median) and the two sides' runs overlap: the
@@ -24,8 +26,8 @@ the pairs HEAD won, and a verdict:
   median beats BASE's by more than BASE's interquartile range;
 * ``ok`` — none of these.
 
-The exit status is 1 when any metric regressed or is unresolved, or a
-run failed.
+The exit status is 1 when any metric of any workload regressed or is
+unresolved, or a run failed.
 """
 
 from __future__ import annotations
@@ -136,37 +138,10 @@ def run_side(checkout, workload, seed, seconds):
     return result
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base")
-    parser.add_argument("head", nargs="?", default="HEAD")
-    parser.add_argument("--workload", default="fit")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=100)
-    args = parser.parse_args(argv)
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
-
-    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        sides = {"base": pathlib.Path(tmp) / "base", "head": pathlib.Path(tmp) / "head"}
-        export(args.base, sides["base"])
-        export(args.head, sides["head"])
-        results = {"base": [], "head": []}
-        failed = 0
-        for pair in range(args.pairs):
-            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
-            got = {side: run_side(sides[side], args.workload, args.seed + pair, seconds)
-                   for side in order}
-            if None in got.values():
-                failed += 1
-                continue
-            for side, result in got.items():
-                results[side].append(result["metrics"])
-            print(f"# pair {pair + 1}/{args.pairs} ({order[0]} first): wall_s "
-                  f"base {got['base']['metrics']['wall_s']['value']:.4g} "
-                  f"head {got['head']['metrics']['wall_s']['value']:.4g}", flush=True)
-
-    print(f"{args.workload}: {args.base} -> {args.head}, {len(results['base'])} pairs, "
+def report(workload, args, seconds, metrics, results, failed):
+    """Print one workload's table; True when it fails the A/B."""
+    print()
+    print(f"{workload}: {args.base} -> {args.head}, {len(results['base'])} pairs, "
           f"{seconds:g} s per run, median [q1-q3]")
     print(f"{'metric':15s} {'base':>26s}  {'head':>26s}  {'ratio':>6s}  wins   verdict")
     failing = False
@@ -180,7 +155,45 @@ def main(argv=None):
         print(render(row))
     if failed:
         print(f"{failed} pair(s) had a failed run")
-    return 1 if failing or failed or not results["base"] else 0
+    return failing or bool(failed) or not results["base"]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base")
+    parser.add_argument("head", nargs="?", default="HEAD")
+    parser.add_argument("--workload", nargs="+", default=["fit"])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=100)
+    args = parser.parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+
+    results = {w: {"base": [], "head": []} for w in args.workload}
+    failed = dict.fromkeys(args.workload, 0)
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        sides = {"base": pathlib.Path(tmp) / "base", "head": pathlib.Path(tmp) / "head"}
+        export(args.base, sides["base"])
+        export(args.head, sides["head"])
+        for pair in range(args.pairs):
+            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+            for workload in args.workload:
+                got = {side: run_side(sides[side], workload, args.seed + pair, seconds)
+                       for side in order}
+                if None in got.values():
+                    failed[workload] += 1
+                    continue
+                for side, result in got.items():
+                    results[workload][side].append(result["metrics"])
+                print(f"# {workload} pair {pair + 1}/{args.pairs} ({order[0]} first): "
+                      f"wall_s base {got['base']['metrics']['wall_s']['value']:.4g} "
+                      f"head {got['head']['metrics']['wall_s']['value']:.4g}", flush=True)
+
+    failing = False
+    for workload in args.workload:
+        failing |= report(workload, args, seconds, metrics, results[workload],
+                          failed[workload])
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":

@@ -9,10 +9,12 @@ batch is written into the traced input buffers with ``np.take(...,
 out=)``, every op's forward and every :func:`~repro.nn.tensor.host`
 kernel re-runs into its existing arrays in the recorded order, and the
 step returns the same output Tensors, now holding the new values.  The
-caller then runs ``loss.backward()`` — the one backward, walking the
-root's cached order — and its optimizer step as usual.  Same kernels,
-same operands, same order, same RNG draws: a replayed fit is
-bit-identical to an eager one.
+caller then runs ``loss.backward()`` and its optimizer step as usual.
+The backward is the one walking backward, recorded on its first call on
+a traced root as a :class:`BackwardPlan`, whose later calls replay the
+recorded kernels into persistent gradient buffers.  Same kernels, same
+operands, same order, same RNG draws: a replayed fit is bit-identical to
+an eager one.
 
 Why two traces: an operand a step did not produce itself (not a bound
 input, an op output or a ``host()`` result) is *external*.  A replay
@@ -31,7 +33,8 @@ goes unnoticed.
 
 The eager step is the trace step, and also the fallback.  A refused
 step records why (with the call site) in :data:`REFUSALS` under the
-loop's name, and that loop runs eager for the rest of its fit.
+loop's name, and that loop runs eager for the rest of its fit.  Likewise
+the walking backward records the plan and is its fallback.
 """
 
 from __future__ import annotations
@@ -40,19 +43,22 @@ import linecache
 import os
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 
 from . import tensor as _tensor
 from .tensor import Tensor, _root
 
-__all__ = ["CompiledStep", "StepTrace", "REFUSALS"]
+__all__ = ["CompiledStep", "StepTrace", "BackwardPlan", "REFUSALS"]
 
 #: Loop name -> why its step was refused and runs eager (latest refusal).
 REFUSALS = {}
 #: Held while a step is traced: ops record into the one module-level
 #: trace, so two threads must not trace at once.
 _TRACING = threading.Lock()
+#: Held while a backward is recorded, for the same reason.
+_RECORDING = threading.Lock()
 
 #: Frames inside these directories are skipped when naming a call site.
 _INTERNAL_DIRS = (os.path.dirname(np.__file__), os.path.dirname(__file__))
@@ -81,6 +87,15 @@ def _same_number(first, second):
     return type(first) is type(second) and repr(first) == repr(second)
 
 
+def _arrays(args):
+    """Every ndarray among ``args``, looking into tuples and lists."""
+    for arg in args:
+        if isinstance(arg, np.ndarray):
+            yield arg
+        elif isinstance(arg, (tuple, list)):
+            yield from _arrays(arg)
+
+
 def _refresh_host(fn, args, targets):
     """Re-run a recorded host kernel into its traced result arrays."""
     result = fn(*args)
@@ -98,8 +113,10 @@ class StepTrace:
     memory; ``kernels`` is the flat list of ``(fn, args)`` refreshes;
     ``external`` lists every other array operand (by owning array) with
     the call site where it entered, and ``numbers`` every Python number
-    or slice operand and argument (by value) with its call site.  Only
-    the thread that started the trace is recorded.
+    or slice operand and argument (by value) with its call site.
+    ``constants`` holds the ids of the arrays of Tensors built from a
+    Python number inside the step.  Only the thread that started the
+    trace is recorded.
     """
 
     def __init__(self, inputs):
@@ -109,6 +126,7 @@ class StepTrace:
         self.known = {}
         self.external = []
         self.numbers = []
+        self.constants = set()
         self.refusal = None
         for array in inputs:
             if array is not None:
@@ -174,6 +192,8 @@ class StepTrace:
                 and id(_root(source)) in self.known):
             self.refuse("a dtype conversion of a refreshed array inside the "
                         "step would not be refreshed; convert it in host()")
+        if isinstance(source, (int, float)):
+            self.constants.add(id(data))
         self.own(data)
 
     def signature(self):
@@ -204,6 +224,103 @@ class StepTrace:
         """Re-run every recorded kernel in order."""
         for fn, args in self.kernels:
             fn(*args)
+
+
+class BackwardPlan:
+    """A traced root's backward, recorded once and replayed as flat kernels.
+
+    The root's first ``backward()`` walks the graph while every kernel
+    (``repro.nn.tensor._k``) records ``(fn, args, out)`` and every leaf
+    its gradient.  The record then folds kernels that read only constants
+    (the root's ones, Tensors built from Python numbers in the step,
+    folded outputs) into their kept values, and lets a leaf bind a kernel
+    output no other kernel reads instead of a copy of it; a leaf never
+    binds a folded or shared buffer, so ``p.grad`` may be edited in
+    place.  A record that reads an array the trace does not know is
+    dropped, and the root walks from then on.  ``docs/performance.md``
+    ("Compiled backward") has the rules and the fallbacks.
+    """
+
+    def __init__(self, trace):
+        self.trace = trace  # None once recorded, or dropped
+        self.kernels = None
+        self.binds = ()
+        self._thread = None
+
+    def replay(self):
+        """Run the plan; False, with nothing done, when it does not apply."""
+        if self.kernels is None:
+            return False
+        for leaf, _ in self.binds:
+            if leaf.grad is not None:
+                return False
+        for fn, args in self.kernels:
+            fn(*args)
+        for leaf, buffer in self.binds:
+            leaf.grad = buffer
+        return True
+
+    def begin(self, ones):
+        """Record the walk about to run from ``ones``; False when recorded
+        or dropped already, or another thread is recording."""
+        if self.trace is None or not _RECORDING.acquire(blocking=False):
+            return False
+        self._thread = threading.get_ident()
+        self._ones, self._recorded, self._bound = ones, [], []
+        _tensor._RECORD = self
+        return True
+
+    def kernel(self, fn, args, out):
+        """Record ``fn(*args, out)`` (from the recording thread only)."""
+        if threading.get_ident() == self._thread:
+            self._recorded.append((fn, args, out))
+
+    def bind(self, leaf, grad):
+        """Record that the walk gave ``leaf`` the gradient ``grad``."""
+        self._bound.append((leaf, grad))
+
+    def end(self, completed):
+        """Stop recording; a completed record becomes the plan."""
+        _tensor._RECORD = None
+        self._thread = None
+        plan = self._compile() if completed else None
+        self._ones = self._recorded = self._bound = self.trace = None
+        _RECORDING.release()
+        if plan is not None:
+            self.kernels, self.binds = plan
+
+    def _compile(self):
+        """``(kernels, binds)`` from the record, or None if it cannot replay."""
+        recorded, binds = self._recorded, list(self._bound)
+        bound = {id(grad) for _, grad in binds}
+        writes = Counter(id(out) for _, _, out in recorded)
+        if not bound <= writes.keys():
+            return None  # a leaf accumulated into a gradient it already held
+        constant = {id(self._ones)} | self.trace.constants
+        live = []
+        for kernel in recorded:
+            out = kernel[2]
+            if (writes[id(out)] == 1 and id(out) not in bound
+                    and all(id(_root(a)) in constant for a in _arrays(kernel[1]))):
+                constant.add(id(out))
+            else:
+                live.append(kernel)
+        producer = {id(out): (fn, args) for fn, args, out in live}
+        reads = Counter(id(_root(a)) for _, args, _ in live for a in _arrays(args))
+        dropped = set()
+        for index, (leaf, grad) in enumerate(binds):
+            fn, (source, *_) = producer[id(grad)]
+            if (fn is np.positive and id(source) in producer and id(source) not in bound
+                    and reads[id(source)] == 1):
+                dropped.add(id(grad))
+                binds[index] = (leaf, source)
+        live = [kernel for kernel in live if id(kernel[2]) not in dropped]
+        known = (producer.keys() | constant | self.trace.known.keys()
+                 | {id(root) for root, _ in self.trace.external})
+        for _, args, _ in live:
+            if any(id(_root(a)) not in known for a in _arrays(args)):
+                return None
+        return [(fn, args + (out,)) for fn, args, out in live], binds
 
 
 def _tensors(outputs):
@@ -260,10 +377,10 @@ class CompiledStep:
         return False
 
     def close(self):
-        """Drop every trace (and the backward orders cached on its outputs)."""
+        """Drop every trace, and the backward plans of its outputs."""
         for _, outputs in self._traces.values():
             for node in _tensors(outputs):
-                node._order = None
+                node._plan = None
         self._traces.clear()
         self._signatures.clear()
         self._first_outputs = None
@@ -328,6 +445,6 @@ class CompiledStep:
         else:
             for node in _tensors(outputs):
                 if node.requires_grad:
-                    node._order = []
+                    node._plan = BackwardPlan(trace)
             self._traces[key] = (trace, outputs)
         return outputs

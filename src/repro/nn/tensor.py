@@ -29,8 +29,14 @@ Compiled steps (:mod:`repro.nn.compile`): a training loop traces its
 step per batch shape and then *replays* it.  While a step is traced
 every op records its forward formula with ``out=`` the node's array
 (and the masks its backward captured); a replay re-runs those kernels in
-order, then :meth:`Tensor.backward` walks the root's cached order.  The
-trace contract — inside a traced step an operand or argument may be:
+order.  The backward is compiled the same way: every closure computes
+each array through :func:`_k` (``fn`` taking ``out`` last), so the
+traced root's first :meth:`Tensor.backward` records the walk as a flat
+kernel plan, which later calls replay into persistent gradient buffers
+(:class:`repro.nn.compile.BackwardPlan`).  A leaf's ``.grad`` after a
+replay is such a buffer, overwritten by the next step's replay: copy it
+to keep it (editing it in place is safe).  The trace contract — inside a
+traced step an operand or argument may be:
 
 * a parameter, or a Tensor/ndarray that existed before the trace;
 * a Python scalar that does not depend on the batch;
@@ -66,6 +72,8 @@ __all__ = [
 _GRAD_ENABLED = True
 #: The :class:`repro.nn.compile.StepTrace` recording the current step, if any.
 _TRACE = None
+#: The :class:`repro.nn.compile.BackwardPlan` recording a backward, if any.
+_RECORD = None
 _DEFAULT_DTYPE = np.float64
 _FLOAT_TYPES = (np.float32, np.float64)
 
@@ -137,6 +145,27 @@ def is_grad_enabled():
     return _GRAD_ENABLED
 
 
+def _k(fn, *args, out=None):
+    """A backward kernel: ``fn(*args)``, or ``fn(*args, out)`` written into ``out``.
+
+    Every array a backward closure computes goes through here (views
+    need not).  A numpy scalar result (a full reduction, 0-d operands)
+    comes back as a 0-d array, so a fan-in can accumulate into it in
+    place and a replay can write it.  While a traced root's backward is
+    recorded, the call is recorded with its output array.
+    """
+    if out is None:
+        out = fn(*args)
+        if out.__class__ is not np.ndarray:
+            out = np.asarray(out)
+    else:
+        fn(*args, out)
+    record = _RECORD  # read once: another thread may end its recording
+    if record is not None:
+        record.kernel(fn, args, out)
+    return out
+
+
 def _unbroadcast(grad, shape):
     """Reduce ``grad`` back to ``shape`` by summing broadcast dimensions.
 
@@ -148,11 +177,11 @@ def _unbroadcast(grad, shape):
         return grad
     # Sum away leading axes added by broadcasting.
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = _k(_sum_into, grad, 0, False)
     # Sum axes that were expanded from size one.
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = _k(_sum_into, grad, axis, True)
     return grad.reshape(shape)
 
 
@@ -195,9 +224,27 @@ def _maximum_into(a, b, out):
     np.maximum(a, b, out=out)
 
 
-def _sum_into(a, axis, keepdims, out):
-    """``a.sum(axis, keepdims=keepdims)`` written into ``out``."""
-    np.add.reduce(a, axis, None, out, keepdims)
+def _sum_into(a, axis, keepdims, out=None):
+    """``a.sum(axis, keepdims=keepdims)`` (written into ``out`` if given)."""
+    return np.add.reduce(a, axis, None, out, keepdims)
+
+
+def _broadcast_into(a, shape, out=None):
+    """``np.broadcast_to(a, shape)`` as a contiguous array."""
+    if out is None:
+        out = np.empty(shape, a.dtype)
+    np.copyto(out, a)
+    return out
+
+
+def _scatter_into(g, index, shape, dtype, out=None):
+    """The gradient of ``a[index]``: zeros of ``shape`` with ``g`` added at ``index``."""
+    if out is None:
+        out = np.zeros(shape, dtype)
+    else:
+        out.fill(0)
+    np.add.at(out, index, g)
+    return out
 
 
 def _copy_into(fn, a, arg, out):
@@ -234,7 +281,7 @@ class Tensor:
         during :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_order")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_plan")
     __array_priority__ = 100  # make numpy defer to our __r*__ operators
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
@@ -250,7 +297,7 @@ class Tensor:
         self.grad = None
         self._parents = _parents if self.requires_grad or _parents else ()
         self._backward = _backward
-        self._order = None
+        self._plan = None
         if _TRACE is not None:
             _TRACE.constant(source, data)
 
@@ -326,7 +373,7 @@ class Tensor:
         out.grad = None
         out._parents = parents
         out._backward = backward
-        out._order = None
+        out._plan = None
         if _TRACE is not None and kernel is not None:
             _TRACE.kernel(data, kernel, *args, data)
         return out
@@ -358,7 +405,10 @@ class Tensor:
         """Backpropagate from this tensor through the recorded graph.
 
         Gradients accumulate into :attr:`grad` of the leaves only (see the
-        module docstring); interior nodes are never written.
+        module docstring); interior nodes are never written.  On a traced
+        root (a compiled step's output) the first ``backward()`` also
+        records the pass as a flat kernel plan, and later calls replay it
+        when they can (see :class:`repro.nn.compile.BackwardPlan`).
 
         Parameters
         ----------
@@ -368,21 +418,19 @@ class Tensor:
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
+        plan = self._plan
+        record = False
         if grad is None:
+            if plan is not None and plan.replay():
+                return
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
             grad = np.ones_like(self.data)
+            record = plan is not None and plan.begin(grad)
         else:
             grad = np.asarray(grad, dtype=self.data.dtype)
 
-        # A compiled step's root keeps its order for the replays (an
-        # empty list marks a traced root whose order is not known yet).
-        order = self._order
-        if not order:
-            found = self._topological_order()
-            if order is not None:
-                self._order = found
-            order = found
+        order = self._topological_order()
 
         # ``grads`` maps node (hashed by identity) -> pending gradient.
         # Entries in ``owned`` are buffers allocated by this pass, so
@@ -393,30 +441,38 @@ class Tensor:
         # place.
         grads = {self: grad}
         owned = set()
-        for node in reversed(order):
-            node_grad = grads.pop(node, None)
-            if node_grad is None:
-                continue
-            backward = node._backward
-            if backward is None:
-                # a leaf: the only kind of node that keeps a gradient
-                if node.grad is not None:
-                    np.add(node.grad, node_grad, out=node.grad)
-                elif node in owned:
-                    node.grad = node_grad
-                else:
-                    node.grad = node_grad.copy()
-                continue
-            for parent, parent_grad in backward(node_grad):
-                if not parent.requires_grad:
+        completed = False
+        try:
+            for node in reversed(order):
+                node_grad = grads.pop(node, None)
+                if node_grad is None:
                     continue
-                if parent not in grads:
-                    grads[parent] = parent_grad
-                elif parent in owned:
-                    np.add(grads[parent], parent_grad, out=grads[parent])
-                else:
-                    grads[parent] = grads[parent] + parent_grad
-                    owned.add(parent)
+                backward = node._backward
+                if backward is None:
+                    # a leaf: the only kind of node that keeps a gradient
+                    if node.grad is not None:
+                        np.add(node.grad, node_grad, out=node.grad)
+                    elif node in owned:
+                        node.grad = node_grad
+                    else:
+                        node.grad = _k(np.positive, node_grad)  # a bit-exact copy
+                    if record:
+                        plan.bind(node, node.grad)
+                    continue
+                for parent, parent_grad in backward(node_grad):
+                    if not parent.requires_grad:
+                        continue
+                    if parent not in grads:
+                        grads[parent] = parent_grad
+                    elif parent in owned:
+                        _k(np.add, grads[parent], parent_grad, out=grads[parent])
+                    else:
+                        grads[parent] = _k(np.add, grads[parent], parent_grad)
+                        owned.add(parent)
+            completed = True
+        finally:
+            if record:
+                plan.end(completed)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -445,7 +501,7 @@ class Tensor:
 
     def __neg__(self):
         def backward(g):
-            return ((self, -g),)
+            return ((self, _k(np.negative, g)),)
 
         return self._unary(np.negative, backward)
 
@@ -462,9 +518,9 @@ class Tensor:
         def backward(g):
             grads = []
             if self.requires_grad:
-                grads.append((self, _unbroadcast(g * other.data, self.shape)))
+                grads.append((self, _unbroadcast(_k(np.multiply, g, b), self.shape)))
             if other.requires_grad:
-                grads.append((other, _unbroadcast(g * self.data, other.shape)))
+                grads.append((other, _unbroadcast(_k(np.multiply, g, a), other.shape)))
             return grads
 
         return Tensor._make(np.multiply(a, b), (self, other), backward, np.multiply, (a, b))
@@ -478,10 +534,11 @@ class Tensor:
         def backward(g):
             grads = []
             if self.requires_grad:
-                grads.append((self, _unbroadcast(g / other.data, self.shape)))
+                grads.append((self, _unbroadcast(_k(np.true_divide, g, b), self.shape)))
             if other.requires_grad:
-                grads.append((other, _unbroadcast(-g * self.data / (other.data ** 2),
-                                                  other.shape)))
+                grad_other = _k(np.true_divide, _k(np.multiply, _k(np.negative, g), a),
+                                _k(np.square, b))
+                grads.append((other, _unbroadcast(grad_other, other.shape)))
             return grads
 
         return Tensor._make(np.true_divide(a, b), (self, other), backward, np.true_divide, (a, b))
@@ -495,7 +552,8 @@ class Tensor:
         a = self.data
 
         def backward(g):
-            return ((self, g * exponent * self.data ** (exponent - 1)),)
+            return ((self, _k(np.multiply, _k(np.multiply, g, exponent),
+                              _k(_power, a, exponent - 1))),)
 
         return Tensor._make(_power(a, exponent), (self,), backward, _power, (a, exponent))
 
@@ -506,10 +564,10 @@ class Tensor:
         def backward(g):
             grads = []
             if self.requires_grad:
-                grad_self = g @ other.data.T if other.data.ndim > 1 else np.outer(g, other.data)
+                grad_self = _k(np.matmul, g, b.T) if b.ndim > 1 else _k(np.outer, g, b)
                 grads.append((self, grad_self.reshape(self.shape)))
             if other.requires_grad:
-                grad_other = self.data.T @ g if self.data.ndim > 1 else np.outer(self.data, g)
+                grad_other = _k(np.matmul, a.T, g) if a.ndim > 1 else _k(np.outer, a, g)
                 grads.append((other, grad_other.reshape(other.shape)))
             return grads
 
@@ -530,7 +588,7 @@ class Tensor:
     def exp(self):
         """Elementwise exponential."""
         def backward(g):
-            return ((self, g * out_data),)
+            return ((self, _k(np.multiply, g, out_data)),)
 
         out = self._unary(np.exp, backward)
         out_data = out.data
@@ -539,14 +597,14 @@ class Tensor:
     def log(self):
         """Elementwise natural logarithm."""
         def backward(g):
-            return ((self, g / self.data),)
+            return ((self, _k(np.true_divide, g, self.data)),)
 
         return self._unary(np.log, backward)
 
     def sqrt(self):
         """Elementwise square root."""
         def backward(g):
-            return ((self, g * 0.5 / out_data),)
+            return ((self, _k(np.true_divide, _k(np.multiply, g, 0.5), out_data)),)
 
         out = self._unary(np.sqrt, backward)
         out_data = out.data
@@ -559,7 +617,7 @@ class Tensor:
         *output* (``out > 0``), so no separate mask array is stored.
         """
         def backward(g):
-            return ((self, g * (out_data > 0)),)
+            return ((self, _k(np.multiply, g, _k(np.greater, out_data, 0))),)
 
         out = self._unary(functional.relu_forward, backward)
         out_data = out.data
@@ -571,7 +629,8 @@ class Tensor:
         The backward reuses the forward output: ``g * out * (1 - out)``.
         """
         def backward(g):
-            return ((self, g * out_data * (1.0 - out_data)),)
+            return ((self, _k(np.multiply, _k(np.multiply, g, out_data),
+                              _k(np.subtract, 1.0, out_data))),)
 
         out = self._unary(functional.sigmoid_forward, backward)
         out_data = out.data
@@ -580,7 +639,8 @@ class Tensor:
     def tanh(self):
         """Hyperbolic tangent (backward reuses the forward output)."""
         def backward(g):
-            return ((self, g * (1.0 - out_data ** 2)),)
+            return ((self, _k(np.multiply, g,
+                              _k(np.subtract, 1.0, _k(np.square, out_data)))),)
 
         out = self._unary(functional.tanh_forward, backward)
         out_data = out.data
@@ -592,7 +652,7 @@ class Tensor:
         sign = np.sign(a)
 
         def backward(g):
-            return ((self, g * sign),)
+            return ((self, _k(np.multiply, g, sign)),)
 
         if _TRACE is not None:
             _TRACE.kernel(sign, np.sign, a, sign)
@@ -604,7 +664,7 @@ class Tensor:
         mask = np.greater(a, low)
 
         def backward(g):
-            return ((self, g * mask),)
+            return ((self, _k(np.multiply, g, mask)),)
 
         if _TRACE is not None:
             _TRACE.kernel(mask, np.greater, a, low, mask)
@@ -619,9 +679,10 @@ class Tensor:
         def backward(g):
             grads = []
             if self.requires_grad:
-                grads.append((self, _unbroadcast(g * take_self, self.shape)))
+                grads.append((self, _unbroadcast(_k(np.multiply, g, take_self), self.shape)))
             if other.requires_grad:
-                grads.append((other, _unbroadcast(g * ~take_self, other.shape)))
+                grads.append((other, _unbroadcast(
+                    _k(np.multiply, g, _k(np.invert, take_self)), other.shape)))
             return grads
 
         if _TRACE is not None:
@@ -638,13 +699,12 @@ class Tensor:
         shape = self.shape
 
         def backward(g):
-            grad = np.asarray(g)
             if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis)
+                g = np.expand_dims(g, axis)
             # a contiguous copy, not the broadcast view: BLAS matmuls and
             # reductions downstream can round a zero-stride operand
             # differently from a contiguous one
-            return ((self, np.broadcast_to(grad, shape).copy()),)
+            return ((self, _k(_broadcast_into, g, shape)),)
 
         return Tensor._make(a.sum(axis=axis, keepdims=keepdims), (self,), backward,
                             _sum_into, (a, axis, keepdims))
@@ -690,9 +750,7 @@ class Tensor:
         dtype = self.data.dtype
 
         def backward(g):
-            grad = np.zeros(shape, dtype=dtype)
-            np.add.at(grad, index, g)
-            return ((self, grad),)
+            return ((self, _k(_scatter_into, g, index, shape, dtype)),)
 
         return self._view_or_copy(self.data[index], backward, operator.getitem, index)
 
@@ -720,9 +778,9 @@ class Tensor:
         def backward(g):
             grads = []
             if a.requires_grad:
-                grads.append((a, _unbroadcast(g * cond, a.shape)))
+                grads.append((a, _unbroadcast(_k(np.multiply, g, cond), a.shape)))
             if b.requires_grad:
-                grads.append((b, _unbroadcast(g * ~cond, b.shape)))
+                grads.append((b, _unbroadcast(_k(np.multiply, g, _k(np.invert, cond)), b.shape)))
             return grads
 
         return Tensor._make(np.where(cond, a.data, b.data), (a, b), backward,
@@ -755,11 +813,12 @@ def linear(x, weight, bias):
         # constant input gets no gradient computed
         grads = []
         if x.requires_grad:
-            grads.append((x, g @ weight.data.T))
+            grads.append((x, _k(np.matmul, g, weight.data.T)))
         if weight.requires_grad:
-            grads.append((weight, np.outer(x.data, g) if g.ndim == 1 else x.data.T @ g))
+            grads.append((weight, _k(np.outer, x.data, g) if g.ndim == 1
+                           else _k(np.matmul, x.data.T, g)))
         if bias.requires_grad:
-            grads.append((bias, g if g.ndim == 1 else g.sum(axis=0)))
+            grads.append((bias, g if g.ndim == 1 else _k(_sum_into, g, 0, False)))
         return grads
 
     return Tensor._make(functional.linear_forward(*args), (x, weight, bias), backward,

@@ -41,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ..core.result import CFBatchResult
-from ..utils.validation import resolve_desired
+from ..utils.validation import check_desired, resolve_desired
 from .routing import ConsistentHashRing, request_key
 from .service import ExplanationService, PendingTicketError
 from .shm import SharedWeights, attach_pipeline, pipeline_weight_arrays
@@ -481,8 +481,10 @@ class AsyncExplanationService:
         ``predicted``, ``valid``, ``feasible``, ...).  With ``timeout``,
         a request still pending after that many seconds raises
         :class:`PendingTicketError` — the asynchronous face of reading a
-        never-flushed ticket.
+        never-flushed ticket.  A ``desired`` class other than None, 0 or
+        1 raises ``ValueError`` here, before the request joins a batch.
         """
+        check_desired(desired)
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         row = np.asarray(row, dtype=np.float64).reshape(-1)

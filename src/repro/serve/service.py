@@ -39,7 +39,7 @@ import numpy as np
 
 from ..core.result import CFBatchResult
 from ..engine import CoreCFStrategy, EngineRunner
-from ..utils.validation import check_encoded_rows, resolve_desired
+from ..utils.validation import check_desired, check_encoded_rows, resolve_desired
 from .cache import LRUResultCache
 
 #: Overlay kinds :meth:`ExplanationService.warm_start` hosts, in the
@@ -546,10 +546,13 @@ class ExplanationService:
         Single-row traffic is the worst case for a vectorized engine, so
         the service does not answer immediately: queued tickets are
         resolved together by :meth:`flush` through ONE engine-runner
-        pass covering every pending row.
+        pass covering every pending row.  ``desired`` (None flips the
+        prediction) is checked here, so a bad class fails its own submit,
+        not the flush it would have joined.
         """
         row = np.asarray(row, dtype=np.float64).reshape(-1)
         check_encoded_rows(row.reshape(1, -1), self.encoder, "row")
+        check_desired(desired)
         ticket = ExplainTicket(row, desired)
         with self._lock:
             self._pending.append(ticket)

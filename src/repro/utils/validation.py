@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["SchemaMismatchError", "check_2d", "check_2d_fast",
-           "check_binary_labels", "check_encoded_rows", "check_encoded_sweep",
+           "check_binary_labels", "check_desired", "check_encoded_rows", "check_encoded_sweep",
            "check_probability", "check_positive", "check_schema_width",
            "resolve_desired"]
 
@@ -155,10 +155,19 @@ def check_binary_labels(labels, name="labels"):
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {labels.shape}")
-    unique = np.unique(labels)
-    if not np.isin(unique, (0, 1)).all():
-        raise ValueError(f"{name} must contain only 0/1, got values {unique[:10]}")
+    # a set test: request-sized vectors are checked on every served request
+    if not set(labels.tolist()) <= {0, 1}:
+        raise ValueError(
+            f"{name} must contain only 0/1, got values {np.unique(labels)[:10]}")
     return labels.astype(int)
+
+
+def check_desired(desired):
+    """Return one request's desired class — None (flip), 0 or 1 — or raise ``ValueError``."""
+    # 0 and 1 pass on a tuple lookup (this runs per served request)
+    if desired is not None and desired not in (0, 1):
+        check_binary_labels(np.reshape(desired, 1), "desired")
+    return desired
 
 
 def check_probability(value, name="probability"):
@@ -184,8 +193,8 @@ def resolve_desired(blackbox, rows, desired):
     every row), a 1-D array of classes, or a per-row list mixing
     ``None`` and ints.  Flipping is binary (``1 - predict``); the
     black-box runs at most once, over all ``rows``.  Returns an int
-    vector of length ``len(rows)``; a length mismatch or a matrix
-    raises ``ValueError``.
+    vector of length ``len(rows)``; a length mismatch, a matrix or an
+    explicit class other than 0 or 1 raises ``ValueError``.
     """
     n_rows = len(rows)
     if desired is None:
@@ -194,16 +203,17 @@ def resolve_desired(blackbox, rows, desired):
         if len(desired) != n_rows:
             raise ValueError(
                 f"desired ({len(desired)}) and rows ({n_rows}) row counts differ")
+        check_binary_labels([d for d in desired if d is not None], "desired")
         flipped = 1 - blackbox.predict(rows)
         return np.array([flipped[i] if d is None else int(d)
                          for i, d in enumerate(desired)], dtype=int)
     desired = np.asarray(desired)
     if desired.ndim == 0:
-        return np.full(n_rows, int(desired), dtype=int)
+        return np.full(n_rows, check_binary_labels(desired.reshape(1), "desired")[0])
     if desired.ndim != 1:
         raise ValueError(
             f"desired must be a scalar or 1-D vector, got shape {desired.shape}")
     if len(desired) != n_rows:
         raise ValueError(
             f"desired ({len(desired)}) and rows ({n_rows}) row counts differ")
-    return desired.astype(int)
+    return check_binary_labels(desired, "desired")

@@ -7,12 +7,18 @@ fallback), once compiled — traced per batch shape, then replayed in
 place.  It compares every ``state_dict()`` array, the loss history and
 the produced counterfactuals byte for byte, in float64 and under
 ``dtype_scope("float32")``, with row counts that leave a partial last
-batch (its own traces, replayed from the third epoch on).  The compiled side must replay and must not be
-refused.
+batch (its own traces, replayed from the third epoch on).  The compiled
+side must replay and must not be refused.  Its backward is a plan
+recorded on a shape's second batch and replayed from the third on
+(``repro.nn.compile.BackwardPlan``); the cases at the end pin the plan's
+leaf-binding and fallback rules and its lifetime, that the benchmark's
+``fit`` pass replays a plan on every traced root, and that pass's bytes.
 """
 
+import gc
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -35,8 +41,8 @@ from repro.models import (
     train_classifier,
     train_reconstruction_vae,
 )
-from repro.nn import Tensor, dtype_scope
-from repro.nn.compile import REFUSALS, CompiledStep, StepTrace
+from repro.nn import SGD, Tensor, dtype_scope, linear
+from repro.nn.compile import REFUSALS, BackwardPlan, CompiledStep, StepTrace
 from tests.helpers.autograd_ref import eager_steps
 from tests.nn.test_tape_parity import assert_bits_equal
 
@@ -264,7 +270,7 @@ def test_step_outputs_are_refreshed_in_place():
         np.testing.assert_array_equal(weight.grad, [[36.0], [40.0]])
         other = compiled(np.array([3]))  # another shape: its own traces
         assert other is not second and other.item() == 2.0 * (6 + 7)
-    assert second._order is None  # closing drops the cached order
+    assert second._plan is None  # closing drops the backward plan
 
 
 def test_fit_workload_compiles_without_refusals(replays):
@@ -310,6 +316,29 @@ def test_concurrent_fits_trace_one_at_a_time_and_match_sequential(adult):
         assert_bits_equal(expected[seed], results[seed])
 
 
+def test_another_threads_backward_stays_out_of_a_record(monkeypatch):
+    with eager_steps():
+        expected = _toy_fit()
+    counts = _count_plans(monkeypatch)
+    begin = BackwardPlan.begin
+
+    def begin_then_walk_elsewhere(self, ones):
+        started = begin(self, ones)
+        if started:  # another thread walks a backward while this one records
+            other = Tensor(np.ones((2, 2)), requires_grad=True)
+            walker = threading.Thread(target=lambda: ((other * 2.0) ** 2).sum().backward())
+            walker.start()
+            walker.join(timeout=30)
+            assert not walker.is_alive() and other.grad is not None
+        return started
+
+    monkeypatch.setattr(BackwardPlan, "begin", begin_then_walk_elsewhere)
+    actual = _toy_fit()
+    assert_bits_equal(expected, actual)
+    (recordings, dropped, replays, walks), = counts.values()
+    assert (recordings, dropped, replays, walks) == (1, 0, 7, 1)
+
+
 def test_a_step_runs_eager_while_another_thread_traces():
     from repro.nn.compile import _TRACING
 
@@ -326,3 +355,193 @@ def test_a_step_runs_eager_while_another_thread_traces():
         compiled(np.array([0, 1]))
         traced = compiled(np.array([0, 1]))
         assert compiled(np.array([2, 3])) is traced and traced.item() == 4 + 5 + 6 + 7
+
+
+def _count_plans(monkeypatch):
+    """Per backward plan: ``[recordings, dropped, replays, walks]``.
+
+    ``walks`` counts ``replay()`` calls that declined (the walk ran).
+    """
+    counts = {}
+    begin, end, replay = BackwardPlan.begin, BackwardPlan.end, BackwardPlan.replay
+
+    def counting_begin(self, ones):
+        started = begin(self, ones)
+        counts.setdefault(self, [0, 0, 0, 0])[0] += started
+        return started
+
+    def counting_end(self, completed):
+        end(self, completed)
+        counts[self][1] += self.kernels is None  # dropped
+
+    def counting_replay(self):
+        replayed = replay(self)
+        counts.setdefault(self, [0, 0, 0, 0])[2 if replayed else 3] += 1
+        return replayed
+
+    monkeypatch.setattr(BackwardPlan, "begin", counting_begin)
+    monkeypatch.setattr(BackwardPlan, "end", counting_end)
+    monkeypatch.setattr(BackwardPlan, "replay", counting_replay)
+    return counts
+
+
+def _run_fit_workload():
+    """The benchmark's ``fit`` pass at training seed 0: each scenario's
+    engine output, then every VAE it trained and the black box."""
+    from repro.engine import EngineRunner, get_scenario, run_scenario
+    from repro.experiments import prepare_context
+
+    vaes, runs = [], []
+    fits = {cls: cls.fit for cls in (CFVAEGenerator, ReviseExplainer)}
+
+    def keeping_vae(cls):
+        def fit(self, *args, **kwargs):
+            out = fits[cls](self, *args, **kwargs)
+            vaes.append(self.vae)
+            return out
+
+        return fit
+
+    context = prepare_context("adult", scale="smoke", seed=0)
+    runner = EngineRunner(context.bundle.encoder, context.blackbox)
+    run = runner.run
+
+    def capture(*args, **kwargs):
+        out = run(*args, **kwargs)
+        runs.append(out[0] if isinstance(out, tuple) else out)
+        return out
+
+    runner.run = capture
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in fits:
+            patch.setattr(cls, "fit", keeping_vae(cls))
+        for name in ("adult/ours_unary", "adult/revise", "adult/ours_unary+inloss"):
+            run_scenario(get_scenario(name), context=context, runner=runner)
+    return ([(r.x_cf, r.valid) for r in runs], [vae.state_dict() for vae in vaes],
+            context.blackbox.state_dict())
+
+
+@pytest.fixture(scope="module")
+def fit_workload():
+    """The ``fit`` pass eager, then compiled with its backward plans counted."""
+    with eager_steps():
+        eager = _run_fit_workload()
+    with pytest.MonkeyPatch.context() as patch:
+        counts = _count_plans(patch)
+        compiled = _run_fit_workload()
+    return eager, compiled, counts
+
+
+def test_fit_workload_is_byte_identical_to_eager(fit_workload):
+    eager, compiled, _ = fit_workload
+    runs, vaes, _ = compiled
+    assert len(runs) == 3 and len(vaes) == 3  # the CF-VAE twice, REVISE's VAE once
+    assert_bits_equal(eager, compiled)
+
+
+def test_every_traced_root_of_the_fit_workload_replays_its_plan(fit_workload):
+    _, _, counts = fit_workload
+    # the classifier, two warm starts, two CF-VAE fits, REVISE's VAE and
+    # latent search; a shape's plan is recorded on its first backward
+    assert len(counts) >= 7
+    for recordings, failed, replays, walks in counts.values():
+        assert (recordings, failed, walks) == (1, 0, 1)  # the recording walk only
+        assert replays > 0
+    assert sum(c[2] for c in counts.values()) + len(counts) > 1000
+
+
+def _toy_step(w, u, v, square=None):
+    """A step where leaf ``w`` has a constant gradient, ``u`` and ``v`` get
+    the same array passed through an add, and ``s`` sums constant and
+    batch-dependent contributions; ``square`` replaces ``x ** 2``."""
+    square = square or (lambda x: x ** 2)
+    bias = Tensor(np.zeros(1))
+
+    def step(rows):
+        s = square(linear(Tensor(rows), u + v, bias).tanh()).mean()
+        return (w * 3.0).sum() + s * 2.0 + s * 3.0 + s * s
+
+    return step
+
+
+def _toy_fit(edit_grad=False, backward_twice=False, steps=9, square=None):
+    """SGD with momentum on :func:`_toy_step`; the weights and last gradients."""
+    rng = np.random.default_rng(0)
+    data = rng.normal(size=(12, 3))
+    leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((3, 1), (3, 1), (3, 1))]
+    optimizer = SGD(leaves, lr=0.1, momentum=0.9)
+    with CompiledStep(_toy_step(*leaves, square), (data,), name="toy") as compiled:
+        for index in range(steps):
+            optimizer.zero_grad()
+            loss = compiled(np.arange(4) + 4 * (index % 3))
+            loss.backward()
+            if backward_twice:
+                loss.backward()  # accumulates: no zero_grad in between
+            if edit_grad:
+                for leaf in leaves:
+                    leaf.grad *= 0.5
+            optimizer.step()
+    return [leaf.data for leaf in leaves], [leaf.grad for leaf in leaves]
+
+
+def test_editing_a_constant_leaf_gradient_in_place_is_byte_identical_to_eager(monkeypatch):
+    with eager_steps():
+        expected = _toy_fit(edit_grad=True)
+    counts = _count_plans(monkeypatch)
+    actual = _toy_fit(edit_grad=True)
+    assert_bits_equal(expected, actual)
+    # two traces, then seven replays; w's gradient (a copy of a folded
+    # constant) binds a buffer the replay rewrites, not the folded one
+    (recordings, failed, replays, walks), = counts.values()
+    assert (recordings, failed, replays, walks) == (1, 0, 7, 1)
+    np.testing.assert_array_equal(actual[1][0], np.full((3, 1), 1.5))
+
+
+def test_a_second_backward_without_zero_grad_walks_and_matches_eager(monkeypatch):
+    with eager_steps():
+        expected = _toy_fit(backward_twice=True)
+    counts = _count_plans(monkeypatch)
+    actual = _toy_fit(backward_twice=True)
+    assert_bits_equal(expected, actual)
+    (recordings, failed, replays, walks), = counts.values()
+    # the recording walk, then every second call walks (the leaves hold gradients)
+    assert (recordings, failed, replays, walks) == (1, 0, 7, 9)
+    np.testing.assert_array_equal(actual[1][0], np.full((3, 1), 6.0))
+
+
+def test_a_backward_computing_outside_the_kernels_drops_its_plan(monkeypatch):
+    def square(x):
+        # a custom op whose backward allocates its gradient directly: a
+        # replay of it would reuse the recorded array, so there is no plan
+        def backward(g):
+            return ((x, g * 2.0 * x.data),)
+
+        return Tensor._make(np.square(x.data), (x,), backward, np.square, (x.data,))
+
+    with eager_steps():
+        expected = _toy_fit(square=square)
+    counts = _count_plans(monkeypatch)
+    actual = _toy_fit(square=square)
+    assert_bits_equal(expected, actual)
+    (recordings, dropped, replays, walks), = counts.values()
+    assert (recordings, dropped, replays, walks) == (1, 1, 0, 8)
+
+
+def test_closing_the_step_frees_the_recorded_gradient_buffers(adult, monkeypatch):
+    bundle, x, y = adult
+    buffers = []
+    end = BackwardPlan.end
+
+    def keeping_buffers(self, completed):
+        end(self, completed)
+        bound = {id(buffer) for _, buffer in self.binds}
+        buffers.extend(weakref.ref(args[-1]) for _, args in self.kernels
+                       if id(args[-1]) not in bound)
+
+    monkeypatch.setattr(BackwardPlan, "end", keeping_buffers)
+    model = BlackBoxClassifier(bundle.encoder.n_encoded, np.random.default_rng(0))
+    train_classifier(model, x, y, epochs=3, batch_size=64, rng=np.random.default_rng(1))
+    gc.collect()
+    assert len(buffers) > 10
+    assert all(ref() is None for ref in buffers)

@@ -184,6 +184,14 @@ class TestBackwardBasics:
         z.backward()
         np.testing.assert_allclose(x.grad, [6.0])
 
+    def test_scalar_node_with_three_gradient_contributions(self):
+        # the third contribution to the scalar ``s`` accumulates in place
+        # into the sum of the first two, which must be a (0-d) array
+        w = Tensor(np.ones(3), requires_grad=True)
+        s = (w * w).sum()
+        (s * 2.0 + s * 3.0 + s * s).backward()
+        np.testing.assert_array_equal(w.grad, [22.0, 22.0, 22.0])  # 2w(5 + 2s)
+
     def test_broadcast_add_grad(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.zeros(3), requires_grad=True)

@@ -74,6 +74,22 @@ class TestAsyncFront:
             assert got["predicted"] == want["predicted"]
             assert got["valid"] == want["valid"]
 
+    def test_bad_desired_fails_its_request_not_the_batch(self, store, explain_rows):
+        async def scenario(pool):
+            front = AsyncExplanationService(pool, coalesce_window=0.05)
+            good = asyncio.ensure_future(front.explain(explain_rows[0], desired=1))
+            with pytest.raises(ValueError, match="desired must contain only 0/1"):
+                await front.explain(explain_rows[1], desired=2)
+            result = await good
+            stats = front.stats
+            await front.aclose()
+            return result, stats
+
+        with WorkerPool(store, "tiny", n_replicas=1) as pool:
+            result, stats = asyncio.run(scenario(pool))
+        assert result["desired"] == 1
+        assert stats["front"]["requests"] == 1 and stats["front"]["rows_coalesced"] == 1
+
     def test_max_batch_forces_early_drain(self, store, explain_rows):
         async def scenario(pool):
             # window far beyond the test budget: only the max_batch

@@ -118,6 +118,15 @@ class TestMicroBatching:
         service.flush(rng=np.random.default_rng(0))
         assert ticket.result()["desired"] == 1
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.7])
+    def test_bad_desired_fails_its_submit_not_the_flush(self, service, explain_rows, bad):
+        good = service.submit(explain_rows[0], desired=1)
+        with pytest.raises(ValueError, match="desired must contain only 0/1"):
+            service.submit(explain_rows[1], desired=bad)
+        assert service.pending == 1
+        assert service.flush(rng=np.random.default_rng(0)) == [good]
+        assert good.result()["desired"] == 1
+
     def test_unresolved_ticket_raises(self, service, explain_rows):
         ticket = service.submit(explain_rows[0])
         with pytest.raises(RuntimeError, match="not resolved"):

@@ -93,3 +93,50 @@ def test_a_spread_wider_than_the_bound_is_unresolved(ab):
     assert ab.verdict(WALL, base, [1.0] * 10)["verdict"] == "gain"
     assert ab.verdict(WALL, base, [9.0] * 10)["verdict"] == "REGRESSION"
     assert ab.verdict(RATE, base, [1.0] * 10)["verdict"] == "REGRESSION"
+
+
+def fake_runs(ab, monkeypatch, walls):
+    """Replace the checkouts and e2ebench runs with canned results.
+
+    ``walls[(side, workload)]`` is the ``wall_s`` of every run of that
+    side and workload, None for a failed run; returns the list of runs
+    made, as ``(side, workload, seed)``.
+    """
+    calls = []
+
+    def run_side(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed))
+        wall = walls[checkout.name, workload]
+        return None if wall is None else json.loads(result_line(wall))
+
+    monkeypatch.setattr(ab, "export", lambda ref, into: into.mkdir(parents=True))
+    monkeypatch.setattr(ab, "run_side", run_side)
+    return calls
+
+
+def test_several_workloads_interleave_their_pairs_with_one_table_each(ab, monkeypatch, capsys):
+    calls = fake_runs(ab, monkeypatch, {
+        ("base", "fit"): 3.0, ("head", "fit"): 2.9,
+        ("base", "serve_stream"): 2.5, ("head", "serve_stream"): 2.5})
+    status = ab.main(["BASE", "HEAD", "--workload", "fit", "serve_stream",
+                      "--pairs", "2", "--seed", "7"])
+    assert status == 0
+    assert calls == [("base", "fit", 7), ("head", "fit", 7),
+                     ("base", "serve_stream", 7), ("head", "serve_stream", 7),
+                     ("head", "fit", 8), ("base", "fit", 8),
+                     ("head", "serve_stream", 8), ("base", "serve_stream", 8)]
+    out = capsys.readouterr().out
+    assert "fit: BASE -> HEAD, 2 pairs" in out
+    assert "serve_stream: BASE -> HEAD, 2 pairs" in out
+    assert out.count("wall_s          ") == 2  # one table row per workload
+
+
+@pytest.mark.parametrize("serve_head", [4.0, None], ids=["regression", "failed-run"])
+def test_one_failing_workload_fails_the_whole_ab(ab, monkeypatch, capsys, serve_head):
+    fake_runs(ab, monkeypatch, {
+        ("base", "fit"): 3.0, ("head", "fit"): 2.9,
+        ("base", "serve_async"): 2.5, ("head", "serve_async"): serve_head})
+    assert ab.main(["BASE", "--workload", "fit", "serve_async", "--pairs", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "fit: BASE -> HEAD" in out
+    assert ("REGRESSION" in out) if serve_head else ("2 pair(s) had a failed run" in out)

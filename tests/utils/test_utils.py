@@ -173,3 +173,11 @@ class TestResolveDesired:
     def test_matrix_raises(self):
         with pytest.raises(ValueError, match="scalar or 1-D"):
             resolve_desired(_ThresholdBlackBox(), self.rows, np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.7])
+    @pytest.mark.parametrize("form", ["scalar", "vector", "mixed"])
+    def test_a_class_outside_zero_one_raises(self, form, bad):
+        desired = {"scalar": bad, "vector": [0, 1, bad, 1],
+                   "mixed": [None, 1, bad, None]}[form]
+        with pytest.raises(ValueError, match="desired must contain only 0/1"):
+            resolve_desired(_ThresholdBlackBox(), self.rows, desired)
