@@ -22,7 +22,7 @@ import numpy as np
 
 from ..constraints import ImmutableProjector
 from ..engine.strategy import CandidateBatch, CFStrategy
-from ..utils.validation import check_encoded_rows, resolve_desired
+from ..utils.validation import check_encoded_rows, check_training_labels, resolve_desired
 
 __all__ = ["BaseCFExplainer", "frozen"]
 
@@ -99,8 +99,14 @@ class BaseCFExplainer(CFStrategy):
 
     # -- lifecycle ---------------------------------------------------------
     def fit(self, x_train, y_train=None):
-        """Fit method-specific machinery (default: record the data)."""
+        """Fit method-specific machinery (default: record the data).
+
+        ``y_train`` is optional; when given it must hold one 0/1 label
+        per training row.
+        """
         x_train = self._check_rows(x_train, "x_train")
+        if y_train is not None:
+            y_train = check_training_labels(y_train, len(x_train))
         self._fit(x_train, y_train)
         self._fitted = True
         return self

@@ -18,8 +18,8 @@ Counterfactual Explanations"):
   full encoded matrix,
 * ``repair_batch(x, candidates)`` — the engine-facing hot path: make a
   whole ``(n, m, d)`` candidate sweep causally consistent in ONE
-  vectorized pass, with :meth:`CausalModel._repair_loop` kept as the
-  bit-identical per-row parity reference,
+  vectorized pass, bit-identical to repairing one input row's
+  candidates at a time,
 * ``score(x, x_cf)`` — per-row causal *inconsistency cost* (L1 distance
   to the repaired candidate; ``0`` means already consistent), the basis
   of the Table IV ``causal_plausibility`` column,
@@ -104,9 +104,9 @@ class CausalModel(ABC):
     def _repair_flat(self, x, candidates):
         """Repair a flat ``(N, d)`` candidate matrix against inputs ``x``.
 
-        The shared elementwise core both :meth:`repair_batch` and
-        :meth:`_repair_loop` call — keeping every operation elementwise
-        per row is what guarantees their bit-parity.
+        The elementwise core of :meth:`repair_batch`: keeping every
+        operation elementwise per row is what makes one flat pass
+        bit-identical to repairing row by row.
         """
 
     # -- batch repair --------------------------------------------------------
@@ -116,7 +116,7 @@ class CausalModel(ABC):
         The engine's hot path: the sweep is flattened once and repaired
         as a single matrix, so causal consistency for ``n * m``
         candidates costs one vectorized pass instead of ``n``.  Output is
-        bit-identical to :meth:`_repair_loop`.
+        bit-identical to repairing one input row's candidates at a time.
 
         ``validate=False`` skips the schema/finiteness checks (including
         the full sweep ``isfinite`` scan) for callers repairing
@@ -128,21 +128,6 @@ class CausalModel(ABC):
         n, m, d = candidates.shape
         flat = self._repair_flat(np.repeat(x, m, axis=0), candidates.reshape(n * m, d))
         return flat.reshape(n, m, d)
-
-    def _repair_loop(self, x, candidates, validate=True):
-        """Per-row reference for :meth:`repair_batch` (parity + benchmarks).
-
-        The shape of pre-causal-layer per-request code: one repair pass
-        per input row's candidate set.  Only parity tests and the
-        perfbench should call it.
-        """
-        x, candidates = self._check_batch(x, candidates, validate)
-        m = candidates.shape[1]
-        rows = [
-            self._repair_flat(np.repeat(x[i : i + 1], m, axis=0), candidates[i])
-            for i in range(len(x))
-        ]
-        return np.stack(rows)
 
     def repair(self, x, x_cf):
         """Repair one counterfactual per row: ``(n, d)`` in, ``(n, d)`` out."""

@@ -16,7 +16,7 @@
   construction (up to the encoded feature ceiling).
 
 Both models are elementwise-vectorized so the batched ``repair_batch``
-is bit-identical to the per-row ``_repair_loop`` parity reference.
+is bit-identical to repairing one input row's candidates at a time.
 """
 
 from __future__ import annotations

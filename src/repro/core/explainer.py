@@ -19,7 +19,7 @@ import numpy as np
 
 from ..constraints import ConstraintSet, ImmutableProjector, build_constraints
 from ..models import BlackBoxClassifier, ConditionalVAE, train_classifier
-from ..utils.validation import check_binary_labels, check_encoded_rows
+from ..utils.validation import check_encoded_rows, check_training_labels
 from .config import CFTrainingConfig
 from .generator import CFVAEGenerator
 
@@ -102,7 +102,8 @@ class FeasibleCFExplainer:
         x_train:
             Encoded training matrix.
         y_train:
-            0/1 labels for the black-box stage.
+            0/1 labels, one per row of ``x_train``, for the black-box
+            stage and the in-loss references.
         blackbox_epochs:
             Epochs for the classifier stage (skipped when a pre-trained
             ``blackbox`` was supplied).
@@ -111,7 +112,7 @@ class FeasibleCFExplainer:
             datasets are skewed toward the undesired class).
         """
         x_train = self._check_rows(x_train, "x_train")
-        y_train = check_binary_labels(y_train, "y_train")
+        y_train = check_training_labels(y_train, len(x_train))
 
         if self.blackbox is None:
             self.blackbox = BlackBoxClassifier(

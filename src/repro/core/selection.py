@@ -105,9 +105,7 @@ def generate_candidates(explainer, x, n_candidates=20, noise_scale=None,
     candidates — so the repeated input matrix is never materialised.
     The noise for every row is drawn in a single generator call in
     row-major order, so the output is identical to sampling each row
-    sequentially (``_generate_candidates_loop``, the per-row reference
-    kept for the parity test in
-    ``tests/core/test_selection_vectorized.py``).
+    sequentially (the per-row reference in ``tests/helpers/loops.py``).
     """
     x, n_candidates, rng, noise_scale, desired = _candidate_args(
         explainer, x, n_candidates, noise_scale, desired, rng)
@@ -147,7 +145,7 @@ def _feasibility_kernel(explainer):
 
 
 def _candidate_args(explainer, x, n_candidates, noise_scale, desired, rng):
-    """Shared validation/defaults for the vectorized and loop generators."""
+    """Validation and defaults shared by every candidate generator."""
     if explainer.generator is None:
         raise RuntimeError("explainer is not fitted; call fit() first")
     x = check_2d(x, "x")
@@ -156,41 +154,6 @@ def _candidate_args(explainer, x, n_candidates, noise_scale, desired, rng):
     noise_scale, rng = candidate_noise_defaults(explainer, noise_scale, rng)
     desired = resolve_desired(explainer.blackbox, x, desired)
     return x, n_candidates, rng, noise_scale, desired
-
-
-def _generate_candidates_loop(explainer, x, n_candidates=20, noise_scale=None,
-                              desired=None, rng=None):
-    """Per-row reference implementation of :func:`generate_candidates`.
-
-    This is the original (pre-vectorization) loop, kept as the ground
-    truth the batched path must reproduce exactly: same rng consumption
-    order, same per-row decode/validity/feasibility semantics.  Only the
-    parity tests should call it.
-    """
-    x, n_candidates, rng, noise_scale, desired = _candidate_args(
-        explainer, x, n_candidates, noise_scale, desired, rng)
-    generator = explainer.generator
-    vae = generator.vae
-    vae.eval()
-    mu, _ = vae.encode_array(x, desired)
-
-    sets = []
-    for i in range(len(x)):
-        noise = rng.normal(0.0, noise_scale,
-                           size=(n_candidates, mu.shape[1]))
-        noise[0] = 0.0
-        z = mu[i][None, :] + noise
-        labels = np.full(n_candidates, desired[i], dtype=np.float64)
-        decoded = vae.decode_latent(z, labels)
-        inputs = np.repeat(x[i][None, :], n_candidates, axis=0)
-        decoded = generator.projector.project(inputs, decoded)
-        sets.append(CandidateSet(
-            x=x[i],
-            candidates=decoded,
-            valid=explainer.blackbox.predict(decoded) == desired[i],
-            feasible=explainer.constraints.satisfied(inputs, decoded),
-        ))
-    return sets
 
 
 def standardize_rows(values):
@@ -350,9 +313,8 @@ class DensityCFSelector:
         (:meth:`repro.density.DensityModel.score_tiled`), one broadcast
         proximity computation, one row-standardised combined score reused
         for both selection and diagnostics.  Outputs are bit-identical to
-        :meth:`_select_loop` (the historical per-row path, which also
-        scored every candidate set twice); the perfbench ``density``
-        section gates the speedup between the two.
+        the historical per-row path (one :meth:`select` and a second score
+        pass per candidate set; ``tests/helpers/loops.py``).
         """
         if self.n_reference == 0:
             raise RuntimeError("selector has no reference; call fit_reference()")
@@ -391,32 +353,3 @@ class DensityCFSelector:
             self.explainer, x, n_candidates=n_candidates, desired=desired,
             rng=rng)
         return self.select_batch(candidate_sets)
-
-    def _select_loop(self, candidate_sets):
-        """Per-row reference for :meth:`select_batch`.
-
-        The original (pre-density-layer) selection loop, kept as the
-        ground truth the batched path must reproduce exactly — including
-        its separate score pass per candidate set for the diagnostics
-        (one in :meth:`select`, one for the reported score).  Only the
-        parity tests and the perfbench should call it.
-        """
-        chosen = []
-        diagnostics = []
-        for candidate_set in candidate_sets:
-            index = self.select(candidate_set)
-            chosen.append(candidate_set.candidates[index])
-            diagnostics.append({
-                "chosen": index,
-                "n_usable": int(candidate_set.usable_mask.sum()),
-                "n_valid": int(candidate_set.valid.sum()),
-                "score": float(self.score(candidate_set)[index]),
-            })
-        return np.array(chosen), diagnostics
-
-    def _explain_loop(self, x, n_candidates=20, desired=None, rng=None):
-        """Per-row reference implementation of :meth:`explain`."""
-        candidate_sets = generate_candidates(
-            self.explainer, x, n_candidates=n_candidates, desired=desired,
-            rng=rng)
-        return self._select_loop(candidate_sets)

@@ -14,9 +14,8 @@ nor the serving layer knew density existed at all.
   denser), shape ``(n,)``,
 * ``score_tiled(candidates)`` — the compiled sweep path: a full
   ``(n_rows, n_candidates, d)`` candidate tensor scored in ONE backend
-  query (mirroring ``CompiledConstraintSet``'s tiled evaluation), with
-  :meth:`DensityModel.score_tiled_loop` kept as the per-row parity
-  reference,
+  query (mirroring ``CompiledConstraintSet``'s tiled evaluation),
+  bit-identical to one query per input row for per-point backends,
 * ``get_state`` / ``from_state`` — a flat, array-or-scalar state dict
   the artifact store persists, plus a :meth:`DensityModel.fingerprint`
   over it so stale density state is rejected exactly like stale model
@@ -124,7 +123,7 @@ class DensityModel(ABC):
         estimator's per-row math is row-independent, so the result is
         bit-identical to the historical single-call flattening at any
         budget.  For per-point backends (the k-NN tree) values are also
-        bit-identical to :meth:`score_tiled_loop`; estimators that run
+        bit-identical to one query per input row; estimators that run
         matmuls (KDE, latent encoding) are numerically equivalent but
         may differ at float precision because BLAS blocking varies with
         batch shape.
@@ -139,16 +138,6 @@ class DensityModel(ABC):
         for start in range(0, n * m, chunk):
             out[start : start + chunk] = self.score(flat[start : start + chunk])
         return out.reshape(n, m)
-
-    def score_tiled_loop(self, candidates):
-        """Per-row reference for :meth:`score_tiled` (parity + benchmarks).
-
-        This is the shape of the pre-density-layer code: one backend
-        query per input row's candidate set.  Only parity tests and the
-        perfbench should call it.
-        """
-        candidates = _check_3d(candidates)
-        return np.stack([self.score(row_candidates) for row_candidates in candidates])
 
     # -- persistence ---------------------------------------------------------
     @abstractmethod

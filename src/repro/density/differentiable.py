@@ -56,8 +56,7 @@ class DifferentiableKde(DensityModel):
     and derives per-feature Scott's-rule bandwidths exactly like the
     post-hoc :class:`~repro.density.estimators.GaussianKdeDensity`,
     scaled by ``bandwidth_scale``.  ``score`` is the graph-free twin of
-    ``penalty`` (same math, per-row costs), used by tests and the
-    perfbench acceptance thresholds.
+    ``penalty`` (same math, per-row costs), used by tests.
     """
 
     kind = "kde_diff"

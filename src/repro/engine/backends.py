@@ -14,12 +14,12 @@ each tile are computed.  Two backends ship:
 * :class:`TiledFloat32Backend` (``"float32"``) — streams contiguous row
   tiles through the chain, so the full ``(n, m, d)`` projected/repaired
   sweep never materialises at once, and runs the validity GEMM on a
-  float32 clone of the classifier (the serving fast mode the perfbench
-  validates).  Projection, causal repair, the feasibility mask and
-  selection stay float64 inside each tile; hard outputs (predictions,
-  validity, feasibility, the chosen candidates) are pinned identical to
-  the staged reference by the parity suite, while raw logits carry the usual
-  float32/BLAS-blocking caveat.
+  float32 clone of the classifier (the serving fast mode).  Projection,
+  causal repair, the feasibility mask and selection stay float64 inside
+  each tile; hard outputs (predictions, validity, feasibility, the
+  chosen candidates) are pinned identical to the staged reference by the
+  parity suite, while raw logits carry the usual float32/BLAS-blocking
+  caveat.
 
 Backends are registered by name (:func:`register_backend` /
 :func:`get_backend`), and scenarios opt into a non-default backend

@@ -1,8 +1,6 @@
 """Experiment harness: regenerate every table and figure of the paper."""
 
-from .density_scale import DEFAULT_SIZES, run_density_at_scale
 from .figures import Figure6Result, ManifoldView, build_figure6
-from .perfbench import PERF_SCALES, PRE_PR_BASELINE, run_perfbench, write_bench
 from .harness import (
     TABLE4_METHOD_ORDER,
     ExperimentContext,
@@ -19,6 +17,4 @@ __all__ = [
     "TABLE4_METHOD_ORDER",
     "build_table1", "build_table2", "build_table3", "build_table4", "build_table5",
     "ManifoldView", "Figure6Result", "build_figure6",
-    "PERF_SCALES", "PRE_PR_BASELINE", "run_perfbench", "write_bench",
-    "DEFAULT_SIZES", "run_density_at_scale",
 ]

@@ -40,17 +40,6 @@ def _pairwise_sq_distances(x):
     return np.maximum(d2, 0.0)
 
 
-def _row_affinities(distances_row, beta):
-    """Conditional Gaussian affinities for one point at precision ``beta``."""
-    p = np.exp(-distances_row * beta)
-    total = p.sum()
-    if total <= 0:
-        return np.full_like(p, 1.0 / len(p)), 0.0
-    p = p / total
-    entropy = -np.sum(p * np.log2(p + _EPS))
-    return p, entropy
-
-
 def _binary_search_perplexity(distances, perplexity, tol=1e-5, max_iter=50):
     """Per-point precision (beta) matching ``log2(perplexity)`` entropy.
 
@@ -59,8 +48,8 @@ def _binary_search_perplexity(distances, perplexity, tol=1e-5, max_iter=50):
     iteration over the active rows instead of one Python loop iteration
     per point.  Because each row's arithmetic is independent and the
     per-row reductions keep their length and order, the result is
-    bit-identical to :func:`_binary_search_perplexity_loop` (the original
-    scalar loop, kept as the parity reference).
+    bit-identical to the original one-point-at-a-time scalar search
+    (the parity reference in ``tests/helpers/loops.py``).
     """
     n = len(distances)
     target = np.log2(perplexity)
@@ -111,34 +100,6 @@ def _binary_search_perplexity(distances, perplexity, tol=1e-5, max_iter=50):
 
     affinities = np.zeros((n, n))
     affinities[~np.eye(n, dtype=bool)] = affinity_rows.ravel()
-    return affinities
-
-
-def _binary_search_perplexity_loop(distances, perplexity, tol=1e-5, max_iter=50):
-    """Scalar per-point reference for :func:`_binary_search_perplexity`.
-
-    The original implementation, kept as the ground truth the batched
-    search must reproduce exactly.  Only the parity tests should call it.
-    """
-    n = len(distances)
-    target = np.log2(perplexity)
-    affinities = np.zeros((n, n))
-    for i in range(n):
-        row = np.delete(distances[i], i)
-        beta, beta_min, beta_max = 1.0, -np.inf, np.inf
-        p = None
-        for _ in range(max_iter):
-            p, entropy = _row_affinities(row, beta)
-            diff = entropy - target
-            if abs(diff) < tol:
-                break
-            if diff > 0:  # entropy too high -> sharpen
-                beta_min = beta
-                beta = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
-            else:
-                beta_max = beta
-                beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
-        affinities[i, np.arange(n) != i] = p
     return affinities
 
 

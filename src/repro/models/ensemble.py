@@ -16,14 +16,12 @@ The batched path exploits the members' shared two-linear-layer shape:
 the K first-layer weight matrices concatenate into one ``(d, K * h)``
 block, so the hidden activations of every member come out of a single
 GEMM; the K scalar heads then reduce the ``(n, K, h)`` hidden tensor
-with one einsum.  The per-member loop (:meth:`predict_logits_loop`, the
-exact pre-ensemble code path: one ``forward_array`` per member) is kept
-as the parity and throughput reference, mirroring every prior layer's
-batched-vs-loop contract.  Hard predictions are bit-identical to the
-loop; raw logits may differ at float precision because BLAS blocking
-varies with the fused batch shape — the same caveat
-:meth:`repro.density.DensityModel.score_tiled` documents for its
-matmul-backed estimators.
+with one einsum.  Hard predictions are bit-identical to the
+pre-ensemble path (one ``forward_array`` per member, the parity
+reference in ``tests/helpers/loops.py``); raw logits may differ at
+float precision because BLAS blocking varies with the fused batch
+shape — the same caveat :meth:`repro.density.DensityModel.score_tiled`
+documents for its matmul-backed estimators.
 
 State round trips through the flat array-or-scalar dict contract shared
 with :class:`repro.density.DensityModel` and
@@ -135,8 +133,9 @@ class BlackBoxEnsemble:
         ONE fused pass for the whole ensemble: a single ``(n, d) @
         (d, K*h)`` GEMM for all first layers, a shared ReLU, and one
         einsum over the ``(n, K, h)`` hidden tensor for the K scalar
-        heads.  Hard sign decisions match :meth:`predict_logits_loop`
-        bit for bit; raw floats may differ at BLAS blocking precision.
+        heads.  Hard sign decisions match one ``predict_logits`` call per
+        member bit for bit; raw floats may differ at BLAS blocking
+        precision.
         """
         x = check_2d_fast(x, "x")
         w1, b1, w2, b2 = self._stacked_weights()
@@ -145,16 +144,6 @@ class BlackBoxEnsemble:
         hidden = np.maximum(x @ w1 + b1, 0.0)
         hidden = hidden.reshape(len(x), self.n_members, self.hidden)
         return np.einsum("nkh,kh->nk", hidden, w2) + b2
-
-    def predict_logits_loop(self, x):
-        """Per-member reference for :meth:`predict_logits_all`.
-
-        The pre-ensemble shape — one graph-free ``forward_array`` call
-        per member — kept as the parity and benchmark reference.  Only
-        parity tests and the perfbench should call it.
-        """
-        x = check_2d_fast(x, "x")
-        return np.stack([m.predict_logits(x) for m in self.members], axis=1)
 
     def predict_all(self, x):
         """Hard 0/1 predictions of every member, shape ``(n, K)``."""

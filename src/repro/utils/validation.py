@@ -12,7 +12,7 @@ import numpy as np
 __all__ = ["SchemaMismatchError", "check_2d", "check_2d_fast",
            "check_binary_labels", "check_desired", "check_encoded_rows", "check_encoded_sweep",
            "check_probability", "check_positive", "check_schema_width",
-           "resolve_desired"]
+           "check_training_labels", "resolve_desired"]
 
 
 class SchemaMismatchError(ValueError):
@@ -160,6 +160,16 @@ def check_binary_labels(labels, name="labels"):
         raise ValueError(
             f"{name} must contain only 0/1, got values {np.unique(labels)[:10]}")
     return labels.astype(int)
+
+
+def check_training_labels(y_train, n_rows):
+    """``y_train`` as 0/1 ints, one label per training row, or raise ``ValueError``."""
+    if y_train is None:
+        raise ValueError("y_train is required")
+    y_train = check_binary_labels(y_train, "y_train")
+    if len(y_train) != n_rows:
+        raise ValueError(f"y_train has {len(y_train)} labels for {n_rows} training rows")
+    return y_train
 
 
 def check_desired(desired):

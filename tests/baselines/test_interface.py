@@ -53,6 +53,18 @@ class TestBaselineContract:
         mask = bundle.encoder.immutable_mask()
         np.testing.assert_allclose(cf[:, mask], negatives[:, mask])
 
+    def test_fit_rejects_nonbinary_labels(self, adult_setup, cls):
+        bundle, blackbox, x_train, y_train, _ = adult_setup
+        labels = np.array(y_train)
+        labels[:10] = 2
+        with pytest.raises(ValueError, match="0/1"):
+            build(cls, bundle, blackbox).fit(x_train, labels)
+
+    def test_fit_rejects_label_count_mismatch(self, adult_setup, cls):
+        bundle, blackbox, x_train, y_train, _ = adult_setup
+        with pytest.raises(ValueError, match="labels for"):
+            build(cls, bundle, blackbox).fit(x_train, y_train[:-1])
+
     def test_desired_length_validation(self, adult_setup, cls):
         bundle, blackbox, x_train, y_train, negatives = adult_setup
         explainer = build(cls, bundle, blackbox)

@@ -1,4 +1,4 @@
-"""Parity: batched ``repair_batch`` vs the per-row ``_repair_loop``.
+"""Parity: batched ``repair_batch`` vs the per-row ``repair_loop``.
 
 The acceptance bar of the causal layer: on every registry dataset, for
 both models, across noise scales and sweep widths, the one-pass batched
@@ -6,10 +6,13 @@ repair must be *bit-identical* to the per-row loop reference.  Built on
 the shared ``tests.helpers.parity`` harness.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.causal import MinedCausalModel, ScmCausalModel
+from tests.helpers.loops import repair_loop
 from tests.helpers.parity import (
     assert_batched_matches_loop,
     assert_bit_identical,
@@ -44,7 +47,7 @@ class TestRepairParity:
             rng = np.random.default_rng(100 + trial)
             sweep = candidate_sweep(x, rng, scale, m=4)
             assert_batched_matches_loop(
-                model.repair_batch, model._repair_loop, x, sweep,
+                model.repair_batch, partial(repair_loop, model), x, sweep,
                 context=f"{kind} repair at noise {scale}")
 
     @pytest.mark.parametrize("kind", ["scm", "mined"])
@@ -54,7 +57,7 @@ class TestRepairParity:
         for m in (1, 2, 5, 16):
             sweep = candidate_sweep(x, np.random.default_rng(m), 0.05, m=m)
             assert_batched_matches_loop(
-                model.repair_batch, model._repair_loop, x, sweep,
+                model.repair_batch, partial(repair_loop, model), x, sweep,
                 context=f"{kind} repair at m={m}")
 
     @pytest.mark.parametrize("kind", ["scm", "mined"])
@@ -63,7 +66,7 @@ class TestRepairParity:
         x = bundle.encoded[:1]
         sweep = candidate_sweep(x, np.random.default_rng(11), 0.05, m=3)
         assert_batched_matches_loop(
-            model.repair_batch, model._repair_loop, x, sweep,
+            model.repair_batch, partial(repair_loop, model), x, sweep,
             context=f"{kind} repair on one row")
 
     @pytest.mark.parametrize("kind", ["scm", "mined"])
@@ -74,7 +77,7 @@ class TestRepairParity:
         x = bundle.encoded[:30]
         sweep = np.repeat(x[:, None, :], 3, axis=1)
         repaired, _ = assert_batched_matches_loop(
-            model.repair_batch, model._repair_loop, x, sweep,
+            model.repair_batch, partial(repair_loop, model), x, sweep,
             context=f"{kind} identity repair")
         assert_bit_identical(repaired, sweep, context=f"{kind} identity output")
         np.testing.assert_array_equal(model.score(x, x), np.zeros(len(x)))

@@ -28,6 +28,26 @@ class TestFitValidation:
         bundle = load_dataset("adult", n_instances=300, seed=0)
         assert FeasibleCFExplainer(bundle.encoder).history == []
 
+    @pytest.mark.parametrize("bad,message", [
+        ("nonbinary", "0/1"), ("short", "labels for"), ("missing", "required")])
+    def test_fit_rejects_bad_labels_with_pretrained_blackbox(self, bad, message):
+        """The labels are checked even when no black box is trained."""
+        bundle, explainer = fitted_explainer(n=400, epochs=1)
+        x_train, y_train = bundle.split("train")
+        labels = np.array(y_train)
+        if bad == "nonbinary":
+            labels[:5] = 2
+        elif bad == "short":
+            labels = labels[:-1]
+        else:
+            labels = None
+        again = FeasibleCFExplainer(
+            bundle.encoder, config=fast_config(epochs=1),
+            blackbox=explainer.blackbox)
+        with pytest.raises(ValueError, match=message):
+            again.fit(x_train, labels)
+        assert again.generator is None
+
     def test_rejects_non_2d(self):
         bundle, explainer = fitted_explainer(n=400, epochs=2)
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """Density-layer selection tests: parity, single score pass, fit contract."""
 
+from functools import partial
+
 import pytest
 
 from repro.core import DensityCFSelector, FeasibleCFExplainer, fast_config
 from repro.data import load_dataset
 from repro.density import GaussianKdeDensity, KnnDensity
 from repro.utils.validation import SchemaMismatchError
+from tests.helpers.loops import explain_loop
 from tests.helpers.parity import DATASETS, assert_batched_matches_loop
 
 
@@ -34,7 +37,7 @@ class TestBatchLoopParity:
         selector = DensityCFSelector(explainer, density_weight=2.0, k_neighbors=6)
         selector.fit_reference(x_train[:150])
         assert_batched_matches_loop(
-            selector.explain, selector._explain_loop, rows, n_candidates=7,
+            selector.explain, partial(explain_loop, selector), rows, n_candidates=7,
             context="density explain")
 
     def test_kde_estimator_selects_equivalently(self, fitted):
@@ -46,7 +49,7 @@ class TestBatchLoopParity:
             explainer, k_neighbors=6, density_model=GaussianKdeDensity())
         selector.fit_reference(x_train[:150])
         assert_batched_matches_loop(
-            selector.explain, selector._explain_loop, rows[:6], n_candidates=5,
+            selector.explain, partial(explain_loop, selector), rows[:6], n_candidates=5,
             atol=1e-6, context="kde density explain")
 
 
@@ -87,7 +90,7 @@ class TestSingleScorePass:
         selector = DensityCFSelector(explainer, density_model=model)
         selector.fit_reference(x_train[:150])
         model.score_calls = 0
-        selector._explain_loop(rows, n_candidates=6)
+        explain_loop(selector, rows, n_candidates=6)
         assert model.score_calls == 2 * len(rows)
 
 

@@ -3,7 +3,7 @@
 ``generate_candidates`` decodes all ``n_rows * n_candidates`` latents in
 one batched pass with a single black-box validity call and a single
 constraint feasibility call.  These tests pin it against
-``_generate_candidates_loop`` — the original per-row reference — given
+``generate_candidates_loop`` — the original per-row reference — given
 identically seeded rngs: same candidates, same valid/feasible flags.
 """
 
@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.core import FeasibleCFExplainer, fast_config, generate_candidates
-from repro.core.selection import _generate_candidates_loop
 from repro.data import load_dataset
+from tests.helpers.loops import generate_candidates_loop
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def _pair(explainer, x, **kwargs):
     seed = kwargs.pop("rng_seed", 42)
     vectorized = generate_candidates(
         explainer, x, rng=np.random.default_rng(seed), **kwargs)
-    looped = _generate_candidates_loop(
+    looped = generate_candidates_loop(
         explainer, x, rng=np.random.default_rng(seed), **kwargs)
     return vectorized, looped
 
@@ -92,6 +92,6 @@ class TestVectorizedMatchesLoop:
         rng_vec = np.random.default_rng(5)
         rng_loop = np.random.default_rng(5)
         generate_candidates(explainer, negatives[:3], n_candidates=4, rng=rng_vec)
-        _generate_candidates_loop(explainer, negatives[:3], n_candidates=4,
-                                  rng=rng_loop)
+        generate_candidates_loop(explainer, negatives[:3], n_candidates=4,
+                                 rng=rng_loop)
         assert rng_vec.random() == rng_loop.random()

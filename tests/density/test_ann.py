@@ -43,12 +43,18 @@ class TestAnnIndex:
     # kdd_census encodes to 144 one-hot dimensions, where coarse IVF
     # centroids separate poorly at this tiny reference size — the
     # ann_probes knob widens the scan to hold the floor (the defaults
-    # target the at-scale populations the benchmark measures).
-    @pytest.mark.parametrize("dataset,probes", [
-        ("adult", None), ("kdd_census", 64), ("law_school", None)])
-    def test_recall_floor_on_registry_datasets(self, dataset, probes):
-        bundle = load_dataset(dataset, n_instances=1500, seed=0)
+    # target the at-scale populations the benchmark measures).  The last
+    # case holds the floor at 10,000 reference rows.
+    @pytest.mark.parametrize("dataset,probes,n_instances", [
+        pytest.param("adult", None, 1500, id="adult-None"),
+        pytest.param("kdd_census", 64, 1500, id="kdd_census-64"),
+        pytest.param("law_school", None, 1500, id="law_school-None"),
+        pytest.param("adult", None, 15_000, id="adult-None-10k_reference")])
+    def test_recall_floor_on_registry_datasets(self, dataset, probes, n_instances):
+        bundle = load_dataset(dataset, n_instances=n_instances, seed=0)
         reference = bundle.encoded
+        if n_instances > 1500:
+            assert len(reference) >= 10_000
         rng = np.random.default_rng(1)
         queries = reference[rng.integers(0, len(reference), size=128)]
         queries = queries + rng.normal(0.0, 0.02, size=queries.shape)

@@ -10,6 +10,7 @@ from repro.density import (
     LatentDensity,
     build_density,
 )
+from tests.helpers.loops import score_tiled_loop
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +159,7 @@ class TestTiledScoring:
         # per-point tree queries: the one-query sweep is exactly the loop
         model = KnnDensity(k_neighbors=5).fit(reference)
         np.testing.assert_array_equal(
-            model.score_tiled(sweep), model.score_tiled_loop(sweep))
+            model.score_tiled(sweep), score_tiled_loop(model, sweep))
 
     @pytest.mark.parametrize("make", [
         lambda ref: GaussianKdeDensity().fit(ref),
@@ -170,7 +171,7 @@ class TestTiledScoring:
         # estimators are equivalent within float tolerance, not bitwise
         model = make(reference)
         np.testing.assert_allclose(
-            model.score_tiled(sweep), model.score_tiled_loop(sweep),
+            model.score_tiled(sweep), score_tiled_loop(model, sweep),
             rtol=1e-7, atol=1e-9)
 
     def test_tiled_rejects_2d(self, reference):

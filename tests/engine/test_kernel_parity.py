@@ -56,12 +56,21 @@ class TestDatasetParity:
             assert_parity(constraints, kernel, x, perturbed(x, rng, scale))
 
     def test_tiled_sweeps(self, bundle):
-        constraints = union_set(bundle.encoder)
+        encoder = bundle.encoder
+        constraints = union_set(encoder)
         kernel = constraints.compile()
         x = bundle.encoded[:24]
-        for m in (1, 2, 5, 16):
+        for m in (1, 2, 5, 16, 24):
             rng = np.random.default_rng(m)
-            assert_parity(constraints, kernel, x, perturbed(x, rng, 0.05, m=m), m=m)
+            x_cf = perturbed(x, rng, 0.05, m=m)
+            assert_parity(constraints, kernel, x, x_cf, m=m)
+            report = kernel.evaluate(x, x_cf)
+            inputs = np.repeat(x, m, axis=0)
+            for kind in ("unary", "binary"):
+                members = build_constraints(encoder, kind)
+                indices = [kernel.index_of(c.name) for c in members]
+                assert report.subset_rate(indices) == \
+                    members.satisfaction_rate(inputs, x_cf)
 
     def test_per_kind_subsets(self, bundle):
         encoder = bundle.encoder

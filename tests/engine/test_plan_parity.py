@@ -233,6 +233,22 @@ class TestNumpyBackendBitParity:
             assert compiled.as_row() == staged.as_row()
 
 
+    def test_per_request_runs_agree_with_the_batch(self, context, hosted):
+        """One run per row answers like one batched run, up to near-ties.
+
+        The validity GEMM's BLAS blocking changes with the batch shape,
+        so a selection near-tie may resolve differently on a lone row.
+        """
+        _, causal, _ = hosted
+        runner = EngineRunner(context.bundle.encoder, context.blackbox, causal=causal)
+        strategy = _SweepStrategy(context.x_explain, m=40, seed=13)
+        x, desired = context.x_explain, context.desired
+        batch = runner.run(strategy, x, desired).x_cf
+        per_row = np.concatenate([
+            runner.run(strategy, x[i:i + 1], desired[i:i + 1]).x_cf for i in range(len(x))])
+        assert (per_row == batch).all(axis=1).mean() >= 0.9
+
+
 class TestRunnerMemo:
     def test_same_strategy_reuses_the_plan(self, context):
         runner = EngineRunner(context.bundle.encoder, context.blackbox)

@@ -1,9 +1,11 @@
 """Shared batched-vs-loop parity harness.
 
 Every vectorization PR in this repo keeps the per-row loop it replaced
-as a parity reference and pins the batched path bit-identical to it on
-all registry datasets (the compiled feasibility kernel, the density
-selector, the t-SNE perplexity search, the causal repair pass).  The
+as a parity reference (``tests.helpers.loops``, or the library's own
+per-constraint evaluator for the feasibility kernel) and pins the
+batched path bit-identical to it on all registry datasets (the compiled
+feasibility kernel, the density selector, the t-SNE perplexity search,
+the causal repair pass).  The
 pattern used to be copy-pasted per test module; this module is the one
 home for it:
 

@@ -8,17 +8,14 @@ import numpy as np
 import pytest
 
 from repro.manifold import TSNE
-from repro.manifold.tsne import (
-    _binary_search_perplexity,
-    _binary_search_perplexity_loop,
-    _pairwise_sq_distances,
-)
+from repro.manifold.tsne import _binary_search_perplexity, _pairwise_sq_distances
+from tests.helpers.loops import binary_search_perplexity_loop
 from tests.helpers.parity import assert_batched_matches_loop
 
 
 def assert_search_parity(distances, perplexity):
     assert_batched_matches_loop(
-        _binary_search_perplexity, _binary_search_perplexity_loop,
+        _binary_search_perplexity, binary_search_perplexity_loop,
         distances, perplexity, context="perplexity search")
 
 

@@ -10,6 +10,7 @@ from repro.models import (
     train_classifier,
     train_ensemble,
 )
+from tests.helpers.loops import predict_logits_loop
 from tests.helpers.parity import assert_close, perturbed
 
 
@@ -31,19 +32,19 @@ class TestFusedScoring:
         ensemble, x, _ = trained
         rows = perturbed(x[:32], np.random.default_rng(7), 0.1, m=3)
         fused = ensemble.predict_logits_all(rows)
-        loop = ensemble.predict_logits_loop(rows)
+        loop = predict_logits_loop(ensemble, rows)
         np.testing.assert_array_equal(fused > 0.0, loop > 0.0)
 
     def test_logits_match_to_blas_precision(self, trained):
         ensemble, x, _ = trained
         rows = perturbed(x[:32], np.random.default_rng(8), 0.1, m=3)
         assert_close(ensemble.predict_logits_all(rows),
-                     ensemble.predict_logits_loop(rows),
+                     predict_logits_loop(ensemble, rows),
                      context="fused vs per-member logits")
 
     def test_member_columns_match_direct_member_calls(self, trained):
         ensemble, x, _ = trained
-        logits = ensemble.predict_logits_loop(x[:16])
+        logits = predict_logits_loop(ensemble, x[:16])
         for k, member in enumerate(ensemble.members):
             np.testing.assert_array_equal(
                 logits[:, k], member.predict_logits(x[:16]))
@@ -75,7 +76,7 @@ class TestFusedScoring:
 class TestTraining:
     def test_members_are_genuine_retrains(self, trained):
         ensemble, x, _ = trained
-        logits = ensemble.predict_logits_loop(x[:64])
+        logits = predict_logits_loop(ensemble, x[:64])
         for k in range(1, ensemble.n_members):
             assert not np.array_equal(logits[:, 0], logits[:, k])
 
