@@ -195,7 +195,7 @@ def _run_serve_demo(dataset, scale, seed, out_dir, artifact_dir, rows,
     With ``--workers N`` (N > 1) or ``--async`` the same batch is
     additionally served through the scaled tier: a
     :class:`repro.serve.WorkerPool` of N warm replicas sharing one
-    pipeline (shared-memory weights, one compiled execution state,
+    pipeline (one copy of the weights, one compiled execution state,
     consistent-hash routing), answered either as one routed batch call
     or — with ``--async`` — one row at a time through the
     :class:`repro.serve.AsyncExplanationService` coalescing front.  A
@@ -359,8 +359,7 @@ def _run_serve_demo(dataset, scale, seed, out_dir, artifact_dir, rows,
             pool.close()
         table_rows.append(
             ["warm-start pool", pool_warm_seconds,
-             f"{pool.n_replicas} replicas, shared weights "
-             f"{pool_stats['aggregate']['shared_weight_bytes']} bytes"])
+             f"{pool.n_replicas} replicas"])
         table_rows.append(
             [mode, pool_seconds,
              f"{len(batch)} rows, validity {validity:.2f}"])
@@ -378,8 +377,7 @@ def _run_serve_demo(dataset, scale, seed, out_dir, artifact_dir, rows,
         pool_table = render_table(
             ["replica", "requests", "cache hit rate", "mean batch size"],
             replica_rows,
-            title=f"POOL STATS ({aggregate['replicas']} replicas, "
-                  f"{aggregate['backend']} backend)")
+            title=f"POOL STATS ({aggregate['replicas']} replicas)")
 
     table = render_table(
         ["stage", "seconds", "detail"], table_rows,

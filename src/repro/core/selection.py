@@ -10,9 +10,9 @@ This module makes that story executable:
 
 * :func:`generate_candidates` draws a diverse candidate set per input by
   perturbing the CF-VAE's latent code (the mechanism of Section III-C).
-* :class:`DensityCFSelector` scores each candidate by proximity and by
-  the local density of feasible examples around it (mean k-NN distance
-  to a feasible reference population), then picks the best.
+* :class:`DensityCFSelector` fits a density model on a feasible
+  reference population and picks, per row, the candidate that is both
+  close and dense, through the engine runner's Figure 3 selection.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from ..density import KnnDensity
 from ..utils.validation import check_2d, check_encoded_rows, check_positive, resolve_desired
 
 __all__ = ["CandidateSet", "generate_candidates", "DensityCFSelector",
-           "candidate_noise_defaults", "perturb_latents",
-           "standardize_rows", "argmax_by_pools"]
+           "candidate_noise_defaults", "perturb_latents"]
 
 
 def candidate_noise_defaults(explainer, noise_scale=None, rng=None):
@@ -156,100 +155,37 @@ def _candidate_args(explainer, x, n_candidates, noise_scale, desired, rng):
     return x, n_candidates, rng, noise_scale, desired
 
 
-def standardize_rows(values):
-    """Row-wise :meth:`DensityCFSelector._standardize`: zero near-constant rows.
-
-    Each row of ``values`` is standardised independently with exactly the
-    per-candidate-set math of the scalar helper, so the batched selection
-    path reproduces the per-row loop bit for bit.
-    """
-    mean = values.mean(axis=1, keepdims=True)
-    spread = values.std(axis=1, keepdims=True)
-    degenerate = spread < 1e-12
-    return np.where(degenerate, 0.0, (values - mean) / np.where(degenerate, 1.0, spread))
-
-
-def argmax_by_pools(scores, pools):
-    """Per-row argmax of ``scores`` under a preference-ordered pool cascade.
-
-    ``pools`` is an iterable of ``(n, m)`` boolean masks in preference
-    order; each row picks the highest-scoring candidate inside its first
-    non-empty pool (an all-ones fallback pool is appended).  Equivalent
-    to ``pool[np.argmax(scores[pool])]`` applied row by row — including
-    the first-occurrence tie-break.
-    """
-    n = len(scores)
-    chosen = np.zeros(n, dtype=int)
-    remaining = np.ones(n, dtype=bool)
-    for pool in (*pools, np.ones(scores.shape, dtype=bool)):
-        hit = remaining & pool.any(axis=1)
-        if hit.any():
-            masked = np.where(pool[hit], scores[hit], -np.inf)
-            chosen[hit] = np.argmax(masked, axis=1)
-            remaining &= ~hit
-    return chosen
-
-
 class DensityCFSelector:
     """Pick counterfactuals that are close *and* in dense feasible regions.
 
-    Parameters
-    ----------
-    explainer:
-        A fitted :class:`repro.core.FeasibleCFExplainer`.
-    density_weight:
-        Trade-off ``lambda`` between proximity and density: the score of a
-        candidate ``c`` for input ``x`` is
-        ``-||c - x||_1 - lambda * density(c)`` where ``density`` is the
-        estimator's region-sparsity cost (mean feasible-reference k-NN
-        distance by default).
-    k_neighbors:
-        Number of reference neighbours in the default k-NN estimate.
-    density_model:
-        Optional :class:`repro.density.DensityModel` to score with
-        (fitted by :meth:`fit_reference` on the feasible reference
-        population).  Defaults to :class:`repro.density.KnnDensity`,
-        which reproduces the historical selector bit for bit.
+    A wrapper over :class:`repro.engine.EngineRunner`'s Figure 3 density
+    selection; ``density_model`` defaults to ``KnnDensity(k_neighbors)``.
     """
 
-    def __init__(self, explainer, density_weight=1.0, k_neighbors=10,
-                 density_model=None):
+    def __init__(self, explainer, density_weight=1.0, k_neighbors=10, density_model=None):
         self.explainer = explainer
         self.density_weight = check_positive(density_weight, "density_weight")
         self.k_neighbors = int(k_neighbors)
         self.density_model = density_model
 
     def fit_reference(self, x_reference, desired=None):
-        """Build the feasible-example reference population.
+        """Fit the density model on the valid & feasible CFs of ``x_reference``.
 
-        Generates counterfactuals for ``x_reference``, keeps the valid &
-        feasible ones and fits the density estimator on them.  A
-        population smaller than ``k_neighbors`` degrades gracefully (the
-        k-NN estimator clamps k at query time) with a warning; an empty
-        one raises.  Wrong-width reference rows raise
-        :class:`repro.utils.validation.SchemaMismatchError` before any
-        generation runs.  Returns ``self``.
+        Wrong-width rows and an empty population raise; one below the k-NN k warns.
         """
-        x_reference = check_encoded_rows(
-            x_reference, self.explainer.encoder, "x_reference")
+        x_reference = check_encoded_rows(x_reference, self.explainer.encoder, "x_reference")
         result = self.explainer.explain(x_reference, desired)
         keep = result.valid & result.feasible
         n_keep = int(keep.sum())
         if n_keep == 0:
-            raise ValueError(
-                "no valid & feasible reference examples were generated; "
-                "provide more reference rows or relax the constraints")
+            raise ValueError("no valid & feasible reference examples were generated; "
+                             "provide more reference rows or relax the constraints")
         if self.density_model is None:
             self.density_model = KnnDensity(k_neighbors=self.k_neighbors)
-        # the clamping claim only holds for k-NN-backed estimators; a
-        # KDE has no k and its scores are unaffected by the population
-        # being small
-        model_k = getattr(self.density_model, "k_neighbors", None)
+        model_k = getattr(self.density_model, "k_neighbors", None)  # a KDE has no k
         if model_k is not None and n_keep < model_k:
-            warnings.warn(
-                f"only {n_keep} feasible reference examples for "
-                f"k_neighbors={model_k}; density scores will use "
-                f"k={n_keep}", stacklevel=2)
+            warnings.warn(f"only {n_keep} feasible reference examples for k_neighbors="
+                          f"{model_k}; density scores will use k={n_keep}", stacklevel=2)
         self.density_model.fit(result.x_cf[keep])
         return self
 
@@ -258,98 +194,24 @@ class DensityCFSelector:
         """Size of the feasible reference population."""
         return 0 if self.density_model is None else self.density_model.n_reference
 
-    @property
-    def _reference(self):
-        """The fitted reference matrix (None before ``fit_reference``)."""
-        return getattr(self.density_model, "reference_", None)
-
     def density_score(self, candidates):
         """The estimator's region-sparsity cost (lower = denser)."""
         if self.n_reference == 0:
             raise RuntimeError("selector has no reference; call fit_reference()")
-        candidates = check_2d(candidates, "candidates")
-        return self.density_model.score(candidates)
-
-    @staticmethod
-    def _standardize(values):
-        spread = values.std()
-        if spread < 1e-12:
-            return np.zeros_like(values)
-        return (values - values.mean()) / spread
-
-    def score(self, candidate_set):
-        """Combined score per candidate (higher is better).
-
-        Proximity and region-sparsity are standardised within the
-        candidate set so ``density_weight`` is a genuine trade-off knob
-        rather than a unit conversion.
-        """
-        proximity = np.abs(
-            candidate_set.candidates - candidate_set.x[None, :]).sum(axis=1)
-        sparsity_of_region = self.density_score(candidate_set.candidates)
-        return (-self._standardize(proximity)
-                - self.density_weight * self._standardize(sparsity_of_region))
-
-    def select(self, candidate_set):
-        """Choose the best candidate index per the Figure 3 policy.
-
-        Preference order: valid & feasible candidates; then valid-only;
-        then any.  Within the preferred pool the combined
-        proximity+density score decides.
-        """
-        scores = self.score(candidate_set)
-        for mask in (candidate_set.usable_mask, candidate_set.valid,
-                     np.ones(len(candidate_set), dtype=bool)):
-            if mask.any():
-                pool = np.flatnonzero(mask)
-                return int(pool[np.argmax(scores[pool])])
-        raise RuntimeError("empty candidate set")  # pragma: no cover
-
-    def select_batch(self, candidate_sets):
-        """One-pass batched selection over pre-generated candidate sets.
-
-        The whole batch is scored at once: one tiled density query over
-        every candidate of every row
-        (:meth:`repro.density.DensityModel.score_tiled`), one broadcast
-        proximity computation, one row-standardised combined score reused
-        for both selection and diagnostics.  Outputs are bit-identical to
-        the historical per-row path (one :meth:`select` and a second score
-        pass per candidate set; ``tests/helpers/loops.py``).
-        """
-        if self.n_reference == 0:
-            raise RuntimeError("selector has no reference; call fit_reference()")
-
-        inputs = np.stack([cs.x for cs in candidate_sets])
-        candidates = np.stack([cs.candidates for cs in candidate_sets])
-        valid = np.stack([cs.valid for cs in candidate_sets])
-        usable = np.stack([cs.usable_mask for cs in candidate_sets])
-
-        proximity = np.abs(candidates - inputs[:, None, :]).sum(axis=2)
-        sparsity_of_region = self.density_model.score_tiled(candidates)
-        scores = (-standardize_rows(proximity)
-                  - self.density_weight * standardize_rows(sparsity_of_region))
-        chosen = argmax_by_pools(scores, (usable, valid))
-
-        rows = np.arange(len(candidate_sets))
-        x_cf = candidates[rows, chosen]
-        diagnostics = [{
-            "chosen": int(chosen[i]),
-            "n_usable": int(usable[i].sum()),
-            "n_valid": int(valid[i].sum()),
-            "score": float(scores[i, chosen[i]]),
-        } for i in rows]
-        return x_cf, diagnostics
+        return self.density_model.score(check_2d(candidates, "candidates"))
 
     def explain(self, x, n_candidates=20, desired=None, rng=None):
-        """Full density-aware explanation for a batch, loop-free.
+        """``(x_cf, [{"chosen", "n_usable", "n_valid"} per row])`` for ``x``."""
+        from ..engine import EngineRunner
 
-        Returns ``(x_cf, diagnostics)`` where ``x_cf`` stacks the selected
-        counterfactual per row and ``diagnostics`` is a list of dicts with
-        the chosen index, candidate counts and score.  Candidate
-        generation is one vectorized sweep and selection is one batched
-        score pass (:meth:`select_batch`).
-        """
-        candidate_sets = generate_candidates(
-            self.explainer, x, n_candidates=n_candidates, desired=desired,
-            rng=rng)
-        return self.select_batch(candidate_sets)
+        if self.n_reference == 0:
+            raise RuntimeError("selector has no reference; call fit_reference()")
+        explainer = self.explainer
+        runner = EngineRunner(explainer.encoder, explainer.blackbox,
+                              constraints=explainer.compiled_constraints,
+                              density=self.density_model, density_weight=self.density_weight)
+        strategy = explainer.as_strategy(n_candidates=n_candidates, rng=rng)
+        result, diagnostics = runner.run(strategy, x, desired, return_diagnostics=True)
+        keys = ("chosen", "n_usable", "n_valid")
+        return result.x_cf, [{key: int(diagnostics[key][i]) for key in keys}
+                             for i in range(len(result.x_cf))]

@@ -1,9 +1,9 @@
 """Unified batch-first density subsystem (the paper's third pillar).
 
 One ``DensityModel`` layer powers every density question in the stack:
-Figure 3 candidate selection (``DensityCFSelector``), FACE's
-density-penalised graph, the engine runner's density-aware selection and
-Table IV density column, warm-started serving (density state persisted
+the engine runner's Figure 3 candidate selection (which
+``DensityCFSelector`` wraps) and Table IV density column, FACE's
+density-penalised graph, warm-started serving (density state persisted
 by the ``ArtifactStore``) and the ``density=`` scenario variants.  See
 ``docs/density.md``.
 """

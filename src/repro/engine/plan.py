@@ -154,7 +154,7 @@ class ExplainPlan:
         One proposal, then one fused sweep over the backend's candidate
         tiles.  Returns a :class:`CFBatchResult` (and, when asked, the
         diagnostics dict: feasibility report, chosen indices, usable
-        counts and the hosted models' per-row scores).
+        and valid counts and the hosted models' per-row scores).
         """
         from ..utils.validation import check_encoded_rows
 
@@ -255,6 +255,7 @@ class ExplainPlan:
             "chosen": chosen,
             "n_candidates": m,
             "n_usable": (valid_all & flags_all).reshape(n, m).sum(axis=1),
+            "n_valid": valid_all.reshape(n, m).sum(axis=1),
             "candidate_validity": float(valid_all.mean()) if valid_all.size else 0.0,
         }
         if runner.density is not None:

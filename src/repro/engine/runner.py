@@ -261,6 +261,34 @@ class EngineRunner:
         )
 
 
+def standardize_rows(values):
+    """Standardise each row of ``values`` to zero mean and unit spread.
+
+    A near-constant row (spread below 1e-12) becomes all zeros, so it
+    cannot sway the Figure 3 score.  Row by row this is exactly the
+    historical per-candidate-set math (``tests/helpers/loops.py``).
+    """
+    mean = values.mean(axis=1, keepdims=True)
+    spread = values.std(axis=1, keepdims=True)
+    degenerate = spread < 1e-12
+    return np.where(degenerate, 0.0, (values - mean) / np.where(degenerate, 1.0, spread))
+
+
+def argmax_by_pools(scores, pools):
+    """Per-row argmax of ``scores`` under a preference-ordered pool cascade.
+
+    ``pools`` is an iterable of ``(n, m)`` boolean masks in preference
+    order; each row picks the highest-scoring candidate inside its first
+    non-empty pool (an all-ones fallback pool is appended).  Equivalent
+    to ``pool[np.argmax(scores[pool])]`` applied row by row — including
+    the first-occurrence tie-break.
+    """
+    stack = np.stack([*pools, np.ones(scores.shape, dtype=bool)])
+    first = stack.any(axis=2).argmax(axis=0)
+    pool = stack[first, np.arange(len(scores))]
+    return np.argmax(np.where(pool, scores, -np.inf), axis=1)
+
+
 def _selection_pools(valid, feasible, robust=None):
     """The serving preference cascade, optionally led by a robust pool.
 
@@ -285,16 +313,9 @@ def _select_candidates(x, candidates, valid, feasible, robust=None):
     distance wins.
     """
     distances = np.abs(candidates - x[:, None, :]).sum(axis=2)
-    n, m = distances.shape
-    chosen = np.zeros(n, dtype=int)
-    remaining = np.ones(n, dtype=bool)
-    for pool in _selection_pools(valid, feasible, robust):
-        useful = remaining & pool.any(axis=1)
-        if useful.any():
-            masked = np.where(pool[useful], distances[useful], np.inf)
-            chosen[useful] = np.argmin(masked, axis=1)
-            remaining &= ~useful
-    return chosen
+    first = np.zeros(distances.shape, dtype=bool)
+    first[:, 0] = True
+    return argmax_by_pools(-distances, _selection_pools(valid, feasible, robust) + (first,))
 
 
 def _select_candidates_density(x, candidates, valid, feasible, density, weight,
@@ -302,13 +323,12 @@ def _select_candidates_density(x, candidates, valid, feasible, density, weight,
     """Vectorized per-row choice under the Figure 3 proximity+density score.
 
     Same pool cascade as :func:`_select_candidates` (robust when hosted,
-    valid & feasible, then valid, then any), but within a pool the
-    winner maximises the standardized ``-proximity - weight * density``
-    combination instead of pure closeness — exactly the
-    ``DensityCFSelector`` scoring, hosted once for every strategy.
+    valid & feasible, then valid), but within a pool the winner
+    maximises the standardized ``-proximity - weight * density``
+    combination instead of pure closeness, and a row with no valid
+    candidate takes the best score over all of them.
+    ``repro.core.DensityCFSelector`` is a wrapper over this selection.
     """
-    from ..core.selection import argmax_by_pools, standardize_rows
-
     proximity = np.abs(candidates - x[:, None, :]).sum(axis=2)
     scores = -standardize_rows(proximity) - weight * standardize_rows(density)
     return argmax_by_pools(scores, _selection_pools(valid, feasible, robust))

@@ -12,7 +12,7 @@ tensor (as long as the gradients of one parameter dtype share a dtype,
 which every model here satisfies; mixed gradients combine at the
 promoted dtype).  Parameters are updated in place (``p.data -= ...``): a module
 whose weights are bound to external arrays stays bound, and a read-only
-binding (e.g. a shared-memory serving view) raises instead of being
+binding (e.g. a numpy view with ``writeable=False``) raises instead of being
 silently replaced by a private copy.
 """
 

@@ -16,11 +16,9 @@ servable system:
   batch serving with an LRU result cache and single-row micro-batching.
 * :mod:`repro.serve.cache` -- the thread-safe LRU cache primitive.
 * :mod:`repro.serve.scale` -- the horizontally scaled tier:
-  :class:`WorkerPool` (N warm replicas, one shared pipeline, one
+  :class:`WorkerPool` (N warm thread replicas, one shared pipeline, one
   compiled plan) behind :class:`AsyncExplanationService` (asyncio
   request coalescing).
-* :mod:`repro.serve.shm` -- shared-memory model weights, one physical
-  copy across every replica.
 * :mod:`repro.serve.routing` -- consistent-hash request routing that
   keeps replica-local caches hot as the pool scales.
 """
@@ -37,12 +35,6 @@ from .pipeline import (
 from .routing import ConsistentHashRing, request_key
 from .scale import AsyncExplanationService, WorkerPool
 from .service import ExplainTicket, ExplanationService, PendingTicketError
-from .shm import (
-    SharedWeights,
-    attach_module,
-    attach_pipeline,
-    pipeline_weight_arrays,
-)
 from .store import (
     ARTIFACT_FORMAT_VERSION,
     ArtifactError,
@@ -65,12 +57,9 @@ __all__ = [
     "OverlayKind",
     "PendingTicketError",
     "Persistable",
-    "SharedWeights",
     "StaleArtifactError",
     "TrainedPipeline",
     "WorkerPool",
-    "attach_module",
-    "attach_pipeline",
     "fingerprint_state",
     "load_bundle",
     "overlay_kinds",

@@ -1,7 +1,7 @@
 """Horizontally scaled serving: worker pool + coalescing async front.
 
 ``ExplanationService`` is one warm process; this module turns it into a
-fleet.  Three pieces compose:
+fleet.  Two pieces compose:
 
 * :class:`WorkerPool` — N warm replicas over ONE shared trained
   pipeline.  The leader replica warm-starts from the
@@ -9,19 +9,13 @@ fleet.  Three pieces compose:
   ``warm_start(overlays={...})`` contract; siblings wrap the same
   pipeline object and adopt the leader's compiled execution state
   (runner with its plan memo, core strategies) — so the pool compiles
-  ONE plan per served strategy, not N.  With ``shared_weights=True``
-  every model array lives in one
-  :class:`~repro.serve.shm.SharedWeights` segment and replicas hold
-  zero-copy views.  Requests shard across replicas by
+  ONE plan per served strategy, not N.  The replicas run in-process on
+  the pool's dispatch threads and hold one copy of every model array.
+  Requests shard across replicas by
   :class:`~repro.serve.routing.ConsistentHashRing` over the composite
   cache fingerprint plus row bytes, so each replica's LRU cache owns a
   stable slice of the key space and aggregate cache capacity grows with
   the replica count.
-* backend seam — ``backend="thread"`` (default) drives each replica's
-  service on a pool thread in-process; ``backend="process"`` forks one
-  worker process per replica (weights stay shared through the shm
-  segment) and speaks to it over a pipe.  Both backends answer through
-  the same replica protocol, so everything above the seam is identical.
 * :class:`AsyncExplanationService` — an asyncio front for single-row
   traffic.  ``await front.explain(row)`` enqueues the request, coalesces
   arrivals for ``coalesce_window`` seconds (or until ``max_batch``),
@@ -44,123 +38,8 @@ from ..core.result import CFBatchResult
 from ..utils.validation import check_desired, resolve_desired
 from .routing import ConsistentHashRing, request_key
 from .service import ExplanationService, PendingTicketError
-from .shm import SharedWeights, attach_pipeline, pipeline_weight_arrays
 
 __all__ = ["AsyncExplanationService", "WorkerPool"]
-
-
-class _ThreadReplica:
-    """One replica served in-process on pool threads."""
-
-    def __init__(self, service, flush_kwargs):
-        self.service = service
-        self._flush_kwargs = flush_kwargs
-        # serializes submit/flush rounds: without it, two concurrent
-        # flush_rows calls could interleave so one call's flush captures
-        # the other's freshly submitted tickets and returns before they
-        # resolve
-        self._lock = threading.Lock()
-
-    def explain_batch(self, rows, desired):
-        result = self.service.explain_batch(rows, desired)
-        return result.x_cf, result.predicted, result.feasible
-
-    def flush_rows(self, rows, desired):
-        with self._lock:
-            tickets = [
-                self.service.submit(row, int(target))
-                for row, target in zip(rows, desired)
-            ]
-            self.service.flush(**self._flush_kwargs)
-        return [ticket.result() for ticket in tickets]
-
-    def stats(self):
-        return self.service.stats
-
-    def close(self):
-        pass
-
-
-def _replica_worker(connection, service, flush_kwargs):
-    """Request loop of one forked replica process."""
-    import traceback
-
-    while True:
-        try:
-            message = connection.recv()
-        except EOFError:
-            break
-        op = message[0]
-        if op == "close":
-            break
-        try:
-            if op == "explain":
-                result = service.explain_batch(message[1], message[2])
-                payload = (result.x_cf, result.predicted, result.feasible)
-            elif op == "flush":
-                tickets = [
-                    service.submit(row, int(target))
-                    for row, target in zip(message[1], message[2])
-                ]
-                service.flush(**flush_kwargs)
-                payload = [ticket.result() for ticket in tickets]
-            elif op == "stats":
-                payload = service.stats
-            else:
-                raise ValueError(f"unknown replica op {op!r}")
-            connection.send(("ok", payload))
-        except Exception:
-            connection.send(("error", traceback.format_exc()))
-    connection.close()
-
-
-class _ProcessReplica:
-    """One replica served by a forked worker process over a pipe.
-
-    Forked from the fully warm parent, so the replica starts serving
-    without reloading anything; the shared-memory weight segment keeps
-    the model arrays physically shared across address spaces.
-    """
-
-    def __init__(self, context, service, flush_kwargs):
-        self._parent_conn, child_conn = context.Pipe()
-        self._process = context.Process(
-            target=_replica_worker,
-            args=(child_conn, service, flush_kwargs),
-            daemon=True,
-        )
-        self._process.start()
-        child_conn.close()
-        self._lock = threading.Lock()
-
-    def _call(self, *message):
-        with self._lock:
-            self._parent_conn.send(message)
-            status, payload = self._parent_conn.recv()
-        if status == "error":
-            raise RuntimeError(f"replica process failed:\n{payload}")
-        return payload
-
-    def explain_batch(self, rows, desired):
-        return self._call("explain", rows, desired)
-
-    def flush_rows(self, rows, desired):
-        return self._call("flush", rows, desired)
-
-    def stats(self):
-        return self._call("stats")
-
-    def close(self):
-        try:
-            with self._lock:
-                self._parent_conn.send(("close",))
-        except (BrokenPipeError, OSError):
-            pass
-        self._process.join(timeout=5.0)
-        if self._process.is_alive():  # pragma: no cover - defensive
-            self._process.terminate()
-            self._process.join(timeout=5.0)
-        self._parent_conn.close()
 
 
 class WorkerPool:
@@ -175,25 +54,21 @@ class WorkerPool:
     n_replicas:
         Replica count; each replica owns a private LRU cache of
         ``cache_size`` rows and a stable consistent-hash shard.
-    backend:
-        ``"thread"`` (default) or ``"process"`` — the one seam between
-        in-process replicas and forked worker processes.
     overlays, strategy, cache_size, density_weight, density_candidates,
     robust_quorum:
         Forwarded to :meth:`ExplanationService.warm_start` for the
         leader; siblings replicate the exact configuration and share the
         leader's hosted model objects.
-    shared_weights:
-        Publish every model array (black-box, CF-VAE, overlay arrays)
-        into one shared-memory segment and bind all replicas to
-        zero-copy views (default).  ``False`` keeps plain per-pipeline
-        arrays (still one copy on the thread backend, copy-on-write on
-        the process backend).
     ring_points:
         Virtual nodes per replica on the hash ring.
     flush_kwargs:
         Keyword arguments for each replica's ``flush`` (e.g.
         ``{"n_candidates": 8}`` on the core path).
+    backend, shared_weights:
+        Removed options, still accepted at their one remaining value
+        (``"thread"`` and ``False``) because the e2e benchmark passes
+        them; any other value raises ``ValueError``.  Drop both once
+        the benchmark stops passing them.
     """
 
     def __init__(
@@ -208,17 +83,20 @@ class WorkerPool:
         density_weight=1.0,
         density_candidates=8,
         robust_quorum=0.5,
-        shared_weights=True,
+        shared_weights=False,
         ring_points=64,
         flush_kwargs=None,
     ):
-        if backend not in ("thread", "process"):
+        if backend != "thread":
             raise ValueError(
-                f'backend must be "thread" or "process", got {backend!r}')
+                f'backend={backend!r} was removed; replicas run on threads')
+        if shared_weights:
+            raise ValueError(
+                "shared_weights=True was removed; replicas share one "
+                "in-process copy of the weights")
         n_replicas = int(n_replicas)
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-        self.backend = backend
         self.n_replicas = n_replicas
         self._flush_kwargs = dict(flush_kwargs or {})
 
@@ -232,18 +110,7 @@ class WorkerPool:
             density_candidates=density_candidates,
             robust_quorum=robust_quorum,
         )
-        self.shared = None
-        if shared_weights:
-            hosted = {
-                "density": leader.density,
-                "causal": leader.causal,
-                "ensemble": leader.ensemble,
-            }
-            self.shared = SharedWeights.publish(
-                pipeline_weight_arrays(leader.pipeline, hosted))
-            attach_pipeline(leader.pipeline, self.shared)
-
-        services = [leader]
+        self.replicas = [leader]
         for _ in range(1, n_replicas):
             sibling = ExplanationService(
                 leader.pipeline,
@@ -257,30 +124,16 @@ class WorkerPool:
                 robust_quorum=robust_quorum,
             )
             sibling.adopt_execution_from(leader)
-            services.append(sibling)
+            self.replicas.append(sibling)
+        # serializes each replica's submit/flush rounds: without it, two
+        # concurrent flush_rows calls could interleave so one call's
+        # flush captures the other's freshly submitted tickets and
+        # returns before they resolve
+        self._flush_locks = [threading.Lock() for _ in self.replicas]
 
         #: The pool's composite cache fingerprint (the routing key).
         self.fingerprint = leader.cache_fingerprint
         self._template = leader
-
-        if backend == "thread":
-            self.replicas = [
-                _ThreadReplica(service, self._flush_kwargs)
-                for service in services
-            ]
-        else:
-            import multiprocessing
-
-            if "fork" not in multiprocessing.get_all_start_methods():
-                raise RuntimeError(
-                    'backend="process" needs the fork start method (the '
-                    "forked replica inherits the warm pipeline); use "
-                    'backend="thread" on this platform')
-            context = multiprocessing.get_context("fork")
-            self.replicas = [
-                _ProcessReplica(context, service, self._flush_kwargs)
-                for service in services
-            ]
         self.ring = ConsistentHashRing(range(n_replicas), points=ring_points)
         self._executor = ThreadPoolExecutor(
             max_workers=n_replicas, thread_name_prefix="repro-pool")
@@ -302,6 +155,20 @@ class WorkerPool:
         rows = self._template._check_rows(rows)
         return rows, resolve_desired(self._template.explainer.blackbox, rows, desired)
 
+    def _dispatch(self, work, rows, desired):
+        """Run ``work(replica, rows, desired)`` on every routed shard at once.
+
+        Returns ``(indices, answer)`` per non-empty shard, in ring order.
+        """
+        assignment = self._assign(rows, desired)
+        futures = []
+        for node in self.ring.nodes:
+            indices = np.flatnonzero(assignment == node)
+            if len(indices):
+                futures.append((indices, self._executor.submit(
+                    work, node, rows[indices], desired[indices])))
+        return [(indices, future.result()) for indices, future in futures]
+
     # -- batch serving -------------------------------------------------------
     def explain_batch(self, rows, desired=None):
         """Explain many rows across the pool; returns a :class:`CFBatchResult`.
@@ -311,28 +178,17 @@ class WorkerPool:
         reassemble in request order.
         """
         rows, desired = self._resolve(rows, desired)
-        assignment = self._assign(rows, desired)
-
-        n_rows, width = rows.shape
-        x_cf = np.empty((n_rows, width))
+        n_rows = len(rows)
+        x_cf = np.empty(rows.shape)
         predicted = np.empty(n_rows, dtype=int)
         feasible = np.empty(n_rows, dtype=bool)
-
-        futures = {}
-        for node in self.ring.nodes:
-            indices = np.flatnonzero(assignment == node)
-            if len(indices):
-                futures[node] = (
-                    indices,
-                    self._executor.submit(
-                        self.replicas[node].explain_batch,
-                        rows[indices], desired[indices]),
-                )
-        for indices, future in futures.values():
-            part_cf, part_predicted, part_feasible = future.result()
-            x_cf[indices] = part_cf
-            predicted[indices] = part_predicted
-            feasible[indices] = part_feasible
+        shards = self._dispatch(
+            lambda node, part, targets: self.replicas[node].explain_batch(part, targets),
+            rows, desired)
+        for indices, part in shards:
+            x_cf[indices] = part.x_cf
+            predicted[indices] = part.predicted
+            feasible[indices] = part.feasible
 
         return CFBatchResult(
             x=rows,
@@ -357,23 +213,22 @@ class WorkerPool:
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
         rows, desired = self._resolve(rows, desired)
-        assignment = self._assign(rows, desired)
-
         results = [None] * len(rows)
-        futures = {}
-        for node in self.ring.nodes:
-            indices = np.flatnonzero(assignment == node)
-            if len(indices):
-                futures[node] = (
-                    indices,
-                    self._executor.submit(
-                        self.replicas[node].flush_rows,
-                        rows[indices], desired[indices]),
-                )
-        for indices, future in futures.values():
-            for position, result in zip(indices, future.result()):
+        for indices, answers in self._dispatch(self._flush_shard, rows, desired):
+            for position, result in zip(indices, answers):
                 results[position] = result
         return results
+
+    def _flush_shard(self, node, rows, desired):
+        """One replica's submit storm plus ONE flush; its ticket results."""
+        service = self.replicas[node]
+        with self._flush_locks[node]:
+            tickets = [
+                service.submit(row, int(target))
+                for row, target in zip(rows, desired)
+            ]
+            service.flush(**self._flush_kwargs)
+        return [ticket.result() for ticket in tickets]
 
     # -- introspection --------------------------------------------------------
     def stats(self):
@@ -386,7 +241,7 @@ class WorkerPool:
         """
         per_replica = []
         for index, replica in enumerate(self.replicas):
-            counters = dict(replica.stats())
+            counters = dict(replica.stats)
             lookups = counters["cache_hits"] + counters["cache_misses"]
             counters["replica"] = index
             # rows_served counts batch-path rows, rows_coalesced counts
@@ -408,7 +263,6 @@ class WorkerPool:
         lookups = total_hits + total_misses
         aggregate = {
             "replicas": self.n_replicas,
-            "backend": self.backend,
             "requests": total_rows + total_coalesced,
             "rows_served": total_rows,
             "rows_coalesced": total_coalesced,
@@ -418,22 +272,16 @@ class WorkerPool:
             "hit_rate": total_hits / lookups if lookups else 0.0,
             "mean_batch_size": (
                 total_coalesced / total_flushes if total_flushes else 0.0),
-            "shared_weight_bytes": (
-                self.shared.nbytes if self.shared is not None else 0),
         }
         return {"per_replica": per_replica, "aggregate": aggregate}
 
     # -- lifecycle -----------------------------------------------------------
     def close(self):
-        """Shut down replicas, the dispatch executor and the shm segment."""
+        """Shut down the dispatch executor."""
         if self._closed:
             return
         self._closed = True
-        for replica in self.replicas:
-            replica.close()
         self._executor.shutdown(wait=True)
-        if self.shared is not None:
-            self.shared.close()
 
     def __enter__(self):
         return self
@@ -508,8 +356,20 @@ class AsyncExplanationService:
                 f"the coalesce window") from None
 
     async def explain_many(self, rows, desired=None):
-        """Explain many rows concurrently through the coalescing front."""
-        specs = [None] * len(rows) if desired is None else list(desired)
+        """Explain many rows concurrently through the coalescing front.
+
+        ``desired`` is None, one class for every row, or one entry per
+        row; a length mismatch raises ``ValueError`` before any request
+        is queued.
+        """
+        if desired is None or np.ndim(desired) == 0:
+            specs = [desired] * len(rows)
+        else:
+            specs = list(desired)
+            if len(specs) != len(rows):
+                raise ValueError(
+                    f"desired ({len(specs)}) and rows ({len(rows)}) row "
+                    f"counts differ")
         return await asyncio.gather(
             *(self.explain(row, spec) for row, spec in zip(rows, specs)))
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CandidateSet,
     DensityCFSelector,
     FeasibleCFExplainer,
     fast_config,
     generate_candidates,
 )
 from repro.data import load_dataset
+from repro.engine.runner import _select_candidates, _select_candidates_density
 
 
 @pytest.fixture(scope="module")
@@ -100,35 +100,11 @@ class TestDensityCFSelector:
         _, explainer, x_train, _ = fitted
         selector = DensityCFSelector(explainer, k_neighbors=5)
         selector.fit_reference(x_train[:300])
-        reference_point = selector._reference[0]
+        reference_point = selector.density_model.reference_[0]
         far_point = reference_point + 5.0
         scores = selector.density_score(
             np.vstack([reference_point, far_point]))
         assert scores[0] < scores[1]
-
-    def test_select_prefers_usable(self, fitted):
-        _, explainer, x_train, _ = fitted
-        selector = DensityCFSelector(explainer, k_neighbors=5)
-        selector.fit_reference(x_train[:300])
-        x = np.full(explainer.encoder.n_encoded, 0.5)
-        candidates = np.vstack([x + 0.01, x + 0.02, x + 0.03])
-        candidate_set = CandidateSet(
-            x=x, candidates=candidates,
-            valid=np.array([False, True, True]),
-            feasible=np.array([False, False, True]))
-        chosen = selector.select(candidate_set)
-        assert chosen == 2  # the only valid & feasible one
-
-    def test_select_falls_back_to_valid(self, fitted):
-        _, explainer, x_train, _ = fitted
-        selector = DensityCFSelector(explainer, k_neighbors=5)
-        selector.fit_reference(x_train[:300])
-        x = np.full(explainer.encoder.n_encoded, 0.5)
-        candidate_set = CandidateSet(
-            x=x, candidates=np.vstack([x + 0.01, x + 0.5]),
-            valid=np.array([False, True]),
-            feasible=np.array([False, False]))
-        assert selector.select(candidate_set) == 1
 
     def test_explain_batch(self, fitted):
         _, explainer, x_train, negatives = fitted
@@ -152,3 +128,48 @@ class TestDensityCFSelector:
         # the dense selector's picks sit in (weakly) denser regions
         assert dense.density_score(x_cf_dense).mean() <= \
             dense.density_score(x_cf_proximal).mean() + 1e-9
+
+
+# One row, three candidates at L1 distance 0.1, 0.2 and 0.9 from the input,
+# with density costs 1, 2 and 3: candidate 2 is the worst under both the
+# closest-L1 and the Figure 3 score, so it wins only where a pool forces it.
+_X = np.zeros((1, 2))
+_CANDIDATES = np.array([[[0.05, 0.05], [0.1, 0.1], [0.45, 0.45]]])
+_DENSITY = np.array([[1.0, 2.0, 3.0]])
+_ALL = [True, True, True]
+
+
+def _choose(kind, valid, feasible, robust=None, candidates=_CANDIDATES, density=_DENSITY):
+    valid, feasible = np.array([valid]), np.array([feasible])
+    robust = None if robust is None else np.array([robust])
+    if kind == "l1":
+        chosen = _select_candidates(_X, candidates, valid, feasible, robust=robust)
+    else:
+        chosen = _select_candidates_density(
+            _X, candidates, valid, feasible, density, 1.0, robust=robust)
+    return int(chosen[0])
+
+
+@pytest.mark.parametrize("kind", ["l1", "density"])
+class TestSelectionCascade:
+    """The runner's pool cascade on hand-built masks, under both scores."""
+
+    def test_robust_before_usable(self, kind):
+        assert _choose(kind, _ALL, _ALL, robust=[False, False, True]) == 2
+        # an empty robust pool falls through to the single-model choice
+        assert _choose(kind, _ALL, _ALL, robust=[False, False, False]) == 0
+
+    def test_usable_before_valid(self, kind):
+        assert _choose(kind, _ALL, [False, False, True]) == 2
+
+    def test_valid_before_fallback(self, kind):
+        assert _choose(kind, [False, False, True], [True, True, False]) == 2
+
+    def test_fallbacks_differ(self, kind):
+        # no valid candidate, and candidate 0 is now the farthest and sparsest
+        candidates = _CANDIDATES[:, ::-1]
+        density = _DENSITY[:, ::-1]
+        chosen = _choose(kind, [False] * 3, _ALL, candidates=candidates, density=density)
+        # closest-L1 falls back to the deterministic decode; the density
+        # score takes the best candidate over all of them
+        assert chosen == (0 if kind == "l1" else 2)

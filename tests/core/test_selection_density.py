@@ -2,11 +2,13 @@
 
 from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.core import DensityCFSelector, FeasibleCFExplainer, fast_config
 from repro.data import load_dataset
 from repro.density import GaussianKdeDensity, KnnDensity
+from repro.engine import EngineRunner
 from repro.utils.validation import SchemaMismatchError
 from tests.helpers.loops import explain_loop
 from tests.helpers.parity import DATASETS, assert_batched_matches_loop
@@ -29,15 +31,21 @@ def fitted(request):
     return _fit_explainer(request.param)
 
 
+def _loop_without_score(selector, *args, **kwargs):
+    """The historical per-row selector, minus the ``score`` key it alone reports."""
+    x_cf, diagnostics = explain_loop(selector, *args, **kwargs)
+    return x_cf, [{k: v for k, v in d.items() if k != "score"} for d in diagnostics]
+
+
 class TestBatchLoopParity:
-    """The batched explain must reproduce the pre-PR per-row loop exactly."""
+    """The selector must reproduce the historical per-row loop exactly."""
 
     def test_explain_bit_identical_to_loop(self, fitted):
         explainer, x_train, rows = fitted
         selector = DensityCFSelector(explainer, density_weight=2.0, k_neighbors=6)
         selector.fit_reference(x_train[:150])
         assert_batched_matches_loop(
-            selector.explain, partial(explain_loop, selector), rows, n_candidates=7,
+            selector.explain, partial(_loop_without_score, selector), rows, n_candidates=7,
             context="density explain")
 
     def test_kde_estimator_selects_equivalently(self, fitted):
@@ -49,8 +57,34 @@ class TestBatchLoopParity:
             explainer, k_neighbors=6, density_model=GaussianKdeDensity())
         selector.fit_reference(x_train[:150])
         assert_batched_matches_loop(
-            selector.explain, partial(explain_loop, selector), rows[:6], n_candidates=5,
+            selector.explain, partial(_loop_without_score, selector), rows[:6], n_candidates=5,
             atol=1e-6, context="kde density explain")
+
+
+class TestRunnerParity:
+    """``selector.explain`` is the runner's Figure 3 selection, bit for bit."""
+
+    @pytest.mark.parametrize("make_model", [
+        lambda: KnnDensity(k_neighbors=6), GaussianKdeDensity,
+    ], ids=["knn", "kde"])
+    def test_explain_equals_density_runner(self, fitted, make_model):
+        explainer, x_train, rows = fitted
+        selector = DensityCFSelector(
+            explainer, density_weight=2.0, density_model=make_model())
+        selector.fit_reference(x_train[:150])
+        x_cf, diagnostics = selector.explain(
+            rows, n_candidates=7, rng=np.random.default_rng(3))
+
+        runner = EngineRunner(
+            explainer.encoder, explainer.blackbox,
+            constraints=explainer.compiled_constraints,
+            density=selector.density_model, density_weight=2.0)
+        result, expected = runner.run(
+            explainer.as_strategy(n_candidates=7, rng=np.random.default_rng(3)),
+            rows, return_diagnostics=True)
+        np.testing.assert_array_equal(x_cf, result.x_cf)
+        assert [d["chosen"] for d in diagnostics] == expected["chosen"].tolist()
+        assert [d["n_usable"] for d in diagnostics] == expected["n_usable"].tolist()
 
 
 class _CountingKnn(KnnDensity):

@@ -7,9 +7,9 @@ parity tests call them:
 * :func:`generate_candidates_loop` — :func:`repro.core.generate_candidates`
   sampled and decoded one row at a time;
 * :func:`select_loop` / :func:`explain_loop` —
-  :meth:`repro.core.DensityCFSelector.select_batch` / ``explain`` with one
-  :meth:`~repro.core.DensityCFSelector.select` call and a second score pass
-  per row (the historical selector);
+  :meth:`repro.core.DensityCFSelector.explain` (the engine runner's
+  Figure 3 selection) as the historical selector: one scalar-standardised
+  score pass, one pool cascade and a second score pass per row;
 * :func:`repair_loop` — :meth:`repro.causal.CausalModel.repair_batch` one
   input row's candidate set at a time;
 * :func:`score_tiled_loop` — :meth:`repro.density.DensityModel.score_tiled`
@@ -57,18 +57,45 @@ def generate_candidates_loop(explainer, x, n_candidates=20, noise_scale=None,
     return sets
 
 
+def _standardize(values):
+    """The historical per-candidate-set standardisation (zero if near-constant)."""
+    spread = values.std()
+    if spread < 1e-12:
+        return np.zeros_like(values)
+    return (values - values.mean()) / spread
+
+
+def score_loop(selector, candidate_set):
+    """Combined Figure 3 score per candidate of one set (higher is better)."""
+    proximity = np.abs(candidate_set.candidates - candidate_set.x[None, :]).sum(axis=1)
+    sparsity_of_region = selector.density_score(candidate_set.candidates)
+    return (-_standardize(proximity)
+            - selector.density_weight * _standardize(sparsity_of_region))
+
+
+def _select_one(selector, candidate_set):
+    """Best candidate index: valid & feasible, then valid, then any."""
+    scores = score_loop(selector, candidate_set)
+    for mask in (candidate_set.usable_mask, candidate_set.valid,
+                 np.ones(len(candidate_set), dtype=bool)):
+        if mask.any():
+            pool = np.flatnonzero(mask)
+            return int(pool[np.argmax(scores[pool])])
+    raise RuntimeError("empty candidate set")
+
+
 def select_loop(selector, candidate_sets):
-    """Per-row ``selector.select_batch``: one select and one more score pass per row."""
+    """Per-row Figure 3 selection: one select and one more score pass per row."""
     chosen = []
     diagnostics = []
     for candidate_set in candidate_sets:
-        index = selector.select(candidate_set)
+        index = _select_one(selector, candidate_set)
         chosen.append(candidate_set.candidates[index])
         diagnostics.append({
             "chosen": index,
             "n_usable": int(candidate_set.usable_mask.sum()),
             "n_valid": int(candidate_set.valid.sum()),
-            "score": float(selector.score(candidate_set)[index]),
+            "score": float(score_loop(selector, candidate_set)[index]),
         })
     return np.array(chosen), diagnostics
 

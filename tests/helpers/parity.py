@@ -224,6 +224,7 @@ def staged_run(runner, strategy, x, desired=None, return_diagnostics=False):
         "chosen": chosen,
         "n_candidates": m,
         "n_usable": (valid & flags).reshape(n, m).sum(axis=1),
+        "n_valid": valid.reshape(n, m).sum(axis=1),
         "candidate_validity": float(valid.mean()) if valid.size else 0.0,
     }
     if runner.density is not None:

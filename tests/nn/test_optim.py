@@ -156,18 +156,18 @@ class TestFusedUpdate:
         lambda params: Adam(params, lr=0.1),
     ])
     def test_read_only_shared_view_raises_instead_of_detaching(self, make):
-        from repro.serve import SharedWeights, attach_module
-
         layer = Linear(3, 2, np.random.default_rng(0))
-        with SharedWeights.publish(
-                {f"m/{k}": v for k, v in layer.state_dict().items()}) as shared:
-            attach_module(layer, shared, "m/")
-            bound = [p.data for p in layer.parameters()]
-            opt = make(layer.parameters())
-            layer(np.ones((4, 3))).sum().backward()
-            with pytest.raises(ValueError, match="read-only"):
-                opt.step()
-            # still bound to the shared views, weights untouched
-            assert all(p.data is view for p, view in zip(layer.parameters(), bound))
-            assert all(shared.owns_buffer_of(p.data) for p in layer.parameters())
-            del bound
+        for p in layer.parameters():
+            view = p.data.view()
+            view.flags.writeable = False
+            p.data = view
+        bound = [p.data for p in layer.parameters()]
+        before = [view.copy() for view in bound]
+        opt = make(layer.parameters())
+        layer(np.ones((4, 3))).sum().backward()
+        with pytest.raises(ValueError, match="read-only"):
+            opt.step()
+        # still bound to the read-only views, weights untouched
+        assert all(p.data is view for p, view in zip(layer.parameters(), bound))
+        for view, original in zip(bound, before):
+            np.testing.assert_array_equal(view, original)

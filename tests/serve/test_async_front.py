@@ -168,3 +168,18 @@ class TestAsyncFront:
         assert first["x_cf"].shape == second["x_cf"].shape
         assert stats["front"]["flushes"] == 2
         assert stats["pool"]["aggregate"]["rows_coalesced"] == 2
+
+    def test_explain_many_broadcasts_and_checks_desired(self, store, explain_rows):
+        async def scenario(pool):
+            front = AsyncExplanationService(pool, coalesce_window=0.001)
+            with pytest.raises(ValueError, match=r"desired \(3\) and rows \(5\)"):
+                await front.explain_many(explain_rows[:5], desired=[1, 1, 1])
+            queued = front.stats["front"]["requests"]
+            results = await front.explain_many(explain_rows[:5], desired=1)
+            await front.aclose()
+            return queued, results
+
+        with WorkerPool(store, "tiny", n_replicas=1) as pool:
+            queued, results = asyncio.run(scenario(pool))
+        assert queued == 0  # the mismatch raised before anything queued
+        assert [result["desired"] for result in results] == [1] * 5

@@ -29,6 +29,10 @@ class TestWorkerPool:
     def test_rejects_bad_configuration(self, store):
         with pytest.raises(ValueError, match="backend"):
             WorkerPool(store, "tiny", backend="rocket")
+        with pytest.raises(ValueError, match="backend='process' was removed"):
+            WorkerPool(store, "tiny", backend="process")
+        with pytest.raises(ValueError, match="shared_weights=True was removed"):
+            WorkerPool(store, "tiny", shared_weights=True)
         with pytest.raises(ValueError, match="n_replicas"):
             WorkerPool(store, "tiny", n_replicas=0)
 
@@ -88,8 +92,6 @@ class TestWorkerPool:
                 entry[counter] for entry in per_replica)
         assert aggregate["requests"] == len(explain_rows) + 4
         assert aggregate["replicas"] == 2
-        assert aggregate["backend"] == "thread"
-        assert aggregate["shared_weight_bytes"] > 0
         for entry in per_replica:
             assert 0.0 <= entry["hit_rate"] <= 1.0
             assert entry["mean_batch_size"] >= 0.0
@@ -97,11 +99,11 @@ class TestWorkerPool:
     def test_pool_compiles_one_execution_state(self, store, explain_rows):
         with WorkerPool(store, "tiny", n_replicas=3,
                         flush_kwargs={"n_candidates": 4}) as pool:
-            leader = pool.replicas[0].service
+            leader = pool.replicas[0]
             for replica in pool.replicas[1:]:
-                assert replica.service.runner is leader.runner
-                assert replica.service.core_strategy is leader.core_strategy
-                assert replica.service.pipeline is leader.pipeline
+                assert replica.runner is leader.runner
+                assert replica.core_strategy is leader.core_strategy
+                assert replica.pipeline is leader.pipeline
             # every replica flushes through the one shared strategy, so
             # the shared runner's single-slot memo holds ONE plan
             pool.flush_rows(explain_rows[:12])
@@ -109,41 +111,14 @@ class TestWorkerPool:
             plan = leader.runner.plan_for(strategy)
             pool.flush_rows(explain_rows[12:24])
             for replica in pool.replicas:
-                assert replica.service._core_strategy_for(4) is strategy
-                assert replica.service.runner.plan_for(strategy) is plan
-
-    def test_shared_weights_bind_every_replica(self, store, explain_rows):
-        with WorkerPool(store, "tiny", n_replicas=2) as pool:
-            blackbox = pool.replicas[0].service.explainer.blackbox
-            for _name, tensor in blackbox.named_parameters(
-                    include_frozen=True):
-                assert pool.shared.owns_buffer_of(tensor.data)
-            result = pool.explain_batch(explain_rows[:4])
-            assert len(result.x_cf) == 4
+                assert replica._core_strategy_for(4) is strategy
+                assert replica.runner.plan_for(strategy) is plan
 
     def test_shared_weights_can_be_disabled(self, store, explain_rows):
-        with WorkerPool(store, "tiny", n_replicas=2,
+        # the removed options still accept their one remaining value
+        with WorkerPool(store, "tiny", n_replicas=2, backend="thread",
                         shared_weights=False) as pool:
-            assert pool.shared is None
-            assert pool.stats()["aggregate"]["shared_weight_bytes"] == 0
-            pool.explain_batch(explain_rows[:4])
-
-    def test_process_backend_parity(self, store, sync_service, explain_rows):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        reference = sync_service.explain_batch(explain_rows[:8])
-        with WorkerPool(store, "tiny", n_replicas=2,
-                        backend="process") as pool:
-            result = pool.explain_batch(explain_rows[:8])
-            np.testing.assert_array_equal(result.x_cf, reference.x_cf[:8])
-            flushed = pool.flush_rows(explain_rows[:4])
-            stats = pool.stats()
-        assert len(flushed) == 4
-        assert all("x_cf" in entry for entry in flushed)
-        assert stats["aggregate"]["requests"] == 12
-        assert stats["aggregate"]["backend"] == "process"
+            assert len(pool.explain_batch(explain_rows[:4]).x_cf) == 4
 
 
 class TestAdoptExecution:

@@ -99,6 +99,15 @@ class TestExecution:
         assert "strategy dice_random" in out
         assert "fit strategy" in out
 
+    def test_serve_demo_through_the_pool_and_async_front(self, capsys, tmp_path):
+        code = main(["serve-demo", "--scale", "smoke", "--rows", "16",
+                     "--artifact-dir", str(tmp_path / "store"),
+                     "--workers", "2", "--async"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "async front (2 replicas)" in out
+        assert "POOL STATS (2 replicas)" in out
+
     def test_list_scenarios(self, capsys, tmp_path):
         code = main(["list-scenarios", "--out", str(tmp_path)])
         assert code == 0
