@@ -105,6 +105,8 @@ class CFTrainingConfig:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.epochs <= 0:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
+        if self.warmstart_epochs < 0:
+            raise ValueError(f"warmstart_epochs must be >= 0, got {self.warmstart_epochs}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.proximity_metric not in ("l1", "l2"):

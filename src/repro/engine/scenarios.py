@@ -345,7 +345,11 @@ def run_scenario(
     Loads the dataset and trains the shared black-box (or warm-starts it
     from ``store``), builds and fits the strategy, then scores it through
     the shared engine runner.  ``context``/``runner`` allow a sweep to
-    reuse the trained context across scenarios of the same dataset.
+    reuse the trained context across scenarios of the same dataset; the
+    strategy fits inside the context's warm-start memo
+    (:func:`repro.models.training.warm_start_memo`), so a reconstruction
+    warm start an earlier scenario of the context already trained is
+    restored instead of retrained.
 
     Density scenarios (``scenario.density`` set) fit the named estimator
     on the desired-class training rows, causal scenarios
@@ -361,6 +365,7 @@ def run_scenario(
     one was assigned.
     """
     from ..experiments.harness import prepare_context
+    from ..models.training import warm_start_memo
     from .backends import backend_for
     from .runner import EngineRunner
     from .strategy import build_strategy
@@ -396,7 +401,8 @@ def run_scenario(
         config=config,
         **scenario.params(),
     )
-    strategy.fit(context.x_train, context.y_train)
+    with warm_start_memo(context.warm_starts):
+        strategy.fit(context.x_train, context.y_train)
 
     hosts_model = (
         scenario.density is not None

@@ -9,7 +9,7 @@ paper's order.  All method construction and evaluation plumbing lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,16 @@ TABLE4_METHOD_ORDER = STRATEGY_NAMES
 
 @dataclass
 class ExperimentContext:
-    """Shared state for one dataset's experiments."""
+    """Shared state for one dataset's experiments.
+
+    ``warm_starts`` is the context's reconstruction warm-start memo
+    (:func:`repro.models.training.warm_start_memo`): ``run_scenario``
+    opens it around each strategy's fit, so scenarios sharing the
+    context (a Table IV row, ``ours_unary`` next to its ``+inloss``
+    variant) train an identical warm start once and restore it
+    bit-identically after that.  It dies with the context; two
+    ``prepare_context`` calls never share an entry.
+    """
 
     bundle: object
     blackbox: object
@@ -40,6 +49,7 @@ class ExperimentContext:
     scale: object
     seed: int
     blackbox_accuracy: float
+    warm_starts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dataset(self):

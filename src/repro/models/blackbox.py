@@ -24,7 +24,7 @@ from ..nn import (
     check_finite_loss,
 )
 from ..nn.functional import sigmoid_forward
-from ..utils.validation import check_2d, check_2d_fast, check_binary_labels
+from ..utils.validation import check_2d, check_2d_fast, check_binary_labels, check_loop_sizes
 
 __all__ = ["BlackBoxClassifier", "train_classifier", "accuracy"]
 
@@ -95,6 +95,7 @@ def train_classifier(model, x, y, epochs=30, lr=0.05, batch_size=256,
     :class:`~repro.nn.TrainingDivergedError` at the first non-finite loss,
     before the optimiser steps on it.
     """
+    check_loop_sizes(epochs, batch_size)
     x = check_2d(x, "x")
     y = check_binary_labels(y, "y").astype(np.float64)
     if len(x) != len(y):

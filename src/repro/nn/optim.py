@@ -25,6 +25,14 @@ __all__ = ["Optimizer", "SGD", "Adam"]
 _ALL = slice(None)
 
 
+def check_writeable(parameter):
+    """Raise ``ValueError`` if ``parameter`` cannot be updated in place."""
+    if not parameter.data.flags.writeable:
+        raise ValueError(
+            "cannot update a read-only parameter in place; it is "
+            "bound to a read-only view (e.g. shared serving weights)")
+
+
 class _FlatGroup:
     """Parameters of one dtype, laid end to end in flat state buffers."""
 
@@ -50,10 +58,7 @@ class _FlatGroup:
         start = 0
         for parameter, end in zip(self.parameters, self.ends):
             if parameter.grad is not None:
-                if not parameter.data.flags.writeable:
-                    raise ValueError(
-                        "cannot update a read-only parameter in place; it is "
-                        "bound to a read-only view (e.g. shared serving weights)")
+                check_writeable(parameter)
                 live.append(parameter)
                 spans.append((start, end))
             start = end

@@ -606,6 +606,7 @@ class ExplanationService:
                 "feasible": bool(result.feasible[i]),
                 "chosen": int(diagnostics["chosen"][i]),
                 "n_usable": int(diagnostics["n_usable"][i]),
+                "n_valid": int(diagnostics["n_valid"][i]),
             }
         with self._lock:
             self.flushes += 1

@@ -7,11 +7,13 @@ for binary classification inputs.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = ["SchemaMismatchError", "check_2d", "check_2d_fast",
            "check_binary_labels", "check_desired", "check_encoded_rows", "check_encoded_sweep",
-           "check_probability", "check_positive", "check_schema_width",
+           "check_loop_sizes", "check_probability", "check_positive", "check_schema_width",
            "check_training_labels", "resolve_desired"]
 
 
@@ -178,6 +180,18 @@ def check_desired(desired):
     if desired is not None and desired not in (0, 1):
         check_binary_labels(np.reshape(desired, 1), "desired")
     return desired
+
+
+def check_loop_sizes(epochs, batch_size):
+    """Raise ``ValueError`` unless ``epochs`` is an int >= 0 and ``batch_size`` an int >= 1.
+
+    Training loops call this before touching any state: a negative batch
+    size would train on nothing and return NaN losses, a zero one fails
+    inside ``range``, and a negative epoch count silently trains nothing.
+    """
+    for name, value, low in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 def check_probability(value, name="probability"):

@@ -22,6 +22,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CFTrainingConfig(epochs=-1)
 
+    def test_rejects_negative_warmstart_epochs(self):
+        with pytest.raises(ValueError, match="warmstart_epochs"):
+            CFTrainingConfig(warmstart_epochs=-1)
+        assert CFTrainingConfig(warmstart_epochs=0).warmstart_epochs == 0
+
     def test_rejects_bad_optimizer(self):
         with pytest.raises(ValueError):
             CFTrainingConfig(optimizer="rmsprop")

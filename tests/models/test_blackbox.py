@@ -80,6 +80,35 @@ class TestTraining:
         train_classifier(model, x, y, epochs=1)
         assert not model.training
 
+    @pytest.mark.parametrize("sizes, name", [
+        ({"batch_size": -5}, "batch_size"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"batch_size": 2.5}, "batch_size"),
+        ({"epochs": -1}, "epochs"),
+        ({"epochs": 1.0}, "epochs"),
+    ])
+    def test_rejects_degenerate_loop_sizes(self, sizes, name):
+        x, y = separable_data(50)
+        model = make_model()
+        model.eval()
+        before = model.state_dict()
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=name):
+            train_classifier(model, x, y, rng=rng, **sizes)
+        assert not model.training
+        assert rng.bit_generator.state == state
+        for key, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
+
+    def test_zero_epochs_trains_nothing(self):
+        x, y = separable_data(50)
+        model = make_model()
+        before = model.state_dict()
+        assert train_classifier(model, x, y, epochs=0) == []
+        for key, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
+
     def test_deterministic_given_seeds(self):
         x, y = separable_data(100)
         model_a = make_model(seed=3)

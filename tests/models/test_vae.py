@@ -155,3 +155,24 @@ class TestReconstructionTraining:
         x, labels = toy_data(60)
         train_reconstruction_vae(vae, x, labels, epochs=1)
         assert not vae.training
+
+    @pytest.mark.parametrize("sizes, name", [
+        ({"batch_size": -5}, "batch_size"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"batch_size": True}, "batch_size"),
+        ({"epochs": -1}, "epochs"),
+        ({"epochs": 2.0}, "epochs"),
+    ])
+    def test_rejects_degenerate_loop_sizes(self, sizes, name):
+        vae = make_vae()
+        vae.eval()
+        x, labels = toy_data(60)
+        before = vae.state_dict()
+        rng = np.random.default_rng(1)
+        states = [rng.bit_generator.state, vae._noise_rng.bit_generator.state]
+        with pytest.raises(ValueError, match=name):
+            train_reconstruction_vae(vae, x, labels, rng=rng, **sizes)
+        assert not vae.training
+        assert [rng.bit_generator.state, vae._noise_rng.bit_generator.state] == states
+        for key, value in vae.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])

@@ -171,7 +171,8 @@ class TestCorePathParity:
                     {"x_cf": cs.candidates[index], "desired": int(target),
                      "predicted": int(target) if valid else 1 - int(target),
                      "valid": valid, "feasible": bool(cs.feasible[index]),
-                     "chosen": index, "n_usable": int(cs.usable_mask.sum())},
+                     "chosen": index, "n_usable": int(cs.usable_mask.sum()),
+                     "n_valid": int(cs.valid.sum())},
                     context="flush vs generate_candidates+closest pick")
 
     def test_hosted_flush_honours_n_candidates_and_rng(self, tiny_pipeline,
@@ -197,6 +198,7 @@ class TestCorePathParity:
             assert resolved["feasible"] == bool(result.feasible[i])
             assert resolved["chosen"] == int(diagnostics["chosen"][i])
             assert resolved["n_usable"] == int(diagnostics["n_usable"][i])
+            assert resolved["n_valid"] == int(diagnostics["n_valid"][i])
 
     def test_default_rng_flush_reuses_one_plan(self, tiny_pipeline, explain_rows):
         service = ExplanationService(tiny_pipeline)
