@@ -1,9 +1,8 @@
-"""Local benchmark: exact vs ANN density queries over growing reference sizes.
+"""Benchmark: exact vs ANN density queries over growing reference sizes.
 
-One Adult Census population — the downloadable UCI file when it is
-cached or reachable, else a synthetic upsample of the same schema (the
-``source`` field says which) — is encoded once and sliced to each
-reference size.  At every size the exact ``cKDTree`` and the IVF
+One synthetic Adult population (``generate_adult``, seeded, no missing
+cells) is encoded once and sliced to each reference size.  At every
+size the exact ``cKDTree`` and the IVF
 :class:`repro.density.ann.AnnIndex` answer the same k-NN query batch,
 and the contract is checked in order:
 
@@ -15,9 +14,10 @@ and the contract is checked in order:
    printed but not checked.
 
 The script exits non-zero (an ``AssertionError``) when either check
-fails and prints one JSON object per run.  It is not part of CI: the
-100k and 1M sizes take minutes.  Tier-1 holds the recall floor up to
-10k reference rows (``tests/density/test_ann.py``).  Run it with::
+fails and prints one JSON object per run.  CI runs it at 1k and 10k
+reference rows (the recall check; the speedup floor starts at 100k);
+the 100k and 1M sizes take minutes.  Tier-1 holds the recall floor up
+to 10k reference rows (``tests/density/test_ann.py``).  Run it with::
 
     PYTHONPATH=src python benchmarks/bench_density_at_scale.py \
         --sizes 1000 10000 100000 1000000
@@ -34,7 +34,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.data import TabularEncoder, dataset_schema, load_downloadable  # noqa: E402
+from repro.data import TabularEncoder, dataset_schema, generate_adult  # noqa: E402
 from repro.density import KnnDensity, recall_at_k  # noqa: E402
 
 #: Reference sizes measured by default.
@@ -68,10 +68,8 @@ def run_density_at_scale(sizes=DEFAULT_SIZES, seed=0, n_queries=512):
     sizes = sorted(int(size) for size in sizes)
     if not sizes:
         raise ValueError("sizes must be non-empty")
-    schema = dataset_schema("adult")
-    frame, _, source = load_downloadable("adult_uci", n_rows=max(sizes), seed=seed)
-    encoder = TabularEncoder(schema).fit(frame)
-    encoded = encoder.transform_chunked(frame, chunk_size=16384)
+    frame, _ = generate_adult(max(sizes), seed=seed, missing_fraction=0.0)
+    encoded = TabularEncoder(dataset_schema("adult")).fit_transform(frame)
 
     rng = np.random.default_rng(seed + 1)
     picked = rng.choice(len(encoded), size=min(n_queries, len(encoded)), replace=False)
@@ -111,8 +109,7 @@ def run_density_at_scale(sizes=DEFAULT_SIZES, seed=0, n_queries=512):
             "speedup_checked": size >= ANN_GATE_ROWS,
         })
 
-    return {"dataset": "adult_uci", "source": source, "queries": int(len(queries)),
-            "sizes": rows}
+    return {"dataset": "adult", "queries": int(len(queries)), "sizes": rows}
 
 
 def main(argv=None):

@@ -2,8 +2,7 @@
 
 Runs every method of the paper's Table IV on the smoke-scale Adult
 dataset and regenerates the comparison table.  Shape assertions encode
-the paper's qualitative findings (see EXPERIMENTS.md for the
-paper-vs-measured numbers at the larger `standard` scale).
+the paper's qualitative findings.
 """
 
 from repro.experiments import build_table4, run_table4

@@ -2,8 +2,8 @@
 
 Regenerates Tables I-V and Figure 6 at a chosen scale and writes the
 rendered artifacts to ``results/<scale>/``.  The ``standard`` scale
-(20k-instance cap) is what EXPERIMENTS.md records; ``fast`` finishes in
-about a minute.
+caps each dataset at 20k instances; ``fast`` finishes in about a
+minute.
 
 Run with:  python examples/reproduce_paper.py [fast|standard|smoke|paper]
 """

@@ -101,10 +101,6 @@ def build_parser():
                              "six-part objective with differentiable "
                              "density and causal terms (ours_* strategies "
                              "only)")
-    parser.add_argument("--backend", default=None,
-                        help="plan backend run-scenario compiles onto "
-                             "(e.g. numpy, float32; default: the scenario's "
-                             "assigned backend)")
     return parser
 
 
@@ -390,7 +386,7 @@ def _run_serve_demo(dataset, scale, seed, out_dir, artifact_dir, rows,
 
 def _run_scenario(scenario_name, scale, seed, out_dir, density=None,
                   density_backend=None, causal=None, ensemble=None,
-                  backend=None, inloss=False):
+                  inloss=False):
     """Run one registered scenario and print its Table IV-style row.
 
     ``density`` / ``causal`` switch to the scenario's ``+<model>``
@@ -401,9 +397,7 @@ def _run_scenario(scenario_name, scale, seed, out_dir, density=None,
     ``ensemble`` switches to the ``+robust`` variant, resized to K
     members when K differs from the registered default.
     ``density_backend`` overrides the scenario's neighbour backend (an
-    ``@ann`` ad-hoc variant) without touching the registry.  ``backend``
-    picks the backend the scenario's :class:`repro.engine.ExplainPlan`
-    compiles onto.
+    ``@ann`` ad-hoc variant) without touching the registry.
     """
     import dataclasses
 
@@ -443,7 +437,7 @@ def _run_scenario(scenario_name, scale, seed, out_dir, density=None,
             scenario = dataclasses.replace(scenario, name=variant)
     if ensemble is not None and scenario.ensemble != ensemble:
         scenario = dataclasses.replace(scenario, ensemble=ensemble)
-    result = run_scenario(scenario, scale=scale, seed=seed, backend=backend)
+    result = run_scenario(scenario, scale=scale, seed=seed)
     report = result.report
     rows = [
         ["validity", report.validity],
@@ -529,8 +523,7 @@ def main(argv=None):
                       density=args.density,
                       density_backend=args.density_backend,
                       causal=args.causal,
-                      ensemble=args.ensemble, backend=args.backend,
-                      inloss=args.inloss)
+                      ensemble=args.ensemble, inloss=args.inloss)
     if args.command == "list-scenarios":
         _run_list_scenarios(args.strategy, out_dir)
     if args.command == "all":

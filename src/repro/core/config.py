@@ -8,6 +8,7 @@ experimentation" — tuned for this substrate.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 __all__ = [
@@ -99,6 +100,12 @@ class CFTrainingConfig:
     loss_causal: CausalLossConfig = CausalLossConfig()
 
     def __post_init__(self):
+        # range() and slicing in the training loops need real ints: a
+        # float batch size would only fail there, with a bare TypeError
+        for name in ("batch_size", "epochs", "warmstart_epochs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size <= 0:
@@ -144,9 +151,9 @@ class CFTrainingConfig:
 #: The hyperparameters exactly as Table III reports them (learning rate,
 #: batch size, epochs).  The paper's learning rates drive *their* training
 #: framework; on this numpy substrate the equivalent schedule is Adam at
-#: 1e-3 (see EXPERIMENTS.md), so these rows keep the paper's epoch/batch
-#: structure while ``learning_rate``/``optimizer`` hold the tuned values
-#: and ``paper_learning_rate`` records the published number.
+#: 1e-3, so ``TABLE3_SETTINGS`` keeps the paper's epoch/batch structure
+#: with the tuned ``learning_rate``/``optimizer`` defaults, while the
+#: ``learning_rate`` entries here record the published numbers.
 PAPER_TABLE3 = {
     ("adult", "unary"): {"learning_rate": 0.2, "batch_size": 2048, "epochs": 25},
     ("adult", "binary"): {"learning_rate": 0.2, "batch_size": 2048, "epochs": 50},

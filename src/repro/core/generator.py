@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import SGD, Adam, CompiledStep, Tensor, check_finite_loss, host
-from ..utils.validation import check_2d, resolve_desired
+from ..utils.validation import check_2d, check_loop_sizes, resolve_desired
 from .losses import FourPartLoss
 
 __all__ = ["CFVAEGenerator"]
@@ -135,6 +135,7 @@ class CFVAEGenerator:
         :class:`~repro.nn.TrainingDivergedError` at the first non-finite
         loss, before the optimiser steps on it.
         """
+        check_loop_sizes(self.config.epochs, self.config.batch_size)
         x = check_2d(x, "x")  # rejects empty batches with a clean ValueError
         cfg = self.config.scaled_for(len(x))
         desired = resolve_desired(self.blackbox, x, desired)

@@ -6,16 +6,6 @@ relations the constraints reference (see DESIGN.md section 2).
 """
 
 from .adult import ADULT_SCHEMA, EDUCATION_LEVELS, EDUCATION_MIN_AGE, generate_adult
-from .download import (
-    DownloadableDataset,
-    DownloadError,
-    data_cache_dir,
-    downloadable_names,
-    fetch_dataset,
-    load_downloadable,
-    register_downloadable,
-    upsample,
-)
 from .frame import TabularFrame
 from .kdd_census import (
     KDD_EDUCATION_LEVELS,
@@ -44,7 +34,4 @@ __all__ = [
     "TabularEncoder", "clean", "train_val_test_split",
     "DatasetBundle", "load_dataset", "dataset_names", "dataset_schema",
     "PAPER_SIZES",
-    "DownloadableDataset", "DownloadError", "data_cache_dir",
-    "downloadable_names", "fetch_dataset", "load_downloadable",
-    "register_downloadable", "upsample",
 ]

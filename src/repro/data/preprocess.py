@@ -121,32 +121,6 @@ class TabularEncoder:
         """Shorthand for ``fit(frame).transform(frame)``."""
         return self.fit(frame).transform(frame)
 
-    def transform_chunked(self, frame, chunk_size=8192, out=None):
-        """Encode ``frame`` in row chunks; returns the full matrix.
-
-        The streaming twin of :meth:`transform` for 100k–1M-row
-        reference populations: rows are encoded ``chunk_size`` at a time
-        into ``out`` (any array-like with the right shape — typically an
-        ``np.lib.format.open_memmap`` so the encoded population lives on
-        disk, never fully resident).  Values are identical to
-        :meth:`transform` row for row; only the allocation pattern
-        differs.  Returns ``out``.
-        """
-        self._require_fitted()
-        chunk_size = int(chunk_size)
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if out is None:
-            out = np.zeros((frame.n_rows, self.n_encoded), dtype=np.float64)
-        if out.shape != (frame.n_rows, self.n_encoded):
-            raise ValueError(
-                f"out has shape {out.shape}, expected "
-                f"{(frame.n_rows, self.n_encoded)}")
-        for start in range(0, frame.n_rows, chunk_size):
-            stop = min(start + chunk_size, frame.n_rows)
-            out[start:stop] = self.transform(frame.take(np.arange(start, stop)))
-        return out
-
     # -- fitted-state persistence ---------------------------------------------
     def get_state(self):
         """JSON-serialisable fitted state (schema name + continuous ranges).

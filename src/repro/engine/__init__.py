@@ -14,22 +14,14 @@ sparsity and density actually runs:
 * :mod:`repro.engine.runner` — ``EngineRunner``: immutable projection,
   validity filtering, feasibility evaluation, candidate selection and
   Table IV scoring, hosted once for every method and the serving layer.
+* :mod:`repro.engine.plan` — ``ExplainPlan``, the one implementation of
+  the row -> CF chain: traced once per (runner, strategy) pair and
+  replayed as one whole-batch float64 pass by ``EngineRunner.run``.
 * :mod:`repro.engine.scenarios` — the declarative scenario registry
   (dataset x strategy x constraint config) the harness, CLI and bench
   iterate over.
 """
 
-from .backends import (
-    DEFAULT_BACKEND,
-    NumpyBackend,
-    PlanBackend,
-    TiledFloat32Backend,
-    assign_backend,
-    backend_for,
-    backend_names,
-    get_backend,
-    register_backend,
-)
 from .kernel import CompiledConstraintSet, FeasibilityReport, compile_constraints
 from .plan import ExplainPlan, PlanStage
 from .runner import EngineRunner
@@ -52,7 +44,6 @@ from .strategy import (
 )
 
 __all__ = [
-    "DEFAULT_BACKEND",
     "STRATEGY_NAMES",
     "CFStrategy",
     "CandidateBatch",
@@ -62,18 +53,11 @@ __all__ = [
     "EngineRunner",
     "ExplainPlan",
     "FeasibilityReport",
-    "NumpyBackend",
-    "PlanBackend",
     "PlanStage",
     "Scenario",
     "ScenarioResult",
-    "TiledFloat32Backend",
-    "assign_backend",
-    "backend_for",
-    "backend_names",
     "build_strategy",
     "compile_constraints",
-    "get_backend",
     "get_scenario",
     "iter_scenarios",
     "register_scenario",

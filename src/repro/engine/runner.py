@@ -34,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..constraints import ConstraintSet, ImmutableProjector, build_constraints
-from .backends import DEFAULT_BACKEND
 from .kernel import CompiledConstraintSet, FeasibilityReport
 
 __all__ = ["EngineRunner"]
@@ -127,7 +126,7 @@ class EngineRunner:
             raise ValueError(
                 f"robust_quorum must be in (0, 1], got {robust_quorum}")
         self.robust_quorum = float(robust_quorum)
-        #: ``(strategy, backend, plan)`` single-slot memo behind
+        #: ``(strategy, plan)`` single-slot memo behind
         #: :meth:`plan_for`.
         self._plan_memo = None
 
@@ -148,39 +147,36 @@ class EngineRunner:
             return list(range(len(self.kernel)))
 
     # -- compiled plans -----------------------------------------------------
-    def compile(self, strategy, backend=DEFAULT_BACKEND):
+    def compile(self, strategy):
         """Trace the fixed chain for ``strategy`` into a fresh :class:`ExplainPlan`.
 
-        The plan resolves the constraint flag columns and lets the
-        backend prepare once, then replays the whole pipeline as a
-        single fused sweep per :meth:`ExplainPlan.execute` call.  The
-        default ``"numpy"`` backend runs the whole batch as one float64
-        tile; ``"float32"`` streams contiguous tiles with a float32
-        validity GEMM.
+        The plan resolves the constraint flag columns once, then replays
+        the whole pipeline as one whole-batch pass per
+        :meth:`ExplainPlan.execute` call.
         """
         from .plan import ExplainPlan
 
-        return ExplainPlan(self, strategy, backend=backend)
+        return ExplainPlan(self, strategy)
 
     # -- core pipeline ------------------------------------------------------
     def project(self, x, candidates):
         """Immutable projection over a full ``(n, m, d)`` candidate batch."""
         return self.projector.project(x, candidates)
 
-    def plan_for(self, strategy, backend=DEFAULT_BACKEND):
-        """The memoised :class:`ExplainPlan` for ``strategy`` on ``backend``.
+    def plan_for(self, strategy):
+        """The memoised :class:`ExplainPlan` for ``strategy``.
 
-        A single-slot memo keyed on the strategy's identity and the
-        backend spec: serving the same strategy again replays the plan
-        compiled for it, while a different strategy or backend compiles
-        afresh and replaces the slot — so the runner never holds more
-        than one plan (and one strategy) alive.
+        A single-slot memo keyed on the strategy's identity: serving the
+        same strategy again replays the plan compiled for it, while a
+        different strategy compiles afresh and replaces the slot — so
+        the runner never holds more than one plan (and one strategy)
+        alive.
         """
         memo = self._plan_memo
-        if memo is not None and memo[0] is strategy and memo[1] == backend:
-            return memo[2]
-        plan = self.compile(strategy, backend=backend)
-        self._plan_memo = (strategy, backend, plan)
+        if memo is not None and memo[0] is strategy:
+            return memo[1]
+        plan = self.compile(strategy)
+        self._plan_memo = (strategy, plan)
         return plan
 
     def run(self, strategy, x, desired=None, return_diagnostics=False, plan=None):
@@ -196,7 +192,7 @@ class EngineRunner:
         candidate.
 
         ``plan`` replays an explicitly compiled plan (from
-        :meth:`compile`, e.g. on another backend) instead; ``strategy``
+        :meth:`compile`) instead; ``strategy``
         may then be ``None`` (the plan carries its own) but must
         otherwise be the compiled strategy.
         """
@@ -229,8 +225,7 @@ class EngineRunner:
         density model additionally fills the report's
         ``mean_knn_distance`` column from the run's own density scores.
         ``plan`` scores through an explicitly compiled
-        :class:`ExplainPlan` (e.g. on another backend) instead of the
-        strategy's memoised one.
+        :class:`ExplainPlan` instead of the strategy's memoised one.
         """
         from ..metrics import evaluate_counterfactuals
 

@@ -337,9 +337,7 @@ def get_scenario(name):
     return _SCENARIOS[name]
 
 
-def run_scenario(
-    scenario, scale=None, seed=0, store=None, context=None, runner=None, backend=None
-):
+def run_scenario(scenario, scale=None, seed=0, store=None, context=None, runner=None):
     """Run one scenario end to end; returns a :class:`ScenarioResult`.
 
     Loads the dataset and trains the shared black-box (or warm-starts it
@@ -358,22 +356,14 @@ def run_scenario(
     :class:`repro.models.BlackBoxEnsemble` of that size around the
     context's shared black-box; any of these runs through a dedicated
     model-hosting runner — a passed ``runner`` is not mutated.
-
-    ``backend`` names the plan backend the strategy is compiled onto;
-    the default (``None``) is the scenario's assigned backend
-    (:func:`repro.engine.backends.assign_backend`), ``"numpy"`` unless
-    one was assigned.
     """
     from ..experiments.harness import prepare_context
     from ..models.training import warm_start_memo
-    from .backends import backend_for
     from .runner import EngineRunner
     from .strategy import build_strategy
 
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    if backend is None:
-        backend = backend_for(scenario.name)
     if context is None:
         context = prepare_context(
             scenario.dataset,
@@ -453,7 +443,6 @@ def run_scenario(
         stats=context.stats,
         report_kinds=report_kinds_for(scenario.strategy),
         method_name=scenario.strategy,
-        plan=runner.plan_for(strategy, backend=backend),
     )
     return ScenarioResult(
         scenario=scenario,

@@ -1,9 +1,9 @@
 """Experiment scales: the same pipeline at different data sizes.
 
 ``paper`` uses the exact Table I instance counts; ``standard`` caps each
-dataset at ~20k raw rows (the default for EXPERIMENTS.md runs — the
-pipeline, methods and metrics are identical, only n shrinks); ``fast``
-and ``smoke`` shrink further for benchmarks and tests.
+dataset at ~20k raw rows (the pipeline, methods and metrics are
+identical, only n shrinks); ``fast`` and ``smoke`` shrink further for
+benchmarks and tests.
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ from .pipeline import TrainedPipeline, pipeline_fingerprint, train_pipeline
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
-    "MMAP_THRESHOLD",
     "ArtifactError",
     "ArtifactStore",
     "OverlayKind",
@@ -47,14 +46,6 @@ __all__ = [
 #: Bump when the artifact layout or manifest schema changes; loading an
 #: artifact written under any other version raises StaleArtifactError.
 ARTIFACT_FORMAT_VERSION = 1
-
-#: Overlay state arrays at or above this many bytes are written as
-#: standalone ``<kind>.<key>.npy`` sidecar files instead of entries in
-#: the ``<kind>.npz`` bundle, so loads can hand them back as
-#: ``np.load(..., mmap_mode="r")`` memory maps — a 1M-row reference
-#: population never gets a second resident copy.  The zip-framed npz
-#: container cannot be memory-mapped, which is why the format splits.
-MMAP_THRESHOLD = 1 << 20
 
 _MANIFEST = "manifest.json"
 _BLACKBOX = "blackbox.npz"
@@ -178,9 +169,8 @@ class ArtifactStore:
         lazily on the first :meth:`save`.
     """
 
-    def __init__(self, root, mmap_threshold=MMAP_THRESHOLD):
+    def __init__(self, root):
         self.root = pathlib.Path(root)
-        self.mmap_threshold = int(mmap_threshold)
 
     def artifact_dir(self, name):
         """Directory of the artifact called ``name``."""
@@ -387,14 +377,11 @@ class ArtifactStore:
     def _save_overlay(self, name, model, label, npz_name, meta_name):
         """Persist a fitted model's flat state next to artifact ``name``.
 
-        Small arrays of the state go into ``<label>.npz``; arrays at or
-        above the store's ``mmap_threshold`` bytes are written as
-        standalone ``<label>.<key>.npy`` sidecars (loadable with
-        ``mmap_mode="r"``).  Scalar state, the model fingerprint and the
-        per-file checksums go into a ``<label>.json`` sidecar (written
-        last, like the manifest).  The artifact itself must already
-        exist — model state is an overlay on a trained pipeline, never a
-        standalone artifact.
+        Every array of the state goes into ``<label>.npz``; scalar
+        state, the model fingerprint and the npz checksum go into a
+        ``<label>.json`` sidecar (written last, like the manifest).  The
+        artifact itself must already exist — model state is an overlay
+        on a trained pipeline, never a standalone artifact.
         """
         if not self.exists(name):
             raise ArtifactError(
@@ -404,25 +391,12 @@ class ArtifactStore:
         arrays = {k: v for k, v in state.items() if isinstance(v, np.ndarray)}
         scalars = {k: v for k, v in state.items() if not isinstance(v, np.ndarray)}
         target = self.artifact_dir(name)
-        for stale in target.glob(f"{label}.*.npy"):
-            stale.unlink()
-        large = {k: v for k, v in arrays.items() if v.nbytes >= self.mmap_threshold}
-        small = {k: v for k, v in arrays.items() if k not in large}
-        np.savez(target / npz_name, **small)
-        mmap_arrays = {}
-        for key in sorted(large):
-            filename = f"{label}.{key}.npy"
-            np.save(target / filename, np.ascontiguousarray(large[key]))
-            mmap_arrays[key] = {
-                "file": filename,
-                "checksum": _file_sha256(target / filename),
-            }
+        np.savez(target / npz_name, **arrays)
         meta = {
             "format_version": ARTIFACT_FORMAT_VERSION,
             "created_at": time.time(),
             "state": scalars,
-            "array_keys": sorted(small),
-            "mmap_arrays": mmap_arrays,
+            "array_keys": sorted(arrays),
             "fingerprint": model.fingerprint(),
             "checksum": _file_sha256(target / npz_name),
         }
@@ -452,6 +426,17 @@ class ArtifactStore:
                 expected=ARTIFACT_FORMAT_VERSION,
                 found=version,
             )
+        # arrays of >= 1 MiB once went to standalone .npy files this
+        # code no longer reads
+        moved = sorted(meta.get("mmap_arrays") or ())
+        if moved:
+            raise StaleArtifactError(
+                f"{label} state of {name!r} keeps {', '.join(moved)} in .npy "
+                f"files outside {npz_name}, a layout this code no longer reads; "
+                f"refit and re-save",
+                expected=[],
+                found=moved,
+            )
 
         npz_path = target / npz_name
         if not npz_path.is_file():
@@ -468,22 +453,6 @@ class ArtifactStore:
         with np.load(npz_path) as data:
             for key in meta["array_keys"]:
                 state[key] = data[key]
-        # large arrays live in standalone .npy sidecars so they come
-        # back as read-only memory maps — checksummed in streaming
-        # chunks, never copied into resident memory (pre-split overlays
-        # have no mmap_arrays entry and take only the npz path above)
-        for key, entry in meta.get("mmap_arrays", {}).items():
-            mmap_path = target / entry["file"]
-            if not mmap_path.is_file():
-                raise ArtifactError(f"artifact {name!r} is missing {entry['file']}")
-            actual = _file_sha256(mmap_path)
-            if actual != entry["checksum"]:
-                raise ArtifactError(
-                    f"artifact {name!r}: {entry['file']} fails its checksum "
-                    f"(expected {entry['checksum'][:12]}..., got {actual[:12]}...); "
-                    f"the file is corrupted or was edited after save"
-                )
-            state[key] = np.load(mmap_path, mmap_mode="r")
         return state, meta
 
     def _check_overlay_fingerprint(self, name, model, meta, label, expected_fingerprint):

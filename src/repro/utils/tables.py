@@ -2,7 +2,8 @@
 
 The experiment harness prints every reproduced table in the same row
 layout the paper uses; this module owns the formatting so tables render
-identically in the terminal, in EXPERIMENTS.md and in benchmark output.
+identically in the terminal, in written result files and in benchmark
+output.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Tests for CFTrainingConfig and the Table III settings."""
 
+import numpy as np
 import pytest
 
 from repro.core import CFTrainingConfig, TABLE3_SETTINGS, fast_config, paper_config
@@ -26,6 +27,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="warmstart_epochs"):
             CFTrainingConfig(warmstart_epochs=-1)
         assert CFTrainingConfig(warmstart_epochs=0).warmstart_epochs == 0
+
+    def test_rejects_non_int_loop_sizes(self):
+        for field, value in (("batch_size", 40.5), ("epochs", 2.0),
+                             ("warmstart_epochs", True)):
+            with pytest.raises(ValueError, match=f"{field} must be an int"):
+                CFTrainingConfig(**{field: value})
+        assert CFTrainingConfig(batch_size=np.int64(64)).batch_size == 64
 
     def test_rejects_bad_optimizer(self):
         with pytest.raises(ValueError):

@@ -45,6 +45,17 @@ class TestGeneratorBranches:
         generator.fit(x_train[:300])
         assert len(generator.history) == 2
 
+    def test_fit_rejects_non_int_batch_size(self, pieces):
+        # a config that skipped its own validation still fails before
+        # any training state is touched
+        bundle, blackbox, x_train = pieces
+        config = fast_config(epochs=1)
+        object.__setattr__(config, "batch_size", 40.5)
+        generator = make_generator(bundle, blackbox, config)
+        with pytest.raises(ValueError, match="batch_size must be an int"):
+            generator.fit(x_train[:100])
+        assert generator.history == []
+
     def test_desired_length_validation(self, pieces):
         bundle, blackbox, x_train = pieces
         generator = make_generator(bundle, blackbox, fast_config(epochs=1))

@@ -189,39 +189,3 @@ class TestEncoderProperties:
         assert encoded.min() >= -1e-12
         assert encoded.max() <= 1.0 + 1e-12
 
-
-class TestTransformChunked:
-    @pytest.fixture(scope="class")
-    def fitted(self):
-        frame, labels = clean(*generate_adult(n_instances=500, seed=3))
-        return TabularEncoder(ADULT_SCHEMA).fit(frame), frame
-
-    def test_parity_with_single_shot(self, fitted):
-        enc, frame = fitted
-        full = enc.transform(frame)
-        chunked = enc.transform_chunked(frame, chunk_size=64)
-        np.testing.assert_array_equal(chunked, full)
-
-    def test_writes_into_caller_buffer(self, fitted):
-        enc, frame = fitted
-        out = np.zeros((frame.n_rows, enc.n_encoded))
-        returned = enc.transform_chunked(frame, chunk_size=100, out=out)
-        assert returned is out
-        np.testing.assert_array_equal(out, enc.transform(frame))
-
-    def test_writes_into_memmap(self, fitted, tmp_path):
-        enc, frame = fitted
-        out = np.lib.format.open_memmap(
-            tmp_path / "encoded.npy", mode="w+", dtype=np.float64,
-            shape=(frame.n_rows, enc.n_encoded))
-        enc.transform_chunked(frame, chunk_size=128, out=out)
-        out.flush()
-        back = np.load(tmp_path / "encoded.npy", mmap_mode="r")
-        np.testing.assert_array_equal(np.asarray(back), enc.transform(frame))
-
-    def test_rejects_bad_chunk_and_shape(self, fitted):
-        enc, frame = fitted
-        with pytest.raises(ValueError, match="chunk_size"):
-            enc.transform_chunked(frame, chunk_size=0)
-        with pytest.raises(ValueError, match="out"):
-            enc.transform_chunked(frame, out=np.zeros((1, enc.n_encoded)))

@@ -6,10 +6,8 @@ replays a fresh one and ``evaluate`` scores a run.  Each must produce
 exactly what the historical stage-by-stage chain
 (``tests.helpers.parity.staged_run``) produces — same counterfactuals,
 same flags, same diagnostics — for every strategy on every registry
-dataset, with and without hosted density/causal/ensemble models.  The
-default ``"numpy"`` backend is pinned bit-identical; the tiled
-``"float32"`` backend is pinned on hard outputs (predictions, validity,
-feasibility, the chosen candidates).
+dataset, with and without hosted density/causal/ensemble models,
+pinned bit-identical.
 """
 
 import numpy as np
@@ -17,7 +15,6 @@ import pytest
 
 from repro.core import fast_config
 from repro.engine import CandidateBatch, CoreCFStrategy, EngineRunner, build_strategy
-from repro.engine.plan import ExplainPlan
 from repro.experiments.harness import prepare_context
 from repro.experiments.runconfig import ExperimentScale
 from repro.utils.validation import SchemaMismatchError
@@ -270,16 +267,6 @@ class TestRunnerMemo:
         # single slot: switching back compiles again, nothing is retained
         assert runner.plan_for(first) is not plan
 
-    def test_backend_switch_recompiles(self, context):
-        runner = EngineRunner(context.bundle.encoder, context.blackbox)
-        strategy = _SweepStrategy(context.x_explain, m=3, seed=1)
-        numpy_plan = runner.plan_for(strategy)
-        tiled = runner.plan_for(strategy, backend="float32")
-        assert tiled is not numpy_plan
-        assert tiled.backend.name == "float32"
-        assert runner.plan_for(strategy, backend="float32") is tiled
-        assert runner.plan_for(strategy).backend.name == "numpy"
-
     def test_concurrent_runs_never_cross_strategies(self, context):
         # threads share one runner (as pool replicas do) and keep
         # replacing its single memo slot; each run must still replay
@@ -324,50 +311,14 @@ class TestRunnerMemo:
         assert runner.plan_for(strategy) is memoised
 
 
-class TestTiledFloat32HardParity:
-    def test_hard_outputs_match_staged(self, context, hosted):
-        density, causal, _ = hosted
-        runner = EngineRunner(
-            context.bundle.encoder, context.blackbox, density=density,
-            causal=causal)
-        strategy = _SweepStrategy(context.x_explain, m=9, seed=5)
-        staged = staged_run(runner, strategy, context.x_explain, context.desired)
-        # tile_rows=7 exercises a ragged final tile on every dataset
-        from repro.engine import TiledFloat32Backend
-
-        plan = runner.compile(
-            strategy, backend=TiledFloat32Backend(tile_rows=7))
-        tiled = plan.execute(context.x_explain, context.desired)
-        np.testing.assert_array_equal(tiled.predicted, staged.predicted)
-        np.testing.assert_array_equal(tiled.valid, staged.valid)
-        np.testing.assert_array_equal(tiled.feasible, staged.feasible)
-        np.testing.assert_array_equal(tiled.x_cf, staged.x_cf)
-
-    def test_tiles_cover_rows_exactly_once(self):
-        from repro.engine import TiledFloat32Backend
-
-        backend = TiledFloat32Backend(tile_rows=7)
-        tiles = backend.tiles(23, 4, 10)
-        covered = np.concatenate([np.arange(23)[t] for t in tiles])
-        np.testing.assert_array_equal(covered, np.arange(23))
-
-    def test_rejects_nonpositive_tile_rows(self):
-        from repro.engine import TiledFloat32Backend
-
-        with pytest.raises(ValueError, match="tile_rows"):
-            TiledFloat32Backend(tile_rows=0)
-
-
 class TestPlanIdentity:
-    def test_fingerprint_is_deterministic_and_backend_sensitive(
+    def test_fingerprint_is_deterministic_and_density_sensitive(
             self, context, hosted):
         density, _, _ = hosted
         runner = EngineRunner(context.bundle.encoder, context.blackbox)
         strategy = _SweepStrategy(context.x_explain, m=4, seed=1)
         assert (runner.compile(strategy).fingerprint()
                 == runner.compile(strategy).fingerprint())
-        assert (runner.compile(strategy).fingerprint()
-                != runner.compile(strategy, backend="float32").fingerprint())
         dense = EngineRunner(
             context.bundle.encoder, context.blackbox, density=density)
         assert (runner.compile(strategy).fingerprint()
@@ -400,15 +351,6 @@ class TestPlanIdentity:
             runner.run(
                 _SweepStrategy(context.x_explain, m=2, seed=1),
                 context.x_explain, context.desired, plan=plan)
-
-    def test_compile_accepts_backend_instance(self, context):
-        from repro.engine import NumpyBackend
-
-        runner = EngineRunner(context.bundle.encoder, context.blackbox)
-        strategy = _SweepStrategy(context.x_explain, m=2, seed=1)
-        backend = NumpyBackend()
-        plan = ExplainPlan(runner, strategy, backend=backend)
-        assert plan.backend is backend
 
 
 class TestPlanInputFuzz:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.data import dataset_names
 from repro.engine import (
+    EngineRunner,
     Scenario,
     get_scenario,
     iter_scenarios,
@@ -15,6 +16,7 @@ from repro.engine import (
 from repro.engine.scenarios import report_kinds_for
 from repro.engine.strategy import STRATEGY_NAMES
 from repro.experiments.runconfig import ExperimentScale
+from tests.helpers.parity import staged_runner
 
 
 class TestRegistry:
@@ -206,3 +208,23 @@ class TestDensityBackend:
             assert result.report.mean_knn_distance is not None
         finally:
             module._SCENARIOS.pop("test/ann-density", None)
+
+
+class TestRunScenarioDispatch:
+    @pytest.fixture(scope="class")
+    def context(self):
+        from repro.experiments.harness import prepare_context
+
+        return prepare_context("adult", scale=ExperimentScale("tiny", 900, 12, 4), seed=0)
+
+    def test_plan_engine_reproduces_staged_report(self, context):
+        # a runner whose run is the staged reference scores the same row
+        reference = staged_runner(EngineRunner(context.bundle.encoder, context.blackbox))
+        staged = run_scenario("adult/cem", context=context, runner=reference)
+        compiled = run_scenario("adult/cem", context=context)
+        assert compiled.report == staged.report
+
+    def test_rejects_unknown_engine(self, context):
+        # the staged/plan knob is gone: every scenario replays a plan
+        with pytest.raises(TypeError, match="engine"):
+            run_scenario("adult/cem", context=context, engine="plan")

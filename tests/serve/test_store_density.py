@@ -1,5 +1,8 @@
 """Density state persistence and density-aware warm-start serving."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,27 @@ class TestDensityPersistence:
         other.save_overlay("b", "density", model)
         with pytest.raises(StaleArtifactError, match="does not match"):
             other.load_overlay("b", "density", expected_fingerprint="deadbeefdeadbeef")
+
+    def test_overlay_with_arrays_outside_the_npz_is_stale(self, trained, tmp_path):
+        """An overlay whose meta lists ``mmap_arrays`` (arrays of >= 1 MiB
+        written as standalone ``<label>.<key>.npy`` files) asks for a
+        refit instead of loading or failing with a KeyError."""
+        store, pipeline, reference = trained
+        old = ArtifactStore(tmp_path / "old")
+        old.save(pipeline, name="b")
+        old.save_overlay("b", "density", KnnDensity(k_neighbors=5).fit(reference))
+        target = old.artifact_dir("b")
+        np.save(target / "density.reference.npy", reference)
+        np.savez(target / "density.npz")
+        meta = json.loads((target / "density.json").read_text())
+        meta["array_keys"] = []
+        meta["checksum"] = hashlib.sha256((target / "density.npz").read_bytes()).hexdigest()
+        npy_sha = hashlib.sha256((target / "density.reference.npy").read_bytes()).hexdigest()
+        meta["mmap_arrays"] = {
+            "reference": {"file": "density.reference.npy", "checksum": npy_sha}}
+        (target / "density.json").write_text(json.dumps(meta))
+        with pytest.raises(StaleArtifactError, match="reference.*refit and re-save"):
+            old.load_overlay("b", "density")
 
 
 class TestDensityAwareServing:
