@@ -1,7 +1,7 @@
 """Ablation: sweep of the causal-constraint penalty weight.
 
-DESIGN.md calls out the feasibility weight as the paper's central loss
-knob ("feasibility was utilized both as a learning parameter and as an
+The paper treats the feasibility weight as its central loss knob
+("feasibility was utilized both as a learning parameter and as an
 evaluation metric").  This sweep shows feasibility rising with the
 weight while validity stays near 100%.
 """

@@ -45,7 +45,7 @@ class MahajanExplainer(BaseCFExplainer):
         self.name = f"mahajan_{constraint_kind}"
         self.constraint_kind = constraint_kind
         base = config or CFTrainingConfig()
-        # Faithful differences from our method (see DESIGN.md): no sparsity
+        # Faithful differences from our method: no sparsity
         # term; ELBO-style squared reconstruction proximity; a milder causal
         # term (Mahajan et al. regularise with a learned causal-proximity
         # score rather than our hard hinge penalties); and a larger margin /

@@ -13,9 +13,6 @@ Counterfactual Explanations"):
   schema),
 * ``abduct(x)`` — recover each row's exogenous residuals under the
   structural equations (step 1 of abduction-action-prediction),
-* ``intervene(x, interventions)`` — apply ``do()``-style actions and
-  push them through the equations with the abducted noise, returning a
-  full encoded matrix,
 * ``repair_batch(x, candidates)`` — the engine-facing hot path: make a
   whole ``(n, m, d)`` candidate sweep causally consistent in ONE
   vectorized pass, bit-identical to repairing one input row's
@@ -86,18 +83,6 @@ class CausalModel(ABC):
 
         Returns a dict mapping a stable relation label to an ``(n,)``
         residual array (empty for models without additive equations).
-        """
-
-    @abstractmethod
-    def intervene(self, x, interventions, noise=None):
-        """Push ``do()``-style actions through the model for rows ``x``.
-
-        ``interventions`` maps feature names to new raw values (scalar
-        or ``(n,)``; categorical features accept labels or ranks).
-        Intervened features are severed from their own equations; every
-        downstream equation re-evaluates with the abducted ``noise``
-        (recomputed from ``x`` when ``None``).  Returns a full encoded
-        ``(n, d)`` matrix.
         """
 
     @abstractmethod

@@ -32,7 +32,7 @@ __all__ = ["MinedCausalModel", "ScmCausalModel"]
 
 
 class _FeatureCodec:
-    """Read/write per-feature scalar values on encoded matrices.
+    """Read per-feature scalar values from encoded matrices.
 
     Values are *raw units*: de-normalised floats for continuous
     features, 0/1 for binary, hard (argmax) integer ranks for
@@ -99,34 +99,6 @@ class _FeatureCodec:
             low, high = self.ranges[name]
             return 1e-6 * (high - low)
         return 1e-6
-
-    def coerce(self, name, value, n_rows):
-        """An intervention value as an ``(n_rows,)`` raw-value array."""
-        if self.kinds[name] == "categorical":
-            labels = self.categories[name]
-            values = np.asarray(value, dtype=object).reshape(-1)
-            if len(values) == 1:
-                values = np.repeat(values, n_rows)
-            converted = [labels.index(v) if isinstance(v, str) else int(v) for v in values]
-            ranks = np.array(converted, dtype=np.float64)
-        else:
-            ranks = np.broadcast_to(np.asarray(value, dtype=np.float64), (n_rows,)).copy()
-        if len(ranks) != n_rows:
-            raise ValueError(
-                f"intervention on {name!r} has {len(ranks)} values for {n_rows} rows"
-            )
-        return ranks
-
-    def write(self, out, name, raw):
-        """Write raw values of one feature back into encoded matrix ``out``."""
-        kind = self.kinds[name]
-        if kind == "categorical":
-            block = self.columns[name]
-            ranks = np.asarray(raw).astype(int)
-            out[:, block] = 0.0
-            out[np.arange(len(out)), block.start + ranks] = 1.0
-        else:
-            out[:, self.columns[name]] = self.encode_value(name, raw)
 
 
 class ScmCausalModel(CausalModel):
@@ -243,51 +215,6 @@ class ScmCausalModel(CausalModel):
                 column = self._codec.columns[effect]
                 encoded = self._codec.encode_value(effect, v_cf[effect])
                 out[:, column] = np.where(changed, encoded, out[:, column])
-        return out
-
-    def intervene(self, x, interventions, noise=None):
-        """Apply ``do()`` actions and push them through the equations.
-
-        Intervened features are severed from their own equations
-        (Pearl's do-operator); downstream equations re-evaluate with the
-        abducted residuals, floors and monotone bounds included, in
-        topological order.  Features no equation touches are copied from
-        ``x`` unchanged.
-        """
-        x = check_encoded_rows(x, self.encoder, "x")
-        n = len(x)
-        all_names = tuple(self._codec.kinds)
-        observed = self._codec.read(x, all_names)
-        actions = {}
-        for name, value in dict(interventions).items():
-            if name not in self._codec.kinds:
-                raise KeyError(f"intervention target {name!r} is not in the schema")
-            actions[name] = self._codec.coerce(name, value, n)
-
-        values = dict(observed)
-        values.update(actions)
-        residuals = self.abduct(x) if noise is None else dict(noise)
-        for eq in self.equations:
-            effect = eq.effect
-            if effect in actions:
-                continue
-            if eq.mode == "monotone":
-                new = np.maximum(values[effect], observed[effect])
-            elif eq.mode == "floor":
-                floor = eq.predict({c: values[c] for c in eq.causes})
-                new = np.maximum(values[effect], floor)
-            else:
-                moved = self._causes_moved(eq, observed, values)
-                predicted = eq.predict({c: values[c] for c in eq.causes})
-                new = np.where(moved, predicted + residuals[eq.label], values[effect])
-            low, high = self._codec.clip_range(effect)
-            clipped = np.clip(new, low, high)
-            values[effect] = np.where(new != values[effect], clipped, values[effect])
-
-        out = x.copy()
-        for name in all_names:
-            if np.any(values[name] != observed[name]):
-                self._codec.write(out, name, values[name])
         return out
 
     # -- persistence ---------------------------------------------------------
@@ -486,25 +413,6 @@ class MinedCausalModel(CausalModel):
             # within the domain there)
             out[:, column] = np.maximum(out[:, column], np.minimum(floor, 1.0))
         return out
-
-    def intervene(self, x, interventions, noise=None):
-        """Apply actions, then monotone-repair every mined implication.
-
-        The mined model has no generative equations to re-predict from;
-        an intervention sets the acted-on features and the repair lifts
-        each relation's effect to its implied floor — the counterfactual
-        one obtains by *doing* the action and conceding the causally
-        implied side effects, and nothing else.
-        """
-        x = check_encoded_rows(x, self.encoder, "x")
-        self._require_fitted()
-        n = len(x)
-        acted = x.copy()
-        for name, value in dict(interventions).items():
-            if name not in self._codec.kinds:
-                raise KeyError(f"intervention target {name!r} is not in the schema")
-            self._codec.write(acted, name, self._codec.coerce(name, value, n))
-        return self._repair_flat(x, acted)
 
     # -- persistence ---------------------------------------------------------
     def get_state(self):

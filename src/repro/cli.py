@@ -471,13 +471,13 @@ def _run_list_scenarios(strategy, out_dir):
     from .engine import iter_scenarios
     from .utils.tables import render_table
 
-    rows = [[s.name, s.dataset, s.strategy, s.constraint_kind, s.desired,
+    rows = [[s.name, s.dataset, s.strategy, s.constraint_kind,
              s.density or "-", s.causal or "-",
              f"K{s.ensemble}" if s.ensemble else "-",
              "six-part" if s.inloss else "-"]
             for s in iter_scenarios(strategy=strategy)]
     text = render_table(
-        ["scenario", "dataset", "strategy", "kind", "desired", "density",
+        ["scenario", "dataset", "strategy", "kind", "density",
          "causal", "robust", "inloss"], rows,
         title=f"Scenario registry ({len(rows)} entries)")
     _emit(text, out_dir, "scenarios.txt")

@@ -21,7 +21,7 @@ from .explainer import FeasibleCFExplainer
 from .generator import CFVAEGenerator
 from .losses import FourPartLoss, sparsity_penalty
 from .result import CFBatchResult
-from .selection import CandidateSet, DensityCFSelector, generate_candidates
+from .selection import DensityCFSelector
 
 __all__ = [
     "CFTrainingConfig", "paper_config", "TABLE3_SETTINGS", "PAPER_TABLE3", "fast_config",
@@ -29,5 +29,5 @@ __all__ = [
     "DEFAULT_INLOSS_DENSITY_WEIGHT", "DEFAULT_INLOSS_CAUSAL_WEIGHT",
     "FourPartLoss", "sparsity_penalty",
     "CFVAEGenerator", "CFBatchResult", "FeasibleCFExplainer",
-    "CandidateSet", "DensityCFSelector", "generate_candidates",
+    "DensityCFSelector",
 ]

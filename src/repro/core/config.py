@@ -57,7 +57,7 @@ class CausalLossConfig:
     """Settings for the in-objective (differentiable) causal term.
 
     ``kind`` names the causal model the surrogate is built from —
-    ``"scm"`` penalises squared residuals of the abduct→intervene
+    ``"scm"`` penalises squared residuals of the dataset's
     structural equations, ``"mined"`` applies squared hinge penalties
     to mined monotone relations.
     """

@@ -175,7 +175,7 @@ class FeasibleCFExplainer:
             self._compiled = self.constraints.compile()
         return self._compiled
 
-    def as_strategy(self, name=None, n_candidates=1, noise_scale=None, rng=None):
+    def as_strategy(self, name=None, n_candidates=1, rng=None):
         """Expose this explainer through the engine's strategy API.
 
         With ``n_candidates=1`` the strategy proposes the deterministic
@@ -184,8 +184,7 @@ class FeasibleCFExplainer:
         """
         from ..engine import CoreCFStrategy
 
-        return CoreCFStrategy(self, name=name, n_candidates=n_candidates,
-                              noise_scale=noise_scale, rng=rng)
+        return CoreCFStrategy(self, name=name, n_candidates=n_candidates, rng=rng)
 
     def _engine_runner(self):
         """Cached :class:`repro.engine.EngineRunner` over this pipeline."""

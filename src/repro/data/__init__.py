@@ -2,7 +2,8 @@
 
 Replaces the paper's UCI/LSAC downloads with structural-causal-model
 samplers that match each dataset's published schema and the causal
-relations the constraints reference (see DESIGN.md section 2).
+relations the constraints reference (``docs/causal.md`` states those
+mechanisms as the structural equations the causal layer acts on).
 """
 
 from .adult import ADULT_SCHEMA, EDUCATION_LEVELS, EDUCATION_MIN_AGE, generate_adult

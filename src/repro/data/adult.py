@@ -140,7 +140,7 @@ def generate_adult(n_instances=RAW_INSTANCES, seed=0, missing_fraction=None):
     -------
     (frame, labels):
         ``frame`` has missing values still present (call
-        :func:`repro.data.preprocess.drop_missing`); ``labels`` is the
+        :func:`repro.data.preprocess.clean`); ``labels`` is the
         0/1 income array aligned with the frame.
     """
     rng = np.random.default_rng(seed)

@@ -2,8 +2,8 @@
 
 The evaluation environment has no pandas, so :class:`TabularFrame` provides
 the small slice of DataFrame behaviour the pipeline needs: named columns
-backed by numpy arrays, row subsetting, missing-value handling and pretty
-row rendering for the Table V style output.
+backed by numpy arrays, row subsetting and access, and a missing-cell
+mask.
 
 Conventions
 -----------
@@ -77,22 +77,6 @@ class TabularFrame:
         return f"TabularFrame({self.n_rows} rows x {self.n_columns} columns)"
 
     # -- construction helpers ----------------------------------------------
-    def with_column(self, name, values):
-        """Return a new frame with column ``name`` added or replaced."""
-        columns = dict(self._columns)
-        columns[name] = values
-        return TabularFrame(columns)
-
-    def without_columns(self, names):
-        """Return a new frame lacking the given columns."""
-        names = set(names)
-        remaining = {k: v for k, v in self._columns.items() if k not in names}
-        return TabularFrame(remaining)
-
-    def select(self, names):
-        """Return a new frame with only the given columns, in that order."""
-        return TabularFrame({name: self[name] for name in names})
-
     def take(self, indices):
         """Return a new frame with the rows at ``indices`` (any order)."""
         indices = np.asarray(indices)
@@ -113,44 +97,9 @@ class TabularFrame:
                 mask |= np.isnan(column.astype(np.float64))
         return mask
 
-    def drop_missing(self):
-        """Return a frame with every incomplete row removed."""
-        keep = ~self.missing_mask()
-        return self.take(np.flatnonzero(keep))
-
     # -- row access ----------------------------------------------------------
     def row(self, index):
         """Return row ``index`` as an ordered dict of scalars."""
         if not -self._length <= index < self._length:
             raise IndexError(f"row {index} out of range for {self._length} rows")
         return {name: column[index] for name, column in self._columns.items()}
-
-    def iter_rows(self):
-        """Yield each row as a dict (slow path, test/reporting use only)."""
-        for index in range(self._length):
-            yield self.row(index)
-
-    def format_row(self, index, digits=2):
-        """Render one row as aligned ``feature: value`` lines (Table V style)."""
-        parts = []
-        for name, value in self.row(index).items():
-            if isinstance(value, (float, np.floating)):
-                parts.append(f"{name}: {value:.{digits}f}")
-            else:
-                parts.append(f"{name}: {value}")
-        return "\n".join(parts)
-
-    @staticmethod
-    def concat(frames):
-        """Stack frames with identical columns vertically."""
-        frames = list(frames)
-        if not frames:
-            raise ValueError("need at least one frame")
-        names = frames[0].column_names
-        for frame in frames[1:]:
-            if frame.column_names != names:
-                raise ValueError("frames have mismatching columns")
-        return TabularFrame({
-            name: np.concatenate([frame[name] for frame in frames])
-            for name in names
-        })

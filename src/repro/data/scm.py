@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "sigmoid",
     "standardize",
-    "ordinal_from_score",
     "sample_categorical",
     "conditional_categorical",
     "bernoulli_logit",
@@ -38,19 +37,6 @@ def standardize(values):
     if std == 0:
         return np.zeros_like(values)
     return (values - values.mean()) / std
-
-
-def ordinal_from_score(rng, score, n_levels, noise=0.6):
-    """Map a latent score to ordinal levels ``0 .. n_levels-1``.
-
-    The score is standardised, perturbed with Gaussian noise and binned
-    through evenly spaced normal quantiles, so higher scores land in
-    higher levels on average while preserving stochasticity.
-    """
-    z = standardize(score) + rng.normal(0.0, noise, size=len(score))
-    # Spread the standard normal into n_levels equal-probability bins.
-    edges = np.quantile(z, np.linspace(0, 1, n_levels + 1)[1:-1])
-    return np.digitize(z, edges)
 
 
 def sample_categorical(rng, labels, probabilities, size):

@@ -22,7 +22,7 @@ sparsity and density actually runs:
   iterate over.
 """
 
-from .kernel import CompiledConstraintSet, FeasibilityReport, compile_constraints
+from .kernel import CompiledConstraintSet, FeasibilityReport
 from .plan import ExplainPlan, PlanStage
 from .runner import EngineRunner
 from .scenarios import (
@@ -57,7 +57,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "build_strategy",
-    "compile_constraints",
     "get_scenario",
     "iter_scenarios",
     "register_scenario",

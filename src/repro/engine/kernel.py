@@ -39,7 +39,7 @@ from ..constraints.binary import OrdinalImplicationConstraint
 from ..constraints.immutables import ImmutablesRespected
 from ..constraints.unary import MonotonicIncreaseConstraint
 
-__all__ = ["CompiledConstraintSet", "FeasibilityReport", "compile_constraints"]
+__all__ = ["CompiledConstraintSet", "FeasibilityReport"]
 
 
 class FeasibilityReport:
@@ -249,11 +249,10 @@ def _lower(constraints):
 class CompiledConstraintSet:
     """A :class:`ConstraintSet` lowered into one vectorized evaluator.
 
-    Build it through :meth:`ConstraintSet.compile` (or
-    :func:`compile_constraints`); evaluation then runs in a single fused
-    pass with no per-constraint Python dispatch, no per-call constraint
-    rebuilding, and no materialised input repetition for candidate
-    sweeps.
+    Build it through :meth:`ConstraintSet.compile`; evaluation then runs
+    in a single fused pass with no per-constraint Python dispatch, no
+    per-call constraint rebuilding, and no materialised input repetition
+    for candidate sweeps.
     """
 
     def __init__(self, constraint_set):
@@ -323,10 +322,3 @@ class CompiledConstraintSet:
     def evaluate(self, x, x_cf):
         """One pass, everything: mask, AND-flags and rates as a report."""
         return FeasibilityReport(self._mask_t(x, x_cf), self.names)
-
-
-def compile_constraints(constraints):
-    """Functional alias: compile a set (or iterable) of constraints."""
-    if isinstance(constraints, CompiledConstraintSet):
-        return constraints
-    return CompiledConstraintSet(constraints)

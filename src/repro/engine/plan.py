@@ -82,8 +82,7 @@ class ExplainPlan:
             PlanStage("project", "broadcast immutable projection"),
         ]
         if runner.causal is not None:
-            verb = "repair" if runner.causal_repair else "score"
-            stages.append(PlanStage("causal", f"{type(runner.causal).__name__} ({verb})"))
+            stages.append(PlanStage("causal", type(runner.causal).__name__))
         stages.append(PlanStage("predict", "black-box validity"))
         stages.append(
             PlanStage(
@@ -116,7 +115,6 @@ class ExplainPlan:
             "density": None if runner.density is None else runner.density.fingerprint(),
             "density_weight": runner.density_weight,
             "causal": None if runner.causal is None else runner.causal.fingerprint(),
-            "causal_repair": runner.causal_repair,
             "ensemble": None if runner.ensemble is None else runner.ensemble.fingerprint(),
             "robust_quorum": runner.robust_quorum,
         }
@@ -149,12 +147,11 @@ class ExplainPlan:
 
         cand = runner.project(x, batch.candidates)
         row_causal = None
-        if runner.causal is not None and (runner.causal_repair or return_diagnostics):
+        if runner.causal is not None:
             repaired = runner.causal.repair_batch(x, cand, validate=False)
             if return_diagnostics:
                 row_causal = np.abs(repaired - cand).sum(axis=2)
-            if runner.causal_repair:
-                cand = repaired
+            cand = repaired
         flat = cand.reshape(n * m, d)
 
         predicted = runner.blackbox.predict(flat)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..constraints import ConstraintSet, ImmutableProjector, build_constraints
+from ..utils.validation import check_positive
 from .kernel import CompiledConstraintSet, FeasibilityReport
 
 __all__ = ["EngineRunner"]
@@ -63,7 +64,9 @@ class EngineRunner:
         density column.  ``None`` (the default) keeps the historical
         closest-L1 selection bit for bit.
     density_weight:
-        Trade-off ``lambda`` of the density-aware selection score.
+        Trade-off ``lambda`` of the density-aware selection score; a
+        finite value > 0 (a negative one would invert Figure 3 and prefer
+        sparse regions, and NaN would make every score NaN).
     causal:
         Optional *fitted* :class:`repro.causal.CausalModel`.  When
         hosted, every strategy's candidate batches are causally repaired
@@ -73,11 +76,6 @@ class EngineRunner:
         diagnostics, and :meth:`evaluate` fills the Table IV
         ``causal_plausibility`` column.  ``None`` (the default) keeps
         the historical pipeline bit for bit.
-    causal_repair:
-        When ``False`` the hosted model only *scores* candidates (the
-        diagnostics and report column still fill) without rewriting
-        them — for measuring how causally plausible a strategy's raw
-        proposals are.
     ensemble:
         Optional trained :class:`repro.models.BlackBoxEnsemble`.  When
         hosted, every candidate sweep is additionally scored against all
@@ -102,7 +100,6 @@ class EngineRunner:
         density=None,
         density_weight=1.0,
         causal=None,
-        causal_repair=True,
         ensemble=None,
         robust_quorum=0.5,
     ):
@@ -118,9 +115,8 @@ class EngineRunner:
             self.kernel = constraints.compile()
         self.projector = ImmutableProjector(encoder)
         self.density = density
-        self.density_weight = float(density_weight)
+        self.density_weight = check_positive(density_weight, "density_weight")
         self.causal = causal
-        self.causal_repair = bool(causal_repair)
         self.ensemble = ensemble
         if not 0.0 < float(robust_quorum) <= 1.0:
             raise ValueError(

@@ -1,11 +1,12 @@
 """Declarative scenario registry: dataset x strategy x constraint config.
 
 A :class:`Scenario` names one complete explanation workload — which
-dataset to load, which strategy to run, which causal-constraint model to
-evaluate against and how the desired class is chosen.  The experiment
-harness, the CLI (``repro.cli run-scenario``) and the benchmark matrix
-all iterate the same registry, so a method x dataset x constraint sweep
-is a one-liner instead of bespoke glue per entry point.
+dataset to load, which strategy to run and which causal-constraint model
+to evaluate against.  Every run targets the schema's desired class for
+the context's undesired-class rows (the paper's loan-approval setup).
+The experiment harness, the CLI (``repro.cli run-scenario``) and the
+benchmark matrix all iterate the same registry, so a method x dataset x
+constraint sweep is a one-liner instead of bespoke glue per entry point.
 
 Built-in scenarios cover the full Table IV grid (every registry dataset
 times every strategy name) plus the density variants — every grid entry
@@ -71,10 +72,6 @@ class Scenario:
     constraint_kind:
         Constraint model the *context* trains against (``unary`` or
         ``binary``); also the artifact-store kind for warm starts.
-    desired:
-        Desired-class policy: ``"paper"`` targets the schema's desired
-        class for undesired-class rows (the paper's loan-approval
-        setup); ``"flip"`` flips each row's black-box prediction.
     scale:
         Default experiment scale name (overridable at run time).
     strategy_params:
@@ -121,7 +118,6 @@ class Scenario:
     dataset: str
     strategy: str
     constraint_kind: str = "unary"
-    desired: str = "paper"
     scale: str = "fast"
     strategy_params: tuple = field(default_factory=tuple)
     density: str = None
@@ -157,12 +153,13 @@ DEFAULT_ENSEMBLE_SIZE = 4
 def register_scenario(scenario, overwrite=False):
     """Add a scenario to the registry; returns it.
 
-    Validates the dataset and strategy names eagerly so a sweep cannot
-    fail halfway through on a typo.
+    Validates the names and sizes eagerly so a sweep cannot fail
+    halfway through on a typo.
     """
     from ..causal import CAUSAL_NAMES
     from ..data import dataset_names
     from ..density import DENSITY_BACKENDS, DENSITY_NAMES
+    from ..utils.validation import check_count
 
     if scenario.dataset not in dataset_names():
         raise KeyError(
@@ -170,8 +167,6 @@ def register_scenario(scenario, overwrite=False):
         )
     if scenario.strategy not in STRATEGY_NAMES:
         raise KeyError(f"unknown strategy {scenario.strategy!r}; options: {STRATEGY_NAMES}")
-    if scenario.desired not in ("paper", "flip"):
-        raise ValueError(f"desired policy must be 'paper' or 'flip', got {scenario.desired!r}")
     if scenario.density is not None and scenario.density not in DENSITY_NAMES:
         raise KeyError(
             f"unknown density estimator {scenario.density!r}; options: {DENSITY_NAMES}"
@@ -185,8 +180,7 @@ def register_scenario(scenario, overwrite=False):
         raise KeyError(
             f"unknown causal model {scenario.causal!r}; options: {CAUSAL_NAMES}"
         )
-    if scenario.ensemble < 0:
-        raise ValueError(f"ensemble must be >= 0, got {scenario.ensemble}")
+    check_count(scenario.ensemble, "ensemble", 0)
     if not 0.0 < scenario.robust_quorum <= 1.0:
         raise ValueError(
             f"robust_quorum must be in (0, 1], got {scenario.robust_quorum}"
@@ -435,11 +429,10 @@ def run_scenario(scenario, scale=None, seed=0, store=None, context=None, runner=
     elif runner is None:
         runner = EngineRunner(encoder, context.blackbox)
 
-    desired = context.desired if scenario.desired == "paper" else None
     report = runner.evaluate(
         strategy,
         context.x_explain,
-        desired,
+        context.desired,
         stats=context.stats,
         report_kinds=report_kinds_for(scenario.strategy),
         method_name=scenario.strategy,

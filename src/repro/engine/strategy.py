@@ -129,21 +129,23 @@ class CoreCFStrategy(CFStrategy):
     n_candidates:
         Candidates proposed per row.  ``1`` decodes the deterministic
         posterior mean (the one-shot ``explain`` path); larger values add
-        latent-perturbation diversity for density-aware selection,
-        consuming the same noise stream as
-        :func:`repro.core.selection.generate_candidates`.
-    noise_scale, rng:
-        Latent-noise knobs for the diverse mode (defaults mirror
-        ``generate_candidates``).
+        latent-perturbation diversity (the "perturbed the output of the
+        encoder" step of Section III-C): Gaussian latent noise of scale
+        ``max(latent_noise, 0.05)``, drawn for every row in one generator
+        call in row-major order (identical to sampling row by row), and
+        all ``n * m`` latents decode in one batched pass, candidate 0 of
+        each row being the zero-noise decode.
+    rng:
+        Noise stream of the diverse mode; defaults to a fresh
+        ``default_rng(seed + 500)`` per proposal.
     """
 
-    def __init__(self, explainer, name=None, n_candidates=1, noise_scale=None, rng=None):
+    def __init__(self, explainer, name=None, n_candidates=1, rng=None):
         self.explainer = explainer
         self.name = name or f"ours_{explainer.constraint_kind}"
         self.n_candidates = int(n_candidates)
         if self.n_candidates < 1:
             raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
-        self.noise_scale = noise_scale
         self.rng = rng
         self.seed = explainer.seed
 
@@ -164,8 +166,6 @@ class CoreCFStrategy(CFStrategy):
         x = explainer._check_rows(x, "x")
         desired = resolve_desired(explainer.blackbox, x, desired)
 
-        from ..core.selection import candidate_noise_defaults, perturb_latents
-
         vae = generator.vae
         vae.eval()
         n, d = x.shape
@@ -174,9 +174,12 @@ class CoreCFStrategy(CFStrategy):
         if m == 1:
             decoded = vae.decode_array(mu, desired)
         else:
-            # the exact noise stream generate_candidates consumes
-            noise_scale, rng = candidate_noise_defaults(explainer, self.noise_scale, self.rng)
-            z = perturb_latents(mu, m, noise_scale, rng)
+            rng = self.rng or np.random.default_rng(explainer.seed + 500)
+            noise_scale = max(generator.config.latent_noise, 0.05)
+            latent_dim = mu.shape[1]
+            noise = rng.normal(0.0, noise_scale, size=(n, m, latent_dim))
+            noise[:, 0, :] = 0.0  # always include the deterministic candidate
+            z = (mu[:, None, :] + noise).reshape(n * m, latent_dim)
             labels = np.repeat(np.asarray(desired, dtype=np.float64), m)
             decoded = vae.decode_latent(z, labels)
         return CandidateBatch(x=x, desired=desired, candidates=decoded.reshape(n, m, d))
@@ -187,7 +190,6 @@ class CoreCFStrategy(CFStrategy):
         info = super().describe()
         info["constraint_kind"] = self.explainer.constraint_kind
         info["n_candidates"] = self.n_candidates
-        info["noise_scale"] = self.noise_scale
         info["config"] = {
             key: (float(value) if isinstance(value, float) else value)
             for key, value in asdict(self.explainer.config).items()
@@ -235,12 +237,10 @@ def build_strategy(method_name, encoder, blackbox, dataset=None, seed=0, config=
     dataset = dataset or encoder.schema.name
     if method_name in ("ours_unary", "ours_binary"):
         kind = method_name.split("_")[1]
-        # diversity knobs belong to the strategy wrapper, the rest to the
+        # the sweep size belongs to the strategy wrapper, the rest to the
         # explainer constructor (e.g. the density scenarios ask for a
         # multi-candidate sweep via n_candidates)
-        strategy_params = {
-            key: params.pop(key) for key in ("n_candidates", "noise_scale") if key in params
-        }
+        n_candidates = params.pop("n_candidates", 1)
         explainer = FeasibleCFExplainer(
             encoder,
             constraint_kind=kind,
@@ -249,7 +249,7 @@ def build_strategy(method_name, encoder, blackbox, dataset=None, seed=0, config=
             seed=seed,
             **params,
         )
-        return CoreCFStrategy(explainer, name=method_name, **strategy_params)
+        return CoreCFStrategy(explainer, name=method_name, n_candidates=n_candidates)
     if method_name in ("mahajan_unary", "mahajan_binary"):
         kind = method_name.split("_")[1]
         return MahajanExplainer(

@@ -8,8 +8,6 @@ diagnostics make it measurable:
   the two classes occupy distinct regions.
 * :func:`centroid_separation` — distance between class centroids scaled
   by the mean within-class spread (a silhouette-flavoured ratio).
-* :func:`density_grid` — 2-D histogram per label, the numeric analogue of
-  the colour density in the published figure.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import numpy as np
 
 from ..density import KnnDensity
 
-__all__ = ["knn_label_agreement", "centroid_separation", "density_grid"]
+__all__ = ["knn_label_agreement", "centroid_separation"]
 
 
 def knn_label_agreement(embedding, labels, k=10):
@@ -62,39 +60,3 @@ def centroid_separation(embedding, labels):
     spread_b = np.linalg.norm(b - centroid_b, axis=1).mean() if len(b) else 0.0
     within = (spread_a + spread_b) / 2.0
     return float(between / (within + 1e-12))
-
-
-def _span_edges(values, bins):
-    """Histogram bin edges over a coordinate, padded when degenerate.
-
-    A constant coordinate would produce zero-width (non-increasing)
-    edges, which ``np.histogram2d`` rejects; padding half a unit either
-    side keeps the grid well-formed with every point in the middle bins.
-    """
-    lo, hi = float(values.min()), float(values.max())
-    if hi - lo < 1e-12:
-        lo, hi = lo - 0.5, hi + 0.5
-    return np.linspace(lo, hi, bins + 1)
-
-
-def density_grid(embedding, labels, bins=20):
-    """Per-label 2-D histograms over a shared grid.
-
-    Returns ``(grid_per_label, x_edges, y_edges)`` where ``grid_per_label``
-    maps each label value to its (bins x bins) count matrix.  Degenerate
-    embeddings (a constant coordinate) get padded edges instead of a
-    histogram error.
-    """
-    embedding = np.asarray(embedding, dtype=np.float64)
-    if embedding.shape[1] != 2:
-        raise ValueError("density_grid expects a 2-D embedding")
-    labels = np.asarray(labels)
-    x_edges = _span_edges(embedding[:, 0], bins)
-    y_edges = _span_edges(embedding[:, 1], bins)
-    grids = {}
-    for value in np.unique(labels):
-        points = embedding[labels == value]
-        histogram, _, _ = np.histogram2d(
-            points[:, 0], points[:, 1], bins=(x_edges, y_edges))
-        grids[value] = histogram
-    return grids, x_edges, y_edges

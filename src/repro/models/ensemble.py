@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..utils.validation import check_2d, check_2d_fast, check_binary_labels
+from ..utils.validation import check_2d, check_2d_fast, check_binary_labels, check_count
 from .blackbox import BlackBoxClassifier, train_classifier
 
 __all__ = ["ENSEMBLE_MODES", "BlackBoxEnsemble", "train_ensemble"]
@@ -262,13 +262,12 @@ def train_ensemble(
     y_train = check_binary_labels(y_train, "y_train")
     if mode not in ENSEMBLE_MODES:
         raise ValueError(f"mode must be one of {ENSEMBLE_MODES}, got {mode!r}")
-    if n_members < 1:
-        raise ValueError(f"n_members must be >= 1, got {n_members}")
+    check_count(n_members, "n_members", 1)
 
     members = []
     if include is not None:
         members.append(include)
-    n_trained = int(n_members) - len(members)
+    n_trained = n_members - len(members)
     n_features = x_train.shape[1]
     for index in range(n_trained):
         member_seed = int(seed) + 100 * (index + 1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["linear_forward", "relu_forward", "sigmoid_forward", "tanh_forward"]
+__all__ = ["linear_forward", "relu_forward", "sigmoid_forward"]
 
 
 def linear_forward(x, weight, bias, out=None):
@@ -52,8 +52,3 @@ def sigmoid_forward(x, out=None):
     np.divide(e, denom, out=out)
     np.divide(1.0, denom, out=out, where=x >= 0)
     return out
-
-
-def tanh_forward(x, out=None):
-    """Hyperbolic tangent."""
-    return np.tanh(x, out)

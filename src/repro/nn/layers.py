@@ -2,7 +2,7 @@
 
 Provides the module system (parameter discovery, train/eval modes,
 state-dict serialisation hooks) plus the layers the paper's models need:
-``Linear``, ``ReLU``, ``Sigmoid``, ``Tanh``, ``Dropout`` and the
+``Linear``, ``ReLU``, ``Dropout`` and the
 ``Sequential`` container.
 """
 
@@ -14,7 +14,7 @@ from . import functional
 from .init import he_uniform, xavier_uniform, zeros
 from .tensor import Tensor, as_tensor, host, linear, no_grad
 
-__all__ = ["Module", "Linear", "ReLU", "Sigmoid", "Tanh", "Dropout", "Sequential"]
+__all__ = ["Module", "Linear", "ReLU", "Dropout", "Sequential"]
 
 
 class Module:
@@ -183,32 +183,6 @@ class ReLU(Module):
 
     def __repr__(self):
         return "ReLU()"
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def forward(self, x):
-        return x.sigmoid()
-
-    def forward_array(self, x):
-        return functional.sigmoid_forward(x)
-
-    def __repr__(self):
-        return "Sigmoid()"
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def forward(self, x):
-        return x.tanh()
-
-    def forward_array(self, x):
-        return functional.tanh_forward(x)
-
-    def __repr__(self):
-        return "Tanh()"
 
 
 class Dropout(Module):

@@ -1,7 +1,7 @@
 """Loss functions used across the reproduction.
 
 Includes the classification losses for the black-box model, the
-reconstruction/KL terms for the VAE, and the hinge/L1 pieces of the
+reconstruction/KL terms for the VAE, and the hinge validity term of the
 paper's four-part counterfactual loss (Eq. 3).
 """
 
@@ -13,13 +13,10 @@ from .tensor import as_tensor, host
 
 __all__ = [
     "bce_with_logits",
-    "cross_entropy",
     "hinge_loss",
-    "l1_loss",
     "mse_loss",
     "gaussian_kl",
     "logsumexp",
-    "softmax",
 ]
 
 
@@ -65,30 +62,6 @@ def logsumexp(logits, axis=-1):
     return (shifted.exp().sum(axis=axis, keepdims=True)).log() + shift
 
 
-def softmax(logits, axis=-1):
-    """Differentiable softmax along ``axis``."""
-    logits = as_tensor(logits)
-    return (logits - logsumexp(logits, axis=axis)).exp()
-
-
-def cross_entropy(logits, labels):
-    """Multi-class cross-entropy between logits and integer labels.
-
-    Parameters
-    ----------
-    logits:
-        Tensor of shape (batch, classes).
-    labels:
-        Integer array of shape (batch,).
-    """
-    logits = as_tensor(logits)
-    labels = np.asarray(labels, dtype=int)
-    batch = logits.shape[0]
-    log_probs = logits - logsumexp(logits, axis=1)
-    picked = log_probs[np.arange(batch), labels]
-    return -picked.mean()
-
-
 def hinge_loss(logits, desired, margin=1.0):
     """Hinge loss pushing binary ``logits`` toward the ``desired`` class.
 
@@ -108,13 +81,6 @@ def hinge_loss(logits, desired, margin=1.0):
     logits = as_tensor(logits)
     margins = (logits * host(_negated_signs, desired)) + margin
     return margins.clip_min(0.0).mean()
-
-
-def l1_loss(prediction, target):
-    """Mean absolute error — the proximity term ``d(x, x')`` of Eq. 3."""
-    prediction = as_tensor(prediction)
-    target = as_tensor(target)
-    return (prediction - target).abs().mean()
 
 
 def mse_loss(prediction, target):

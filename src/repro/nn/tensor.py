@@ -636,16 +636,6 @@ class Tensor:
         out_data = out.data
         return out
 
-    def tanh(self):
-        """Hyperbolic tangent (backward reuses the forward output)."""
-        def backward(g):
-            return ((self, _k(np.multiply, g,
-                              _k(np.subtract, 1.0, _k(np.square, out_data)))),)
-
-        out = self._unary(functional.tanh_forward, backward)
-        out_data = out.data
-        return out
-
     def abs(self):
         """Elementwise absolute value (subgradient 0 at the kink)."""
         a = self.data

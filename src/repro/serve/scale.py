@@ -59,8 +59,6 @@ class WorkerPool:
         Forwarded to :meth:`ExplanationService.warm_start` for the
         leader; siblings replicate the exact configuration and share the
         leader's hosted model objects.
-    ring_points:
-        Virtual nodes per replica on the hash ring.
     flush_kwargs:
         Keyword arguments for each replica's ``flush`` (e.g.
         ``{"n_candidates": 8}`` on the core path).
@@ -84,7 +82,6 @@ class WorkerPool:
         density_candidates=8,
         robust_quorum=0.5,
         shared_weights=False,
-        ring_points=64,
         flush_kwargs=None,
     ):
         if backend != "thread":
@@ -134,7 +131,7 @@ class WorkerPool:
         #: The pool's composite cache fingerprint (the routing key).
         self.fingerprint = leader.cache_fingerprint
         self._template = leader
-        self.ring = ConsistentHashRing(range(n_replicas), points=ring_points)
+        self.ring = ConsistentHashRing(range(n_replicas))
         self._executor = ThreadPoolExecutor(
             max_workers=n_replicas, thread_name_prefix="repro-pool")
         self._closed = False

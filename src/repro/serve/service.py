@@ -39,7 +39,12 @@ import numpy as np
 
 from ..core.result import CFBatchResult
 from ..engine import CoreCFStrategy, EngineRunner
-from ..utils.validation import check_desired, check_encoded_rows, resolve_desired
+from ..utils.validation import (
+    check_desired,
+    check_encoded_rows,
+    check_positive,
+    resolve_desired,
+)
 from .cache import LRUResultCache
 
 #: Overlay kinds :meth:`ExplanationService.warm_start` hosts, in the
@@ -149,7 +154,7 @@ class ExplanationService:
         self.explainer = pipeline.explainer
         self.strategy = strategy
         self.density = density
-        self.density_weight = float(density_weight)
+        self.density_weight = density_weight
         self.density_candidates = int(density_candidates)
         self.causal = causal
         self.ensemble = ensemble
@@ -297,6 +302,19 @@ class ExplanationService:
         if migrate_from is not None:
             service.migrate_cache(migrate_from)
         return service
+
+    @property
+    def density_weight(self):
+        """Trade-off ``lambda`` of the Figure 3 score (finite and > 0).
+
+        Checked on every assignment, so a bad weight fails where it is
+        set rather than at the flush that first builds the runner.
+        """
+        return self._density_weight
+
+    @density_weight.setter
+    def density_weight(self, value):
+        self._density_weight = check_positive(value, "density_weight")
 
     @property
     def runner(self):

@@ -1,11 +1,9 @@
-"""Shared utilities: seeded RNG plumbing, table rendering, validation."""
+"""Shared utilities: table rendering and validation."""
 
-from .rng import SeedSequenceRegistry, make_rng, spawn
 from .tables import format_number, render_table
 from .validation import check_2d, check_binary_labels, check_positive, check_probability
 
 __all__ = [
-    "make_rng", "spawn", "SeedSequenceRegistry",
     "render_table", "format_number",
     "check_2d", "check_binary_labels", "check_probability", "check_positive",
 ]

@@ -12,9 +12,9 @@ import numbers
 import numpy as np
 
 __all__ = ["SchemaMismatchError", "check_2d", "check_2d_fast",
-           "check_binary_labels", "check_desired", "check_encoded_rows", "check_encoded_sweep",
-           "check_loop_sizes", "check_probability", "check_positive", "check_schema_width",
-           "check_training_labels", "resolve_desired"]
+           "check_binary_labels", "check_count", "check_desired", "check_encoded_rows",
+           "check_encoded_sweep", "check_loop_sizes", "check_probability", "check_positive",
+           "check_schema_width", "check_training_labels", "resolve_desired"]
 
 
 class SchemaMismatchError(ValueError):
@@ -182,6 +182,17 @@ def check_desired(desired):
     return desired
 
 
+def check_count(value, name, low):
+    """Return ``value`` if it is an int >= ``low``; raise ``ValueError`` otherwise.
+
+    Bools and floats are rejected rather than truncated: ``2.5`` members
+    would silently train 2, and ``True`` would train 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+    return value
+
+
 def check_loop_sizes(epochs, batch_size):
     """Raise ``ValueError`` unless ``epochs`` is an int >= 0 and ``batch_size`` an int >= 1.
 
@@ -189,9 +200,8 @@ def check_loop_sizes(epochs, batch_size):
     size would train on nothing and return NaN losses, a zero one fails
     inside ``range``, and a negative epoch count silently trains nothing.
     """
-    for name, value, low in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+    check_count(epochs, "epochs", 0)
+    check_count(batch_size, "batch_size", 1)
 
 
 def check_probability(value, name="probability"):
@@ -203,10 +213,10 @@ def check_probability(value, name="probability"):
 
 
 def check_positive(value, name="value"):
-    """Validate a strictly positive scalar."""
+    """Validate a finite, strictly positive scalar (NaN and inf raise)."""
     value = float(value)
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
     return value
 
 

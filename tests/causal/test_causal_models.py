@@ -1,5 +1,5 @@
-"""Unit tests for the causal protocol: abduction, intervention, repair
-semantics, mining, persistence and the factory."""
+"""Unit tests for the causal protocol: abduction, repair semantics,
+mining, persistence and the factory."""
 
 import numpy as np
 import pytest
@@ -71,30 +71,15 @@ class TestEquations:
 
 
 class TestScmSemantics:
-    def test_intervening_on_education_lifts_young_age_to_the_minimum(self, adult):
-        # a 19-year-old cannot hold a doctorate: the do() on education
-        # must push age up to the SCM's attainment floor
-        x = encoded_row(adult, age=19.0, education="hs_grad")
-        out = adult.encoder.inverse_transform(
-            ScmCausalModel(adult.encoder).intervene(x, {"education": "doctorate"}))
-        assert out["education"][0] == "doctorate"
-        assert out["age"][0] >= EDUCATION_MIN_AGE["doctorate"]
-
     def test_intervention_never_lowers_age(self, adult):
-        # time moves forward: do(education=school) must not make the
-        # individual younger even though the floor would allow it
+        # time moves forward: a candidate that acts on education (down to
+        # school) must not make the individual younger even though the
+        # floor would allow it
         x = encoded_row(adult, age=48.0, education="masters")
-        out = adult.encoder.inverse_transform(
-            ScmCausalModel(adult.encoder).intervene(x, {"education": "school"}))
-        assert out["age"][0] >= 48.0 - 1e-6
-
-    def test_intervened_feature_is_severed(self, adult):
-        # do(hours) pins hours even though its occupation cause moved
-        x = encoded_row(adult, occupation="blue_collar", hours_per_week=30.0)
-        model = ScmCausalModel(adult.encoder)
-        out = adult.encoder.inverse_transform(model.intervene(
-            x, {"occupation": "professional", "hours_per_week": 30.0}))
-        assert out["hours_per_week"][0] == pytest.approx(30.0, abs=1e-6)
+        candidate = encoded_row(adult, age=30.0, education="school")
+        repaired = adult.encoder.inverse_transform(
+            ScmCausalModel(adult.encoder).repair(x, candidate))
+        assert repaired["age"][0] >= 48.0 - 1e-6
 
     def test_hours_follow_occupation_with_abducted_noise(self, adult):
         # moving occupation re-predicts hours but keeps the individual's
@@ -102,12 +87,12 @@ class TestScmSemantics:
         from repro.data.adult import HOURS_EQUATION
 
         x = encoded_row(adult, occupation="blue_collar", hours_per_week=45.0)
-        model = ScmCausalModel(adult.encoder)
-        out = adult.encoder.inverse_transform(
-            model.intervene(x, {"occupation": "professional"}))
+        candidate = encoded_row(adult, occupation="professional", hours_per_week=45.0)
+        repaired = adult.encoder.inverse_transform(
+            ScmCausalModel(adult.encoder).repair(x, candidate))
         rank_delta = 4  # blue_collar (0) -> professional (4)
         expected = 45.0 + HOURS_EQUATION["per_occupation_rank"] * rank_delta
-        assert out["hours_per_week"][0] == pytest.approx(expected, abs=1e-6)
+        assert repaired["hours_per_week"][0] == pytest.approx(expected, abs=1e-6)
 
     def test_abduct_recovers_additive_residuals(self, adult):
         model = ScmCausalModel(adult.encoder)
@@ -141,11 +126,6 @@ class TestScmSemantics:
         with pytest.raises(ValueError, match="categorical"):
             ScmCausalModel(adult.encoder, equations=(
                 StructuralEquation("education", mode="monotone"),))
-
-    def test_intervene_unknown_target_raises(self, adult):
-        with pytest.raises(KeyError, match="not in the schema"):
-            ScmCausalModel(adult.encoder).intervene(
-                adult.encoded[:2], {"palantir": 1.0})
 
 
 class TestMinedSemantics:
@@ -212,17 +192,6 @@ class TestMinedSemantics:
             MinedCausalModel(law.encoder, relations=[("tier", "race", 0.1)])
         with pytest.raises(KeyError, match="not in the schema"):
             MinedCausalModel(law.encoder, relations=[("palantir", "lsat", 0.1)])
-
-    def test_intervene_applies_action_then_repairs(self, law):
-        model = MinedCausalModel(law.encoder, relations=[("tier", "lsat", 0.05)])
-        x = law.encoded[:5]
-        out = model.intervene(x, {"tier": 6.0})
-        frame = law.encoder.inverse_transform(out)
-        assert (frame["tier"] == 6.0).all()
-        # lsat floor rose for every row whose tier went up
-        lsat_col = law.encoder.column_of("lsat")
-        went_up = law.encoder.inverse_transform(x)["tier"] < 6.0
-        assert (out[went_up, lsat_col] >= x[went_up, lsat_col]).all()
 
 
 class TestPersistence:

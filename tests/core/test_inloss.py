@@ -25,7 +25,6 @@ from repro.core import (
     FeasibleCFExplainer,
     FourPartLoss,
     fast_config,
-    generate_candidates,
     inloss_config,
 )
 from repro.data import load_dataset
@@ -33,6 +32,7 @@ from repro.density import DifferentiableKde
 from repro.models import BlackBoxClassifier, ConditionalVAE, train_classifier
 from repro.nn import Adam, Tensor
 from repro.utils.validation import resolve_desired
+from tests.helpers.loops import sweep_candidate_sets
 from tests.helpers.parity import assert_bit_identical
 
 
@@ -303,7 +303,7 @@ class TestInLossValidity:
         assert len(rows) > 0
 
         def validity(explainer):
-            sets = generate_candidates(
+            sets = sweep_candidate_sets(
                 explainer, rows, n_candidates=12, rng=np.random.default_rng(seed + 4242))
             return np.mean([cs.valid.any() for cs in sets])
 

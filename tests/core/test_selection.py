@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    DensityCFSelector,
-    FeasibleCFExplainer,
-    fast_config,
-    generate_candidates,
-)
+from repro.core import DensityCFSelector, FeasibleCFExplainer, fast_config
 from repro.data import load_dataset
 from repro.engine.runner import _select_candidates, _select_candidates_density
 
@@ -27,50 +22,49 @@ def fitted():
 
 
 class TestGenerateCandidates:
+    """``CoreCFStrategy(n_candidates=m)``: the latent-perturbation sweep."""
+
     def test_requires_fitted_explainer(self, fitted):
         bundle, _, _, negatives = fitted
         unfitted = FeasibleCFExplainer(bundle.encoder, seed=0)
-        with pytest.raises(RuntimeError):
-            generate_candidates(unfitted, negatives)
+        with pytest.raises(RuntimeError, match="not fitted"):
+            unfitted.as_strategy(n_candidates=20).propose(negatives)
 
     def test_candidate_count_and_shape(self, fitted):
         _, explainer, _, negatives = fitted
-        sets = generate_candidates(explainer, negatives, n_candidates=8)
-        assert len(sets) == len(negatives)
-        for candidate_set in sets:
-            assert candidate_set.candidates.shape == (8, negatives.shape[1])
-            assert len(candidate_set.valid) == 8
-            assert len(candidate_set.feasible) == 8
+        result, diagnostics = explainer._engine_runner().run(
+            explainer.as_strategy(n_candidates=8), negatives, return_diagnostics=True)
+        assert result.x_cf.shape == negatives.shape
+        assert diagnostics["n_candidates"] == 8
+        assert diagnostics["report"].mask_t.shape[1] == 8 * len(negatives)
+        assert ((0 <= diagnostics["chosen"]) & (diagnostics["chosen"] < 8)).all()
 
     def test_first_candidate_is_deterministic(self, fitted):
         _, explainer, _, negatives = fitted
-        sets = generate_candidates(explainer, negatives[:3], n_candidates=5)
+        batch = explainer.as_strategy(n_candidates=5).propose(negatives[:3])
         deterministic = explainer.explain(negatives[:3]).x_cf
-        for i, candidate_set in enumerate(sets):
-            np.testing.assert_allclose(candidate_set.candidates[0],
-                                       deterministic[i], atol=1e-9)
+        projected = explainer._engine_runner().project(batch.x, batch.candidates)
+        np.testing.assert_allclose(projected[:, 0], deterministic, atol=1e-9)
 
     def test_candidates_are_diverse(self, fitted):
         _, explainer, _, negatives = fitted
-        sets = generate_candidates(explainer, negatives[:2], n_candidates=10,
-                                   noise_scale=0.3)
-        for candidate_set in sets:
-            spread = candidate_set.candidates.std(axis=0).max()
-            assert spread > 1e-4
+        batch = explainer.as_strategy(n_candidates=10).propose(negatives[:2])
+        for candidates in batch.candidates:
+            assert candidates.std(axis=0).max() > 1e-4
 
     def test_immutables_projected_in_candidates(self, fitted):
         bundle, explainer, _, negatives = fitted
-        sets = generate_candidates(explainer, negatives[:2], n_candidates=6)
+        batch = explainer.as_strategy(n_candidates=6).propose(negatives[:2])
+        projected = explainer._engine_runner().project(batch.x, batch.candidates)
         mask = bundle.encoder.immutable_mask()
-        for candidate_set in sets:
+        for row, candidates in zip(negatives[:2], projected):
             np.testing.assert_allclose(
-                candidate_set.candidates[:, mask],
-                np.repeat(candidate_set.x[None, mask], 6, axis=0))
+                candidates[:, mask], np.repeat(row[None, mask], 6, axis=0))
 
     def test_rejects_bad_count(self, fitted):
-        _, explainer, _, negatives = fitted
-        with pytest.raises(ValueError):
-            generate_candidates(explainer, negatives, n_candidates=0)
+        _, explainer, _, _ = fitted
+        with pytest.raises(ValueError, match="n_candidates"):
+            explainer.as_strategy(n_candidates=0)
 
 
 class TestDensityCFSelector:

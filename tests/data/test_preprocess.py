@@ -82,8 +82,10 @@ class TestTransform:
 
     def test_unknown_category_raises(self):
         enc = TabularEncoder(TOY_SCHEMA).fit(toy_frame())
-        bad = toy_frame().with_column(
-            "grade", np.array(["???", "low", "mid"], dtype=object))
+        frame = toy_frame()
+        columns = {name: frame[name] for name in frame.column_names}
+        columns["grade"] = np.array(["???", "low", "mid"], dtype=object)
+        bad = TabularFrame(columns)
         with pytest.raises(ValueError):
             enc.transform(bad)
 

@@ -68,21 +68,6 @@ def test_diagnostics_report_pre_repair_distance(context):
     assert row_causal.max() > 0  # noisy sweeps need some repair
 
 
-def test_score_only_mode_keeps_candidates_raw(context):
-    bundle, blackbox = context
-    causal = ScmCausalModel(bundle.encoder)
-    plain = EngineRunner(bundle.encoder, blackbox)
-    scored = EngineRunner(bundle.encoder, blackbox, causal=causal,
-                          causal_repair=False)
-    x = bundle.encoded[:20]
-    strategy = _SweepStrategy()
-    result_plain = plain.run(strategy, x)
-    result_scored, diagnostics = scored.run(strategy, x, return_diagnostics=True)
-    # scoring without repair must not change the served counterfactuals
-    np.testing.assert_array_equal(result_scored.x_cf, result_plain.x_cf)
-    assert "row_causal" in diagnostics
-
-
 def test_runner_without_causal_has_no_causal_diagnostics(context):
     bundle, blackbox = context
     runner = EngineRunner(bundle.encoder, blackbox)

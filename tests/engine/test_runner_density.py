@@ -34,6 +34,14 @@ def density(context):
 
 
 class TestRunnerHosting:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_density_weight(self, context, density, bad):
+        # a negative weight inverts Figure 3 (sparse regions win) and NaN
+        # makes every score NaN, so argmax silently takes candidate 0
+        with pytest.raises(ValueError, match="density_weight must be finite and positive"):
+            EngineRunner(context.bundle.encoder, context.blackbox,
+                         density=density, density_weight=bad)
+
     def test_no_density_runs_the_historical_path(self, context, dice):
         runner = EngineRunner(context.bundle.encoder, context.blackbox)
         result, diagnostics = runner.run(

@@ -104,10 +104,15 @@ class TestRegistry:
             register_scenario(Scenario("x", "mordor", "cem"))
         with pytest.raises(KeyError, match="unknown strategy"):
             register_scenario(Scenario("x", "adult", "gandalf"))
-        with pytest.raises(ValueError, match="desired policy"):
-            register_scenario(Scenario("x", "adult", "cem", desired="maybe"))
         with pytest.raises(KeyError, match="already registered"):
             register_scenario(Scenario("adult/cem", "adult", "cem"))
+
+    @pytest.mark.parametrize("bad", [2.5, True, -1])
+    def test_register_rejects_non_int_ensemble(self, bad):
+        # a float or bool would be truncated by int() into a different
+        # ensemble than the one the scenario names
+        with pytest.raises(ValueError, match="ensemble must be an int >= 0"):
+            register_scenario(Scenario("x/bad-ensemble", "adult", "cem", ensemble=bad))
 
     def test_register_rejects_inloss_on_noncore_strategy(self):
         # only the core (ours_*) strategies train a CF-VAE objective the
@@ -154,19 +159,6 @@ class TestRunScenario:
         reused = run_scenario("adult/cem", context=context)
         fresh = run_scenario("adult/cem", scale=scale, seed=0)
         assert reused.report == fresh.report
-
-    def test_flip_policy(self):
-        scale = ExperimentScale("tiny", 900, 12, 4)
-        from repro.engine import scenarios as module
-
-        scenario = Scenario("test/flip-cem", "adult", "cem", desired="flip",
-                            strategy_params=(("steps", 15),))
-        try:
-            register_scenario(scenario)
-            result = run_scenario("test/flip-cem", scale=scale, seed=0)
-            assert result.report.method == "cem"
-        finally:
-            module._SCENARIOS.pop("test/flip-cem", None)
 
     def test_accepts_scenario_object(self):
         scale = ExperimentScale("tiny", 900, 12, 4)

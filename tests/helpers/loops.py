@@ -4,8 +4,11 @@ Each vectorized path in the library replaced a per-row loop.  The loops
 live here, as free functions over the library object, and only the
 parity tests call them:
 
-* :func:`generate_candidates_loop` — :func:`repro.core.generate_candidates`
-  sampled and decoded one row at a time;
+* :func:`generate_candidates_loop` — the diverse candidate sweep of
+  ``CoreCFStrategy(n_candidates=m)`` through the engine runner (propose,
+  project, predict, feasibility) sampled and decoded one row at a time;
+  :func:`sweep_candidate_sets` keeps the strategy's batched decode and
+  flags each row on its own, for tests that need the runner's bits;
 * :func:`select_loop` / :func:`explain_loop` —
   :meth:`repro.core.DensityCFSelector.explain` (the engine runner's
   Figure 3 selection) as the historical selector: one scalar-standardised
@@ -21,21 +24,53 @@ parity tests call them:
   point at a time.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.core.selection import CandidateSet, _candidate_args, generate_candidates
 from repro.density.base import _check_3d
 from repro.manifold.tsne import _EPS
-from repro.utils.validation import check_2d_fast
+from repro.utils.validation import check_2d, check_2d_fast, resolve_desired
 
 
-def generate_candidates_loop(explainer, x, n_candidates=20, noise_scale=None,
-                             desired=None, rng=None):
-    """Per-row :func:`repro.core.generate_candidates`: same rng order and semantics."""
-    x, n_candidates, rng, noise_scale, desired = _candidate_args(
-        explainer, x, n_candidates, noise_scale, desired, rng)
-    generator = explainer.generator
-    vae = generator.vae
+@dataclass
+class CandidateSet:
+    """One input row's candidates with their validity and feasibility flags."""
+
+    x: np.ndarray
+    candidates: np.ndarray
+    valid: np.ndarray
+    feasible: np.ndarray
+
+    def __len__(self):
+        return len(self.candidates)
+
+    @property
+    def usable_mask(self):
+        """Valid AND feasible candidates (the paper's acceptance set)."""
+        return self.valid & self.feasible
+
+
+def generate_candidates_loop(explainer, x, n_candidates=20, desired=None, rng=None):
+    """Per-row diverse candidate sweep: one :class:`CandidateSet` per row of ``x``.
+
+    Draws the noise stream ``CoreCFStrategy(n_candidates=m)`` consumes
+    (``default_rng(seed + 500)``, scale ``max(latent_noise, 0.05)``,
+    candidate 0 noise-free) and decodes it one row at a time, then
+    projects immutables and flags validity and feasibility
+    (per-constraint evaluator) per row.  A per-row decode differs from
+    the batched one in the last bits (BLAS blocking varies with shape),
+    so candidates agree with the runner's sweep to float tolerance.
+    """
+    if explainer.generator is None:
+        raise RuntimeError("explainer is not fitted; call fit() first")
+    x = check_2d(x, "x")
+    if n_candidates < 1:
+        raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
+    rng = rng or np.random.default_rng(explainer.seed + 500)
+    noise_scale = max(explainer.generator.config.latent_noise, 0.05)
+    desired = resolve_desired(explainer.blackbox, x, desired)
+    vae = explainer.generator.vae
     vae.eval()
     mu, _ = vae.encode_array(x, desired)
 
@@ -43,18 +78,34 @@ def generate_candidates_loop(explainer, x, n_candidates=20, noise_scale=None,
     for i in range(len(x)):
         noise = rng.normal(0.0, noise_scale, size=(n_candidates, mu.shape[1]))
         noise[0] = 0.0
-        z = mu[i][None, :] + noise
         labels = np.full(n_candidates, desired[i], dtype=np.float64)
-        decoded = vae.decode_latent(z, labels)
-        inputs = np.repeat(x[i][None, :], n_candidates, axis=0)
-        decoded = generator.projector.project(inputs, decoded)
-        sets.append(CandidateSet(
-            x=x[i],
-            candidates=decoded,
-            valid=explainer.blackbox.predict(decoded) == desired[i],
-            feasible=explainer.constraints.satisfied(inputs, decoded),
-        ))
+        decoded = vae.decode_latent(mu[i][None, :] + noise, labels)
+        sets.append(_candidate_set(explainer, x[i], decoded, desired[i]))
     return sets
+
+
+def sweep_candidate_sets(explainer, x, n_candidates=20, desired=None, rng=None):
+    """The runner's batched sweep split into per-row :class:`CandidateSet` s.
+
+    Candidates come from ``CoreCFStrategy(n_candidates=m).propose`` (one
+    batched decode, so bit-identical to what the runner selects from);
+    projection, validity and feasibility then run one row at a time.
+    """
+    batch = explainer.as_strategy(n_candidates=n_candidates, rng=rng).propose(x, desired)
+    return [_candidate_set(explainer, batch.x[i], batch.candidates[i], batch.desired[i])
+            for i in range(len(batch))]
+
+
+def _candidate_set(explainer, row, decoded, desired):
+    """Project one row's decoded candidates and flag validity and feasibility."""
+    inputs = np.repeat(row[None, :], len(decoded), axis=0)
+    candidates = explainer.generator.projector.project(inputs, decoded)
+    return CandidateSet(
+        x=row,
+        candidates=candidates,
+        valid=explainer.blackbox.predict(candidates) == desired,
+        feasible=explainer.constraints.satisfied(inputs, candidates),
+    )
 
 
 def _standardize(values):
@@ -102,7 +153,7 @@ def select_loop(selector, candidate_sets):
 
 def explain_loop(selector, x, n_candidates=20, desired=None, rng=None):
     """Per-row ``selector.explain``: the same candidates, selected by :func:`select_loop`."""
-    candidate_sets = generate_candidates(
+    candidate_sets = sweep_candidate_sets(
         selector.explainer, x, n_candidates=n_candidates, desired=desired, rng=rng)
     return select_loop(selector, candidate_sets)
 

@@ -172,12 +172,11 @@ def staged_run(runner, strategy, x, desired=None, return_diagnostics=False):
     candidates = runner.project(x, batch.candidates)
 
     sweep_causal = None
-    if runner.causal is not None and (runner.causal_repair or return_diagnostics):
+    if runner.causal is not None:
         repaired = runner.causal.repair_batch(x, candidates, validate=False)
         if return_diagnostics:
             sweep_causal = np.abs(repaired - candidates).sum(axis=2)
-        if runner.causal_repair:
-            candidates = repaired
+        candidates = repaired
     flat = candidates.reshape(n * m, d)
 
     predicted = runner.blackbox.predict(flat)
@@ -252,7 +251,7 @@ def staged_runner(runner):
     twin = EngineRunner(
         runner.encoder, runner.blackbox, constraints=runner.kernel,
         density=runner.density, density_weight=runner.density_weight,
-        causal=runner.causal, causal_repair=runner.causal_repair,
+        causal=runner.causal,
         ensemble=runner.ensemble, robust_quorum=runner.robust_quorum)
 
     def run(strategy, x, desired=None, return_diagnostics=False, plan=None):
@@ -263,7 +262,7 @@ def staged_runner(runner):
 
 
 def pick_candidate(candidate_set):
-    """Reference per-row serving pick over one :class:`CandidateSet`.
+    """Reference per-row serving pick over one ``tests.helpers.loops.CandidateSet``.
 
     Closest by L1 among valid & feasible candidates, then among valid
     ones, then candidate 0 (the deterministic zero-noise decode).

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.manifold import centroid_separation, density_grid, knn_label_agreement
+from repro.manifold import centroid_separation, knn_label_agreement
 
 
 class TestKnnLabelAgreementEdges:
@@ -49,32 +49,3 @@ class TestCentroidSeparationEdges:
     def test_one_class_raises(self):
         with pytest.raises(ValueError, match="2 classes"):
             centroid_separation(np.zeros((4, 2)), np.zeros(4))
-
-
-class TestDensityGridEdges:
-    def test_constant_coordinates_get_padded_edges(self):
-        embedding = np.zeros((8, 2))
-        labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        grids, x_edges, y_edges = density_grid(embedding, labels, bins=5)
-        assert np.all(np.diff(x_edges) > 0)
-        assert np.all(np.diff(y_edges) > 0)
-        # every point lands somewhere on the padded grid
-        assert grids[0].sum() == 4
-        assert grids[1].sum() == 4
-
-    def test_constant_single_axis(self):
-        rng = np.random.default_rng(2)
-        embedding = np.column_stack([rng.normal(size=10), np.full(10, 3.0)])
-        labels = np.zeros(10, dtype=int)
-        grids, x_edges, y_edges = density_grid(embedding, labels, bins=4)
-        assert np.all(np.diff(y_edges) > 0)
-        assert grids[0].sum() == 10
-
-    def test_regular_grid_unchanged(self):
-        rng = np.random.default_rng(3)
-        embedding = rng.normal(size=(30, 2))
-        labels = (rng.random(30) > 0.5).astype(int)
-        grids, x_edges, y_edges = density_grid(embedding, labels, bins=6)
-        assert x_edges[0] == embedding[:, 0].min()
-        assert x_edges[-1] == embedding[:, 0].max()
-        assert sum(grid.sum() for grid in grids.values()) == 30

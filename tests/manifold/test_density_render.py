@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.manifold import (
-    centroid_separation,
-    density_grid,
-    knn_label_agreement,
-    render_scatter,
-)
+from repro.manifold import centroid_separation, knn_label_agreement, render_scatter
 
 
 def separated_cloud(n=80, gap=10.0, seed=0):
@@ -58,24 +53,6 @@ class TestCentroidSeparation:
         embedding, _ = separated_cloud()
         with pytest.raises(ValueError):
             centroid_separation(embedding, np.zeros(len(embedding)))
-
-
-class TestDensityGrid:
-    def test_counts_preserved(self):
-        embedding, labels = separated_cloud(n=50)
-        grids, _, _ = density_grid(embedding, labels, bins=10)
-        assert grids[0].sum() == 50
-        assert grids[1].sum() == 50
-
-    def test_separated_masses_in_different_cells(self):
-        embedding, labels = separated_cloud(n=50)
-        grids, _, _ = density_grid(embedding, labels, bins=10)
-        overlap = np.minimum(grids[0], grids[1]).sum()
-        assert overlap < 5
-
-    def test_requires_2d(self):
-        with pytest.raises(ValueError):
-            density_grid(np.zeros((10, 3)), np.zeros(10))
 
 
 class TestRenderScatter:

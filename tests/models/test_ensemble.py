@@ -138,6 +138,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="n_members"):
             train_ensemble(x, y, n_members=0)
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_train_rejects_non_int_size(self, bad):
+        # int() would train 2 members for 2.5 and 1 for True
+        x, y = separable_data(50)
+        with pytest.raises(ValueError, match="n_members must be an int >= 1"):
+            train_ensemble(x, y, n_members=bad, epochs=1)
+
     def test_modes_constant(self):
         assert ENSEMBLE_MODES == ("seed", "bootstrap")
 

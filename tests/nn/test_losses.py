@@ -2,17 +2,7 @@
 
 import numpy as np
 
-from repro.nn import (
-    Tensor,
-    bce_with_logits,
-    cross_entropy,
-    gaussian_kl,
-    hinge_loss,
-    l1_loss,
-    logsumexp,
-    mse_loss,
-    softmax,
-)
+from repro.nn import Tensor, bce_with_logits, gaussian_kl, hinge_loss, logsumexp, mse_loss
 
 
 class TestBCEWithLogits:
@@ -33,21 +23,6 @@ class TestBCEWithLogits:
         logits = Tensor([0.3, -0.7], requires_grad=True)
         bce_with_logits(logits, np.array([1.0, 0.0])).backward()
         assert logits.grad is not None
-
-
-class TestCrossEntropy:
-    def test_perfect_prediction_low_loss(self):
-        logits = Tensor([[10.0, -10.0], [-10.0, 10.0]])
-        assert cross_entropy(logits, [0, 1]).item() < 1e-6
-
-    def test_uniform_prediction(self):
-        logits = Tensor(np.zeros((4, 3)))
-        assert abs(cross_entropy(logits, [0, 1, 2, 0]).item() - np.log(3)) < 1e-10
-
-    def test_gradient_shape(self):
-        logits = Tensor(np.random.default_rng(0).normal(size=(5, 2)), requires_grad=True)
-        cross_entropy(logits, [0, 1, 1, 0, 1]).backward()
-        assert logits.grad.shape == (5, 2)
 
 
 class TestHinge:
@@ -74,10 +49,6 @@ class TestHinge:
 
 
 class TestDistancesAndKL:
-    def test_l1(self):
-        out = l1_loss(Tensor([1.0, 3.0]), Tensor([0.0, 1.0]))
-        assert out.item() == 1.5
-
     def test_mse(self):
         out = mse_loss(Tensor([2.0]), Tensor([0.0]))
         assert out.item() == 4.0
@@ -101,10 +72,6 @@ class TestDistancesAndKL:
 
 
 class TestSoftmaxLogsumexp:
-    def test_softmax_sums_to_one(self):
-        out = softmax(Tensor(np.random.default_rng(1).normal(size=(4, 5))))
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(4), atol=1e-12)
-
     def test_logsumexp_stable(self):
         out = logsumexp(Tensor([[1000.0, 1000.0]]))
         assert np.isfinite(out.data).all()

@@ -35,6 +35,10 @@ class TestWorkerPool:
             WorkerPool(store, "tiny", shared_weights=True)
         with pytest.raises(ValueError, match="n_replicas"):
             WorkerPool(store, "tiny", n_replicas=0)
+        with pytest.raises(ValueError, match="density_weight must be finite"):
+            WorkerPool(store, "tiny", density_weight=float("nan"))
+        with pytest.raises(ValueError, match="density_weight must be finite"):
+            ExplanationService.warm_start(store, "tiny", density_weight=-1.0)
 
     def test_batch_parity_with_single_service(
             self, store, sync_service, explain_rows):

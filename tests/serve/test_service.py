@@ -92,7 +92,7 @@ class TestMicroBatching:
             assert 0 <= result["chosen"] < 5
 
     def test_flush_matches_direct_candidate_sweep(self, service, explain_rows):
-        from repro.core import generate_candidates
+        from tests.helpers.loops import sweep_candidate_sets
         from tests.helpers.parity import pick_candidate
 
         rows = explain_rows[:4]
@@ -100,7 +100,7 @@ class TestMicroBatching:
         service.flush(n_candidates=6, rng=np.random.default_rng(3))
 
         desired = 1 - service.explainer.blackbox.predict(rows)
-        candidate_sets = generate_candidates(
+        candidate_sets = sweep_candidate_sets(
             service.explainer,
             rows,
             n_candidates=6,
@@ -136,6 +136,20 @@ class TestMicroBatching:
     def test_flush_with_nothing_pending(self, service):
         assert service.flush() == []
         assert service.stats["flushes"] == 0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_density_weight_fails_where_it_is_set(self, tiny_pipeline, service,
+                                                      explain_rows, bad):
+        # the runner is built lazily, so an unchecked weight would first
+        # fail inside a flush, after the queue was swapped out
+        with pytest.raises(ValueError, match="density_weight must be finite and positive"):
+            ExplanationService(tiny_pipeline, density_weight=bad)
+        ticket = service.submit(explain_rows[0])
+        with pytest.raises(ValueError, match="density_weight must be finite and positive"):
+            service.density_weight = bad
+        assert service.density_weight == 1.0
+        assert service.flush(n_candidates=3) == [ticket]
+        assert ticket.result()["x_cf"].shape == explain_rows[0].shape
 
 
 class TestStats:

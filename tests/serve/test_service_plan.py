@@ -150,7 +150,7 @@ class TestCorePathParity:
 
     def test_flush_matches_candidate_sweep_and_closest_pick(self, tiny_pipeline,
                                                              explain_rows):
-        from repro.core import generate_candidates
+        from tests.helpers.loops import sweep_candidate_sets
 
         service = ExplanationService(tiny_pipeline)
         explainer = tiny_pipeline.explainer
@@ -161,7 +161,7 @@ class TestCorePathParity:
             service.flush(n_candidates=6)
             flipped = 1 - explainer.blackbox.predict(rows)
             desired = np.array([f if s is None else s for f, s in zip(flipped, specs)])
-            candidate_sets = generate_candidates(
+            candidate_sets = sweep_candidate_sets(
                 explainer, rows, n_candidates=6, desired=desired)
             for ticket, target, cs in zip(tickets, desired, candidate_sets):
                 index = pick_candidate(cs)
@@ -173,7 +173,7 @@ class TestCorePathParity:
                      "valid": valid, "feasible": bool(cs.feasible[index]),
                      "chosen": index, "n_usable": int(cs.usable_mask.sum()),
                      "n_valid": int(cs.valid.sum())},
-                    context="flush vs generate_candidates+closest pick")
+                    context="flush vs per-row candidate sweep+closest pick")
 
     def test_hosted_flush_honours_n_candidates_and_rng(self, tiny_pipeline,
                                                        explain_rows):

@@ -50,15 +50,15 @@ class TestRoundTrip:
         assert np.array_equal(original.feasible, restored.feasible)
 
     def test_candidates_bit_identical(self, saved, tiny_pipeline, explain_rows):
-        from repro.core import generate_candidates
+        from tests.helpers.loops import sweep_candidate_sets
 
-        original = generate_candidates(
+        original = sweep_candidate_sets(
             tiny_pipeline.explainer,
             explain_rows[:4],
             n_candidates=5,
             rng=np.random.default_rng(3),
         )
-        restored = generate_candidates(
+        restored = sweep_candidate_sets(
             saved.load("tiny").explainer,
             explain_rows[:4],
             n_candidates=5,

@@ -212,7 +212,7 @@ class TestListScenariosLayout:
         out, block = self.metric_rows(capsys, ["list-scenarios", "--strategy", "face"])
         header = table_cells(block[1])
         assert header == ["scenario", "dataset", "strategy", "kind",
-                          "desired", "density", "causal", "robust", "inloss"]
+                          "density", "causal", "robust", "inloss"]
         # every data row has exactly one cell per column
         for row in block[3:]:
             assert len(table_cells(row)) == len(header)
@@ -220,12 +220,12 @@ class TestListScenariosLayout:
     def test_variant_rows_fill_the_right_column(self, capsys):
         out, block = self.metric_rows(capsys, ["list-scenarios", "--strategy", "face"])
         rows = {table_cells(row)[0]: table_cells(row) for row in block[3:]}
-        assert rows["adult/face"][5:] == ["-", "-", "-", "-"]
-        assert rows["adult/face+knn"][5:] == ["knn", "-", "-", "-"]
-        assert rows["adult/face+scm"][5:] == ["-", "scm", "-", "-"]
-        assert rows["adult/face+mined"][5:] == ["-", "mined", "-", "-"]
-        assert rows["adult/face+robust"][5:] == ["-", "-", "K4", "-"]
-        assert rows["adult/face+robust-knn"][5:] == ["knn", "-", "K4", "-"]
+        assert rows["adult/face"][4:] == ["-", "-", "-", "-"]
+        assert rows["adult/face+knn"][4:] == ["knn", "-", "-", "-"]
+        assert rows["adult/face+scm"][4:] == ["-", "scm", "-", "-"]
+        assert rows["adult/face+mined"][4:] == ["-", "mined", "-", "-"]
+        assert rows["adult/face+robust"][4:] == ["-", "-", "K4", "-"]
+        assert rows["adult/face+robust-knn"][4:] == ["knn", "-", "K4", "-"]
 
     def test_title_counts_the_rows(self, capsys):
         out, block = self.metric_rows(capsys, ["list-scenarios", "--strategy", "face"])

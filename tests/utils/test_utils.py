@@ -1,4 +1,4 @@
-"""Tests for RNG plumbing, table rendering and validation helpers."""
+"""Tests for table rendering and validation helpers."""
 
 import numpy as np
 import pytest
@@ -6,43 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils import (
-    SeedSequenceRegistry,
     check_2d,
     check_binary_labels,
     check_positive,
     check_probability,
     format_number,
-    make_rng,
     render_table,
-    spawn,
 )
-from repro.utils.validation import resolve_desired
-
-
-class TestRng:
-    def test_make_rng_deterministic(self):
-        assert make_rng(7).random() == make_rng(7).random()
-
-    def test_spawn_children_differ(self):
-        children = spawn(make_rng(0), 3)
-        values = [child.random() for child in children]
-        assert len(set(values)) == 3
-
-    def test_spawn_reproducible(self):
-        a = [c.random() for c in spawn(make_rng(1), 2)]
-        b = [c.random() for c in spawn(make_rng(1), 2)]
-        assert a == b
-
-    def test_registry_name_isolation(self):
-        registry = SeedSequenceRegistry(42)
-        assert registry.get("data").random() != registry.get("model").random()
-
-    def test_registry_order_independent(self):
-        first = SeedSequenceRegistry(42)
-        value_data = first.get("data").random()
-        second = SeedSequenceRegistry(42)
-        second.get("model")
-        assert second.get("data").random() == value_data
+from repro.utils.validation import check_count, resolve_desired
 
 
 class TestRenderTable:
@@ -118,6 +89,19 @@ class TestValidation:
         assert check_positive(2) == 2.0
         with pytest.raises(ValueError):
             check_positive(0)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_check_positive_rejects_non_finite_and_negative(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            check_positive(bad, "weight")
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3", -1])
+    def test_check_count_rejects_non_ints(self, bad):
+        with pytest.raises(ValueError, match="must be an int >= 0"):
+            check_count(bad, "n", 0)
+
+    def test_check_count_accepts_numpy_ints(self):
+        assert check_count(np.int64(3), "n", 1) == 3
 
 
 class _ThresholdBlackBox:
