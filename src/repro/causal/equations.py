@@ -108,7 +108,8 @@ def _min_age_lookup(levels, min_age_map):
 
     def predict(values):
         ranks = np.asarray(values["education"]).astype(int)
-        return table[np.clip(ranks, 0, len(table) - 1)]
+        # integer clip, without np.clip's per-call iinfo lookup
+        return table[np.minimum(np.maximum(ranks, 0), len(table) - 1)]
 
     return predict
 

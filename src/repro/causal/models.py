@@ -38,7 +38,9 @@ class _FeatureCodec:
     features, 0/1 for binary, hard (argmax) integer ranks for
     categorical blocks — the value space the structural equations are
     written in.  Every operation is elementwise per row, which keeps
-    batched and per-row consumers bit-identical.
+    batched and per-row consumers bit-identical.  The per-feature
+    constants (column, ``low``, ``high - low``, clip bounds, the
+    "moved" tolerance) are resolved once here, not per call.
     """
 
     def __init__(self, encoder):
@@ -47,6 +49,7 @@ class _FeatureCodec:
         self.columns = {}
         self.ranges = {}
         self.categories = {}
+        self._spans = {}
         ranges = encoder.ranges
         for spec in encoder.schema.features:
             block = encoder.feature_slices[spec.name]
@@ -58,36 +61,43 @@ class _FeatureCodec:
                 self.kinds[spec.name] = "continuous"
                 self.columns[spec.name] = block.start
                 self.ranges[spec.name] = ranges[spec.name]
+                low, high = ranges[spec.name]
+                self._spans[spec.name] = (low, high - low)
             else:
                 self.kinds[spec.name] = "binary"
                 self.columns[spec.name] = block.start
+        #: name -> (kind, column, low, high - low); the last two only
+        #: for continuous features
+        self._layout = {
+            name: (kind, self.columns[name]) + self._spans.get(name, (None, None))
+            for name, kind in self.kinds.items()
+        }
+        self._clip_ranges = {name: self.ranges.get(name, (0.0, 1.0)) for name in self.kinds}
+        self._tolerances = {name: 1e-6 * span for name, (_, span) in self._spans.items()}
 
     def read(self, x, names):
         """Raw value array per requested feature name."""
         values = {}
         for name in names:
-            kind = self.kinds[name]
+            kind, column, low, span = self._layout[name]
             if kind == "categorical":
-                values[name] = np.argmax(x[:, self.columns[name]], axis=1).astype(np.float64)
+                values[name] = x[:, column].argmax(axis=1).astype(np.float64)
             elif kind == "continuous":
-                low, high = self.ranges[name]
-                values[name] = x[:, self.columns[name]] * (high - low) + low
+                values[name] = x[:, column] * span + low
             else:
-                values[name] = x[:, self.columns[name]]
+                values[name] = x[:, column]
         return values
 
     def encode_value(self, name, raw):
         """Raw values of a continuous/binary feature back to encoded units."""
-        if self.kinds[name] == "continuous":
-            low, high = self.ranges[name]
-            return (raw - low) / (high - low)
+        if name in self._spans:
+            low, span = self._spans[name]
+            return (raw - low) / span
         return raw
 
     def clip_range(self, name):
         """(low, high) raw clip bounds for a repaired feature."""
-        if self.kinds[name] == "continuous":
-            return self.ranges[name]
-        return (0.0, 1.0)
+        return self._clip_ranges[name]
 
     def moved_tolerance(self, name):
         """Raw-unit threshold above which a feature counts as "moved".
@@ -95,10 +105,7 @@ class _FeatureCodec:
         1e-6 encoded units for continuous/binary features; categorical
         ranks are integers, so any difference counts.
         """
-        if self.kinds[name] == "continuous":
-            low, high = self.ranges[name]
-            return 1e-6 * (high - low)
-        return 1e-6
+        return self._tolerances.get(name, 1e-6)
 
 
 class ScmCausalModel(CausalModel):
@@ -189,31 +196,35 @@ class ScmCausalModel(CausalModel):
         return moved
 
     def _repair_flat(self, x, candidates):
+        codec = self._codec
         out = candidates.copy()
-        v_x = self._codec.read(x, self._features)
-        v_cf = self._codec.read(out, self._features)
+        v_x = codec.read(x, self._features)
+        v_cf = codec.read(out, self._features)
         original = {name: v_cf[name] for name in self._effects}
-        residuals = self._residuals(v_x)
         for eq in self.equations:
             effect = eq.effect
+            current = v_cf[effect]
             if eq.mode == "monotone":
-                new = np.maximum(v_cf[effect], v_x[effect])
+                new = np.maximum(current, v_x[effect])
             elif eq.mode == "floor":
-                floor = eq.predict({c: v_cf[c] for c in eq.causes})
-                new = np.maximum(v_cf[effect], floor)
+                new = np.maximum(current, eq.predict({c: v_cf[c] for c in eq.causes}))
             else:
                 predicted = eq.predict({c: v_cf[c] for c in eq.causes})
+                # the abducted residual (what _residuals computes for it)
+                residual = v_x[effect] - eq.predict({c: v_x[c] for c in eq.causes})
                 moved = self._causes_moved(eq, v_x, v_cf)
-                new = np.where(moved, predicted + residuals[eq.label], v_cf[effect])
+                new = np.where(moved, predicted + residual, current)
             # clip only entries the equation actually changed, so
-            # untouched candidates keep their exact bits (and score 0)
-            low, high = self._codec.clip_range(effect)
-            v_cf[effect] = np.where(new != v_cf[effect], np.clip(new, low, high), v_cf[effect])
+            # untouched candidates keep their exact bits (and score 0);
+            # ndarray.clip is what np.clip dispatches to, minus the
+            # wrapper (np.minimum/np.maximum would turn a -0.0 into 0.0)
+            low, high = codec.clip_range(effect)
+            v_cf[effect] = np.where(new != current, new.clip(low, high), current)
         for effect in self._effects:
             changed = v_cf[effect] != original[effect]
             if changed.any():
-                column = self._codec.columns[effect]
-                encoded = self._codec.encode_value(effect, v_cf[effect])
+                column = codec.columns[effect]
+                encoded = codec.encode_value(effect, v_cf[effect])
                 out[:, column] = np.where(changed, encoded, out[:, column])
         return out
 

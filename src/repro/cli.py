@@ -79,8 +79,9 @@ def build_parser():
                              "density_backend field; serve-demo re-indexes "
                              "the served density overlay (requires "
                              "--density). 'exact' is the bit-identical "
-                             "default; 'ann' runs the batched IVF index for "
-                             "large reference populations")
+                             "default; 'ann' runs the batched IVF index, "
+                             "which only pays from ~10k reference rows "
+                             "(0.7-1.3x exact at 1k rows)")
     parser.add_argument("--causal", default=None,
                         choices=["scm", "mined"],
                         help="causal model: run-scenario runs the scenario's "

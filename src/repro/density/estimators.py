@@ -138,7 +138,8 @@ class KnnDensity(DensityModel):
         distances, _ = self.query(candidates, k)
         if k == 1:
             return distances
-        return distances.mean(axis=1)
+        # distances.mean(axis=1) minus its Python wrapper: the same sum over k
+        return np.add.reduce(distances, axis=1) / k
 
     def with_backend(self, backend, ann_cells=None, ann_probes=None, ann_seed=None):
         """Same estimator on another backend (re-indexing, never re-scoring)."""

@@ -258,11 +258,16 @@ def standardize_rows(values):
     A near-constant row (spread below 1e-12) becomes all zeros, so it
     cannot sway the Figure 3 score.  Row by row this is exactly the
     historical per-candidate-set math (``tests/helpers/loops.py``).
+
+    The mean and spread are the ufunc reductions ``values.mean`` and
+    ``values.std`` run for float rows (numpy's ``_methods._mean`` and
+    ``_var``), sharing the centred values, so the bits are the same.
     """
-    mean = values.mean(axis=1, keepdims=True)
-    spread = values.std(axis=1, keepdims=True)
+    width = values.shape[1]
+    centred = values - np.add.reduce(values, axis=1, keepdims=True) / width
+    spread = np.sqrt(np.add.reduce(centred * centred, axis=1, keepdims=True) / width)
     degenerate = spread < 1e-12
-    return np.where(degenerate, 0.0, (values - mean) / np.where(degenerate, 1.0, spread))
+    return np.where(degenerate, 0.0, centred / np.where(degenerate, 1.0, spread))
 
 
 def argmax_by_pools(scores, pools):
@@ -274,10 +279,10 @@ def argmax_by_pools(scores, pools):
     to ``pool[np.argmax(scores[pool])]`` applied row by row — including
     the first-occurrence tie-break.
     """
-    stack = np.stack([*pools, np.ones(scores.shape, dtype=bool)])
-    first = stack.any(axis=2).argmax(axis=0)
-    pool = stack[first, np.arange(len(scores))]
-    return np.argmax(np.where(pool, scores, -np.inf), axis=1)
+    pool = True  # the fallback: every candidate
+    for mask in reversed(tuple(pools)):
+        pool = np.where(np.logical_or.reduce(mask, axis=1, keepdims=True), mask, pool)
+    return np.where(pool, scores, -np.inf).argmax(axis=1)
 
 
 def _selection_pools(valid, feasible, robust=None):
@@ -303,7 +308,7 @@ def _select_candidates(x, candidates, valid, feasible, robust=None):
     decode).  Within a pool the candidate closest to the input by L1
     distance wins.
     """
-    distances = np.abs(candidates - x[:, None, :]).sum(axis=2)
+    distances = np.add.reduce(np.abs(candidates - x[:, None, :]), axis=2)
     first = np.zeros(distances.shape, dtype=bool)
     first[:, 0] = True
     return argmax_by_pools(-distances, _selection_pools(valid, feasible, robust) + (first,))
@@ -320,6 +325,6 @@ def _select_candidates_density(x, candidates, valid, feasible, density, weight,
     candidate takes the best score over all of them.
     ``repro.core.DensityCFSelector`` is a wrapper over this selection.
     """
-    proximity = np.abs(candidates - x[:, None, :]).sum(axis=2)
+    proximity = np.add.reduce(np.abs(candidates - x[:, None, :]), axis=2)
     scores = -standardize_rows(proximity) - weight * standardize_rows(density)
     return argmax_by_pools(scores, _selection_pools(valid, feasible, robust))

@@ -137,7 +137,9 @@ class CoreCFStrategy(CFStrategy):
         each row being the zero-noise decode.
     rng:
         Noise stream of the diverse mode; defaults to a fresh
-        ``default_rng(seed + 500)`` per proposal.
+        ``default_rng(seed + 500)`` per proposal.  That default draw is
+        the same on every call, so it is drawn once and shared read-only
+        (:meth:`_default_noise`).
     """
 
     def __init__(self, explainer, name=None, n_candidates=1, rng=None):
@@ -148,6 +150,9 @@ class CoreCFStrategy(CFStrategy):
             raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
         self.rng = rng
         self.seed = explainer.seed
+        #: (seed, m, latent width, scale) -> the largest read-only default
+        #: noise draw so far; see :meth:`_default_noise`.
+        self._noise_memo = {}
 
     @property
     def constraints(self):
@@ -174,15 +179,38 @@ class CoreCFStrategy(CFStrategy):
         if m == 1:
             decoded = vae.decode_array(mu, desired)
         else:
-            rng = self.rng or np.random.default_rng(explainer.seed + 500)
             noise_scale = max(generator.config.latent_noise, 0.05)
             latent_dim = mu.shape[1]
-            noise = rng.normal(0.0, noise_scale, size=(n, m, latent_dim))
-            noise[:, 0, :] = 0.0  # always include the deterministic candidate
+            if self.rng is None:
+                noise = self._default_noise(n, latent_dim, noise_scale)
+            else:
+                noise = self.rng.normal(0.0, noise_scale, size=(n, m, latent_dim))
+                noise[:, 0, :] = 0.0  # always include the deterministic candidate
             z = (mu[:, None, :] + noise).reshape(n * m, latent_dim)
             labels = np.repeat(np.asarray(desired, dtype=np.float64), m)
             decoded = vae.decode_latent(z, labels)
         return CandidateBatch(x=x, desired=desired, candidates=decoded.reshape(n, m, d))
+
+    def _default_noise(self, n, latent_dim, noise_scale):
+        """The ``(n, m, latent_dim)`` noise of a fresh ``default_rng(seed + 500)``.
+
+        Candidate 0 is zeroed.  A fresh generator fills the array in
+        row-major order, so an ``n``-row draw is the first ``n`` rows of
+        any larger one: the memo keeps the largest draw so far and
+        answers smaller requests with a prefix view.  The arrays are
+        read-only, so replicas sharing this strategy on several threads
+        can use them at once (a race only draws the same array twice).
+        """
+        m = self.n_candidates
+        key = (self.explainer.seed, m, latent_dim, noise_scale)
+        noise = self._noise_memo.get(key)
+        if noise is None or len(noise) < n:
+            rng = np.random.default_rng(self.explainer.seed + 500)
+            noise = rng.normal(0.0, noise_scale, size=(n, m, latent_dim))
+            noise[:, 0, :] = 0.0  # always include the deterministic candidate
+            noise.flags.writeable = False
+            self._noise_memo[key] = noise
+        return noise[:n]
 
     def describe(self):
         from dataclasses import asdict

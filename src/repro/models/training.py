@@ -69,6 +69,12 @@ class _WarmStart:
     hits: int = 0
 
 
+#: Mode bookkeeping of :class:`repro.nn.Module` (the train/eval flag and
+#: the eval-walk stamp): it varies between otherwise identical calls, so
+#: it stays out of the memo key.
+_MODE_ATTRS = ("training", "_eval_epoch")
+
+
 def _generators(vae, rng):
     """Distinct generators in first-seen order (``rng`` first) and, per
     module, which of them each of its generator attributes holds."""
@@ -81,7 +87,7 @@ def _generators(vae, rng):
                 if slot == len(generators):
                     generators.append(value)
                 entry.append((attr, slot))
-            elif attr != "training" and isinstance(value, (bool, int, float, str)):
+            elif attr not in _MODE_ATTRS and isinstance(value, (bool, int, float, str)):
                 entry.append((attr, value))
         layout.append(entry)
     return generators, layout

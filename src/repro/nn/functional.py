@@ -43,9 +43,10 @@ def sigmoid_forward(x, out=None):
     Both branches share ``e = exp(-|x|)``, which cannot overflow:
     ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)`` below.  Inputs are
     clipped to ±500 first (the result saturates long before); NaN stays
-    NaN.
+    NaN.  ``min(|x|, 500)`` is ``|clip(x, -500, 500)|`` bit for bit, at
+    two ufunc calls instead of ``np.clip``'s Python dispatch.
     """
-    e = np.exp(-np.abs(np.clip(x, -500, 500)))
+    e = np.exp(-np.minimum(np.abs(x), 500))
     denom = 1.0 + e
     if out is None:
         return np.where(x >= 0, 1.0 / denom, e / denom)

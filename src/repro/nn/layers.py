@@ -8,6 +8,8 @@ state-dict serialisation hooks) plus the layers the paper's models need:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from . import functional
@@ -16,6 +18,8 @@ from .tensor import Tensor, as_tensor, host, linear, no_grad
 
 __all__ = ["Module", "Linear", "ReLU", "Dropout", "Sequential"]
 
+_MODE_LOCK = threading.Lock()
+
 
 class Module:
     """Base class for all layers and models.
@@ -23,10 +27,27 @@ class Module:
     Subclasses register parameters by assigning :class:`Tensor` attributes
     with ``requires_grad=True`` and register children by assigning
     :class:`Module` attributes.  Both are discovered automatically.
+
+    :meth:`eval` skips its walk when nothing can have left eval mode
+    since the last one: every ``training`` assignment and every
+    attribute holding a module, list or tuple bumps the class-wide
+    :attr:`_mode_epoch`, and a walk stamps its root with the epoch it
+    started at.  A list mutated in place after assignment (an
+    ``append`` to ``Sequential.layers``) is not seen; assign a new list.
     """
+
+    #: Bumped (under a lock) by anything that can put a module of some
+    #: tree back in training mode or graft one into a tree.
+    _mode_epoch = 0
 
     def __init__(self):
         self.training = True
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name == "training" or isinstance(value, (Module, list, tuple)):
+            with _MODE_LOCK:
+                Module._mode_epoch += 1
 
     def forward(self, x):
         """Compute the layer output; subclasses must override."""
@@ -98,9 +119,18 @@ class Module:
         return self
 
     def eval(self):
-        """Switch this module and all children into evaluation mode."""
+        """Switch this module and all children into evaluation mode.
+
+        Returns at once when this module's last walk started at the
+        current :attr:`_mode_epoch`: its whole tree is still in eval mode.
+        """
+        epoch = Module._mode_epoch
+        if self.__dict__.get("_eval_epoch") == epoch:
+            return self
         for module in self.modules():
-            module.training = False
+            # a switch *into* eval mode cannot stale any stamp: no bump
+            module.__dict__["training"] = False
+        self.__dict__["_eval_epoch"] = epoch
         return self
 
     def zero_grad(self):

@@ -224,7 +224,13 @@ class WorkerPool:
                 service.submit(row, int(target))
                 for row, target in zip(rows, desired)
             ]
-            service.flush(**self._flush_kwargs)
+            try:
+                service.flush(**self._flush_kwargs)
+            except BaseException:
+                # the failed flush re-queued them, but this call's caller
+                # gets the error: a retry must not meet them again
+                service.withdraw(tickets)
+                raise
         return [ticket.result() for ticket in tickets]
 
     # -- introspection --------------------------------------------------------

@@ -582,6 +582,12 @@ class ExplanationService:
         with self._lock:
             return len(self._pending)
 
+    def withdraw(self, tickets):
+        """Take still-queued ``tickets`` off the queue (their caller gave up)."""
+        gone = {id(ticket) for ticket in tickets}
+        with self._lock:
+            self._pending = [ticket for ticket in self._pending if id(ticket) not in gone]
+
     def flush(self, n_candidates=8, rng=None):
         """Resolve every pending ticket with one vectorized sweep.
 
@@ -595,7 +601,19 @@ class ExplanationService:
         strategy-configured service routes the rows through its
         strategy, so tickets and ``explain_batch`` answer with the same
         method.  Returns the resolved tickets.
+
+        A flush that fails (a bad ``n_candidates``, an error inside the
+        runner) puts its tickets back at the front of the queue before
+        it re-raises, so they are answered by the next good flush (or
+        taken off with :meth:`withdraw`).
         """
+        # built (and so checked) before the queue is touched
+        if self.strategy is not None:
+            strategy = self.strategy
+        elif rng is None:
+            strategy = self._core_strategy_for(n_candidates)
+        else:
+            strategy = CoreCFStrategy(self.explainer, n_candidates=n_candidates, rng=rng)
         # swap the queue atomically: a concurrent submit lands either in
         # this flush or the next one, never in both and never in neither
         with self._lock:
@@ -604,17 +622,17 @@ class ExplanationService:
             tickets = self._pending
             self._pending = []
 
-        rows = np.stack([ticket.row for ticket in tickets])
-        desired = resolve_desired(
-            self.explainer.blackbox, rows, [ticket.desired for ticket in tickets]
-        )
-        if self.strategy is not None:
-            strategy = self.strategy
-        elif rng is None:
-            strategy = self._core_strategy_for(n_candidates)
-        else:
-            strategy = CoreCFStrategy(self.explainer, n_candidates=n_candidates, rng=rng)
-        result, diagnostics = self.runner.run(strategy, rows, desired, return_diagnostics=True)
+        try:
+            rows = np.stack([ticket.row for ticket in tickets])
+            desired = resolve_desired(
+                self.explainer.blackbox, rows, [ticket.desired for ticket in tickets]
+            )
+            result, diagnostics = self.runner.run(
+                strategy, rows, desired, return_diagnostics=True)
+        except BaseException:
+            with self._lock:
+                self._pending[:0] = tickets
+            raise
         for i, ticket in enumerate(tickets):
             ticket._result = {
                 "x_cf": result.x_cf[i],

@@ -104,3 +104,92 @@ class TestRepairParity:
         assert_bit_identical(
             model.repair_batch(x, repaired), repaired,
             context="scm idempotence")
+
+
+def historical_scm_repair(model, x, candidates):
+    """``ScmCausalModel._repair_flat`` as first written, for flat ``(N, d)`` pairs.
+
+    Per call it reads every feature with ``(high - low)``, abducts every
+    residual, derives each tolerance and clip range and clips with
+    ``np.clip``; the model now resolves those constants once and clips
+    with ``ndarray.clip``.
+    """
+    codec = model._codec
+
+    def read(a):
+        values = {}
+        for name in model._features:
+            kind, column = codec.kinds[name], codec.columns[name]
+            if kind == "categorical":
+                values[name] = np.argmax(a[:, column], axis=1).astype(np.float64)
+            elif kind == "continuous":
+                low, high = codec.ranges[name]
+                values[name] = a[:, column] * (high - low) + low
+            else:
+                values[name] = a[:, column]
+        return values
+
+    def bounds(name):
+        return codec.ranges[name] if codec.kinds[name] == "continuous" else (0.0, 1.0)
+
+    def tolerance(name):
+        if codec.kinds[name] == "continuous":
+            low, high = codec.ranges[name]
+            return 1e-6 * (high - low)
+        return 1e-6
+
+    out = candidates.copy()
+    v_x, v_cf = read(x), read(out)
+    original = {eq.effect: v_cf[eq.effect] for eq in model.equations}
+    residuals = {eq.label: v_x[eq.effect] - eq.predict({c: v_x[c] for c in eq.causes})
+                 for eq in model.equations if eq.mode == "additive"}
+    for eq in model.equations:
+        effect = eq.effect
+        if eq.mode == "monotone":
+            new = np.maximum(v_cf[effect], v_x[effect])
+        elif eq.mode == "floor":
+            new = np.maximum(v_cf[effect], eq.predict({c: v_cf[c] for c in eq.causes}))
+        else:
+            moved = np.zeros(len(out), dtype=bool)
+            for cause in eq.causes:
+                moved |= np.abs(v_cf[cause] - v_x[cause]) > tolerance(cause)
+            predicted = eq.predict({c: v_cf[c] for c in eq.causes})
+            new = np.where(moved, predicted + residuals[eq.label], v_cf[effect])
+        low, high = bounds(effect)
+        v_cf[effect] = np.where(new != v_cf[effect], np.clip(new, low, high), v_cf[effect])
+    for effect, before in original.items():
+        changed = v_cf[effect] != before
+        if changed.any():
+            low, high = bounds(effect)
+            encoded = (v_cf[effect] - low) / (high - low) \
+                if codec.kinds[effect] == "continuous" else v_cf[effect]
+            column = codec.columns[effect]
+            out[:, column] = np.where(changed, encoded, out[:, column])
+    return out
+
+
+class TestScmRepairFormula:
+    def test_repair_matches_the_historical_formula(self, bundle):
+        model = ScmCausalModel(bundle.encoder)
+        x = bundle.encoded[:60]
+        for trial, scale in enumerate((0.0, 1e-7, 1e-3, 0.05, 0.3, 1.0)):
+            m = 1 + trial % 4
+            sweep = candidate_sweep(x, np.random.default_rng(200 + trial), scale, m=m)
+            sweep[::7, 0, :] = 0.0  # the encoded box's corners drive clipping
+            sweep[1::7, -1, :] = 1.0
+            flat = historical_scm_repair(
+                model, np.repeat(x, m, axis=0), sweep.reshape(len(x) * m, -1))
+            assert_bit_identical(
+                model.repair_batch(x, sweep), flat.reshape(sweep.shape),
+                context=f"scm repair vs historical formula at noise {scale}")
+
+    def test_floor_lookup_clips_ranks_like_np_clip(self, bundle):
+        model = ScmCausalModel(bundle.encoder)
+        ranks = np.arange(-3.0, 30.0)
+        for eq in model.equations:
+            if eq.mode != "floor":
+                continue
+            edge = np.clip(ranks, 0, len(bundle.encoder.schema.feature("education").categories) - 1)
+            assert_bit_identical(
+                eq.predict({"education": ranks}), eq.predict({"education": edge}),
+                context=f"{eq.label} rank clip")

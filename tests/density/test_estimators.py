@@ -38,6 +38,25 @@ class _StubVAE:
 
 
 class TestKnnDensity:
+    @pytest.mark.parametrize("dataset", ["adult", "kdd_census", "law_school"])
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_score_bits_equal_the_tree_query_mean(self, dataset, k):
+        from scipy.spatial import cKDTree
+
+        from repro.data import load_dataset
+        from repro.density import fit_class_density
+        from tests.helpers.parity import perturbed
+
+        bundle = load_dataset(dataset, n_instances=900, seed=1)
+        x, y = bundle.split("train")
+        desired = bundle.schema.desired_class
+        model = fit_class_density("knn", x, y, desired, k_neighbors=k)
+        tree = cKDTree(x[y == desired])
+        candidates = perturbed(x[:40], np.random.default_rng(k), 0.1, m=8)
+        distances = tree.query(candidates, k=k)[0]
+        expected = distances if k == 1 else distances.mean(axis=1)
+        assert model.score(candidates).tobytes() == expected.tobytes()
+
     def test_requires_fit(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             KnnDensity().score(np.zeros((2, 3)))

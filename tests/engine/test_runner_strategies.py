@@ -14,7 +14,7 @@ from repro.data import load_dataset
 from repro.engine import EngineRunner, build_strategy
 from repro.engine.runner import _select_candidates
 from repro.metrics import evaluate_counterfactuals
-from tests.helpers.parity import pick_candidate
+from tests.helpers.parity import assert_bit_identical, pick_candidate
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +207,37 @@ class TestStrategyAPI:
         bundle, explainer, _, _, _ = setup
         with pytest.raises(KeyError, match="unknown method"):
             build_strategy("gandalf", bundle.encoder, explainer.blackbox)
+
+    def test_default_noise_is_a_fresh_seed_plus_500_draw(self, setup):
+        # the default stream is drawn once and reused: whatever the order
+        # of batch sizes, each proposal equals a fresh default_rng draw
+        _, explainer, _, _, negatives = setup
+        strategy = explainer.as_strategy(n_candidates=4)
+        for n in (3, 7, 2, 7, 1, 12):
+            fresh = explainer.as_strategy(
+                n_candidates=4, rng=np.random.default_rng(explainer.seed + 500))
+            assert_bit_identical(
+                strategy.propose(negatives[:n]).candidates,
+                fresh.propose(negatives[:n]).candidates,
+                context=f"default noise at n={n}")
+
+    def test_default_noise_is_shared_safely_across_threads(self, setup):
+        # pool replicas call propose on one strategy from several threads
+        from concurrent.futures import ThreadPoolExecutor
+
+        _, explainer, _, _, negatives = setup
+        strategy = explainer.as_strategy(n_candidates=3)
+        sizes = [1 + (i * 7) % 15 for i in range(48)]
+
+        def fresh(n):
+            return explainer.as_strategy(
+                n_candidates=3, rng=np.random.default_rng(explainer.seed + 500)
+            ).propose(negatives[:n]).candidates
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            shared = list(pool.map(lambda n: strategy.propose(negatives[:n]).candidates, sizes))
+        for n, got in zip(sizes, shared):
+            assert_bit_identical(got, fresh(n), context=f"threaded default noise at n={n}")
 
     def test_candidate_batch_flat_layout(self, setup):
         _, explainer, _, _, negatives = setup

@@ -62,6 +62,22 @@ class TestWorkerPool:
             assert got["predicted"] == want["predicted"]
             assert got["valid"] == want["valid"]
 
+    def test_failed_shard_flush_leaves_no_ticket_behind(self, store, explain_rows,
+                                                         monkeypatch):
+        with WorkerPool(store, "tiny", n_replicas=1) as pool:
+            replica = pool.replicas[0]
+
+            def broken(*args, **kwargs):
+                raise RuntimeError("runner failed")
+
+            monkeypatch.setattr(replica.runner, "run", broken)
+            with pytest.raises(RuntimeError, match="runner failed"):
+                pool.flush_rows(explain_rows[:4])
+            assert replica.pending == 0
+            monkeypatch.undo()
+            assert len(pool.flush_rows(explain_rows[4:6])) == 2
+            assert replica.stats["rows_coalesced"] == 2
+
     def test_same_row_routes_to_same_replica(self, store, explain_rows):
         with WorkerPool(store, "tiny", n_replicas=4) as pool:
             routes = [pool.route(row) for row in explain_rows]

@@ -137,6 +137,34 @@ class TestMicroBatching:
         assert service.flush() == []
         assert service.stats["flushes"] == 0
 
+    def test_bad_flush_keeps_every_ticket_queued(self, service, explain_rows):
+        tickets = [service.submit(row) for row in explain_rows[:3]]
+        with pytest.raises(ValueError, match="n_candidates must be >= 1"):
+            service.flush(n_candidates=0)
+        assert service.pending == 3
+        assert not any(ticket.ready for ticket in tickets)
+        assert service.flush(n_candidates=4) == tickets
+        assert all(ticket.ready for ticket in tickets)
+        assert service.stats["flushes"] == 1
+
+    def test_failed_run_requeues_its_tickets_first(self, service, explain_rows,
+                                                    monkeypatch):
+        failed = [service.submit(row) for row in explain_rows[:2]]
+        later = []
+
+        def broken(*args, **kwargs):
+            # a submit racing the flush lands in the fresh queue
+            later.append(service.submit(explain_rows[2]))
+            raise RuntimeError("replica lost")
+
+        monkeypatch.setattr(service.runner, "run", broken)
+        with pytest.raises(RuntimeError, match="replica lost"):
+            service.flush(n_candidates=3)
+        monkeypatch.undo()
+        assert service.pending == 3
+        # the failed flush's tickets go back ahead of the racing submit
+        assert service.flush(n_candidates=3) == failed + later
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_density_weight_fails_where_it_is_set(self, tiny_pipeline, service,
                                                       explain_rows, bad):
