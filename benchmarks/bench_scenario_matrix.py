@@ -15,10 +15,7 @@ rows (``<strategy>+<scm|mined>`` — the causal-repairing runner shape)
 and robust variant rows (``<strategy>+robust`` — the ensemble-hosting
 runner shape, every candidate scored against all K members) ride along
 in the same section; the ``latent`` estimator needs a trained CF-VAE
-and is covered by tier-1 tests instead of this smoke.  Compiled-plan
-rows (``<strategy>+plan`` for the two slowest strategies, with their
-``plan_speedup_vs_staged``) record what routing the same request
-through a compiled ``ExplainPlan`` changes.
+and is covered by tier-1 tests instead of this smoke.
 
 Run directly (CI does)::
 
@@ -90,14 +87,6 @@ ROBUST_VARIANTS = (
     ("dice_random", 4),
 )
 
-#: Compiled-plan variants: the two slowest matrix strategies re-timed
-#: through a compiled :class:`repro.engine.ExplainPlan`
-#: (``runner.compile`` + fused replay) instead of the staged chain.
-#: Informational — proposal cost dominates both methods, so the
-#: recorded ``plan_speedup_vs_staged`` shows what plan compilation buys
-#: on proposal-heavy workloads.
-PLAN_VARIANTS = ("cchvae", "revise")
-
 #: Validity floors (percent of explained rows) for the two VAE-decoding
 #: methods: both sat at 0% on this workload when their decoders were
 #: undertrained.
@@ -117,19 +106,18 @@ def run_matrix(seed=0):
     encoder = context.bundle.encoder
     runner = EngineRunner(encoder, context.blackbox)
 
-    def timed_run(run_runner, strategy, plan=None):
+    def timed_run(run_runner, strategy):
         # diagnostics force the density/causal/ensemble scoring pass
         # (when hosted) into the timed window — the shape
         # runner.evaluate serves
         diagnostics = (run_runner.density is not None
                        or run_runner.causal is not None
                        or run_runner.ensemble is not None)
-        run_runner.run(strategy, context.x_explain, context.desired,
-                       plan=plan)  # warm-up
+        run_runner.run(strategy, context.x_explain, context.desired)  # warm-up
         start = time.perf_counter()
         result = run_runner.run(
             strategy, context.x_explain, context.desired,
-            return_diagnostics=diagnostics, plan=plan)
+            return_diagnostics=diagnostics)
         explain_seconds = max(time.perf_counter() - start, 1e-9)
         if diagnostics:
             result = result[0]
@@ -181,13 +169,6 @@ def run_matrix(seed=0):
             encoder, context.blackbox, ensemble=ensembles[n_members])
         strategies[f"{name}+robust"] = timed_run(robust_runner, fitted[name])
 
-    for name in PLAN_VARIANTS:
-        plan = runner.compile(fitted[name])
-        entry = timed_run(runner, fitted[name], plan=plan)
-        entry["plan_speedup_vs_staged"] = round(
-            entry["rows_per_sec"] / strategies[name]["rows_per_sec"], 2)
-        strategies[f"{name}+plan"] = entry
-
     rates = [entry["rows_per_sec"] for entry in strategies.values()]
     return {
         "rows": len(context.x_explain),
@@ -195,7 +176,6 @@ def run_matrix(seed=0):
         "n_density_variants": len(DENSITY_VARIANTS),
         "n_causal_variants": len(CAUSAL_VARIANTS),
         "n_robust_variants": len(ROBUST_VARIANTS),
-        "n_plan_variants": len(PLAN_VARIANTS),
         "min_rows_per_sec": round(min(rates), 1),
         "strategies": strategies,
     }
@@ -216,7 +196,7 @@ def test_scenario_matrix(artifact_dir):
     section = run_matrix(seed=0)
     assert section["n_strategies"] == (
         len(BASELINE_MATRIX) + len(DENSITY_VARIANTS) + len(CAUSAL_VARIANTS)
-        + len(ROBUST_VARIANTS) + len(PLAN_VARIANTS))
+        + len(ROBUST_VARIANTS))
     assert section["min_rows_per_sec"] > 0
     assert floor_failures(section) == []
     artifact = artifact_dir / "bench_scenario_matrix.json"

@@ -192,7 +192,7 @@ def _run_serve_demo(dataset, scale, seed, out_dir, artifact_dir, rows,
     With ``--workers N`` (N > 1) or ``--async`` the same batch is
     additionally served through the scaled tier: a
     :class:`repro.serve.WorkerPool` of N warm replicas sharing one
-    pipeline (one copy of the weights, one compiled execution state,
+    pipeline (one copy of the weights, one engine runner,
     consistent-hash routing), answered either as one routed batch call
     or — with ``--async`` — one row at a time through the
     :class:`repro.serve.AsyncExplanationService` coalescing front.  A

@@ -21,7 +21,7 @@ six-part loss uses (ROADMAP item 5):
 
 Both implement the full :class:`repro.density.base.DensityModel`
 protocol (``fit`` / ``score`` / ``get_state`` / ``fingerprint``), so the
-artifact store and overlay registry treat them like every other
+artifact store and its overlays treat them like every other
 estimator; on top of that they expose ``penalty(x_cf, desired) ->
 Tensor``, the hook :class:`repro.core.losses.FourPartLoss` calls.
 """

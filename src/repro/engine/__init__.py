@@ -14,16 +14,14 @@ sparsity and density actually runs:
 * :mod:`repro.engine.runner` — ``EngineRunner``: immutable projection,
   validity filtering, feasibility evaluation, candidate selection and
   Table IV scoring, hosted once for every method and the serving layer.
-* :mod:`repro.engine.plan` — ``ExplainPlan``, the one implementation of
-  the row -> CF chain: traced once per (runner, strategy) pair and
-  replayed as one whole-batch float64 pass by ``EngineRunner.run``.
+  ``EngineRunner.run`` is the one implementation of the row -> CF chain,
+  one whole-batch float64 pass per call.
 * :mod:`repro.engine.scenarios` — the declarative scenario registry
   (dataset x strategy x constraint config) the harness, CLI and bench
   iterate over.
 """
 
 from .kernel import CompiledConstraintSet, FeasibilityReport
-from .plan import ExplainPlan, PlanStage
 from .runner import EngineRunner
 from .scenarios import (
     DEFAULT_ENSEMBLE_SIZE,
@@ -51,9 +49,7 @@ __all__ = [
     "CoreCFStrategy",
     "DEFAULT_ENSEMBLE_SIZE",
     "EngineRunner",
-    "ExplainPlan",
     "FeasibilityReport",
-    "PlanStage",
     "Scenario",
     "ScenarioResult",
     "build_strategy",

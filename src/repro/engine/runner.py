@@ -5,9 +5,8 @@ generation was forked three ways: ``core/explainer.py`` ran its own
 project/predict/feasibility loop, every baseline re-implemented immutable
 projection and validity checks inside ``BaseCFExplainer``, and the
 serving layer only knew how to drive the core path.  ``EngineRunner``
-hosts that plumbing exactly once, and :class:`~repro.engine.plan.ExplainPlan`
-is its one implementation — :meth:`EngineRunner.run` replays the
-strategy's compiled plan:
+hosts that plumbing exactly once, and :meth:`EngineRunner.run` is the
+one way to turn rows into counterfactuals — the explain chain:
 
 1. ask a :class:`~repro.engine.strategy.CFStrategy` for raw candidates,
 2. project immutable attributes for the whole ``(n, m, d)`` batch in one
@@ -23,10 +22,12 @@ strategy's compiled plan:
    (including the density and causal-plausibility columns when the
    matching models are hosted).
 
-Outputs are bit-identical to the pre-engine per-method paths — the
-parity tests in ``tests/engine/`` hold the line against a staged
-reference kept in ``tests/helpers/parity.py`` — and a runner without a
-density model runs the exact pre-density code path.
+Rows are validated once, at the chain's entry; every inner stage runs
+in trusted mode (``repair_batch(validate=False)``).  Outputs are
+bit-identical to the historical stage-by-stage chain — the parity tests
+in ``tests/engine/`` hold the line against a staged reference kept in
+``tests/helpers/parity.py`` — and a runner without a density model runs
+the exact pre-density code path.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..constraints import ConstraintSet, ImmutableProjector, build_constraints
-from ..utils.validation import check_positive
+from ..core.result import CFBatchResult
+from ..utils.validation import check_encoded_rows, check_positive
 from .kernel import CompiledConstraintSet, FeasibilityReport
 
 __all__ = ["EngineRunner"]
@@ -122,9 +124,6 @@ class EngineRunner:
             raise ValueError(
                 f"robust_quorum must be in (0, 1], got {robust_quorum}")
         self.robust_quorum = float(robust_quorum)
-        #: ``(strategy, plan)`` single-slot memo behind
-        #: :meth:`plan_for`.
-        self._plan_memo = None
 
     # -- constraint bookkeeping ---------------------------------------------
     def flag_indices(self, strategy):
@@ -142,63 +141,110 @@ class EngineRunner:
         except ValueError:
             return list(range(len(self.kernel)))
 
-    # -- compiled plans -----------------------------------------------------
-    def compile(self, strategy):
-        """Trace the fixed chain for ``strategy`` into a fresh :class:`ExplainPlan`.
-
-        The plan resolves the constraint flag columns once, then replays
-        the whole pipeline as one whole-batch pass per
-        :meth:`ExplainPlan.execute` call.
-        """
-        from .plan import ExplainPlan
-
-        return ExplainPlan(self, strategy)
-
     # -- core pipeline ------------------------------------------------------
     def project(self, x, candidates):
         """Immutable projection over a full ``(n, m, d)`` candidate batch."""
         return self.projector.project(x, candidates)
 
-    def plan_for(self, strategy):
-        """The memoised :class:`ExplainPlan` for ``strategy``.
-
-        A single-slot memo keyed on the strategy's identity: serving the
-        same strategy again replays the plan compiled for it, while a
-        different strategy compiles afresh and replaces the slot — so
-        the runner never holds more than one plan (and one strategy)
-        alive.
-        """
-        memo = self._plan_memo
-        if memo is not None and memo[0] is strategy:
-            return memo[1]
-        plan = self.compile(strategy)
-        self._plan_memo = (strategy, plan)
-        return plan
-
-    def run(self, strategy, x, desired=None, return_diagnostics=False, plan=None):
+    def run(self, strategy, x, desired=None, return_diagnostics=False):
         """Explain ``x`` with ``strategy``; returns a :class:`CFBatchResult`.
 
-        Replays the strategy's compiled :class:`ExplainPlan`
-        (:meth:`plan_for`): one strategy proposal, one broadcast
-        projection, one validity call, one fused feasibility pass —
+        One strategy proposal, then one pass over the whole ``(n, m, d)``
+        candidate sweep: one broadcast projection, one causal repair (when
+        hosted), one validity call, one fused feasibility pass —
         regardless of how many candidates per row the strategy proposed.
         Multi-candidate batches are reduced to one counterfactual per
         row by the serving selection policy: closest by L1 among valid &
         feasible, then valid-only, then the first (deterministic)
-        candidate.
+        candidate.  Feasibility flags come from the strategy's own
+        constraint columns (:meth:`flag_indices`).
 
-        ``plan`` replays an explicitly compiled plan (from
-        :meth:`compile`) instead; ``strategy``
-        may then be ``None`` (the plan carries its own) but must
-        otherwise be the compiled strategy.
+        With ``return_diagnostics`` it also returns a dict: the sweep's
+        feasibility report, chosen indices, usable and valid counts and
+        the hosted models' per-row scores.  The runner keeps no
+        per-call state, so threads may share one.
         """
-        if plan is None:
-            plan = self.plan_for(strategy)
-        elif plan.runner is not self:
-            raise ValueError("plan was compiled against a different runner")
-        elif strategy is not None and plan.strategy is not strategy:
-            raise ValueError("plan was compiled for a different strategy instance")
-        return plan.execute(x, desired, return_diagnostics=return_diagnostics)
+        x = check_encoded_rows(x, self.encoder, "x")
+        batch = strategy.propose(x, desired)
+        x, desired = batch.x, batch.desired
+        n, m, d = batch.candidates.shape
+
+        cand = self.project(x, batch.candidates)
+        row_causal = None
+        if self.causal is not None:
+            repaired = self.causal.repair_batch(x, cand, validate=False)
+            if return_diagnostics:
+                row_causal = np.abs(repaired - cand).sum(axis=2)
+            cand = repaired
+        flat = cand.reshape(n * m, d)
+
+        predicted = self.blackbox.predict(flat)
+        report = self.kernel.evaluate(x, flat)
+        flags = report.subset_satisfied(self.flag_indices(strategy))
+        valid = predicted == np.repeat(desired, m)
+
+        density = None
+        if self.density is not None and m > 1:
+            density = self.density.score_tiled(cand)
+
+        cross = robust = None
+        if self.ensemble is not None:
+            cross = self.ensemble.agreement(flat, np.repeat(desired, m)).reshape(n, m)
+            robust = cross >= self.robust_quorum
+
+        rows = np.arange(n)
+        if m == 1:
+            x_cf = cand[:, 0, :]
+            chosen = np.zeros(n, dtype=int)
+            row_predicted, row_feasible = predicted, flags
+        else:
+            valid2d, flags2d = valid.reshape(n, m), flags.reshape(n, m)
+            if density is None:
+                chosen = _select_candidates(x, cand, valid2d, flags2d, robust=robust)
+            else:
+                chosen = _select_candidates_density(
+                    x, cand, valid2d, flags2d, density, self.density_weight, robust=robust
+                )
+            x_cf = cand[rows, chosen]
+            row_predicted = predicted.reshape(n, m)[rows, chosen]
+            row_feasible = flags.reshape(n, m)[rows, chosen]
+
+        result = CFBatchResult(
+            x=x,
+            x_cf=x_cf,
+            desired=desired,
+            predicted=row_predicted,
+            valid=row_predicted == desired,
+            feasible=row_feasible,
+            encoder=self.encoder,
+        )
+        if not return_diagnostics:
+            return result
+
+        diagnostics = {
+            "report": report,
+            "chosen": chosen,
+            "n_candidates": m,
+            "n_usable": (valid & flags).reshape(n, m).sum(axis=1),
+            "n_valid": valid.reshape(n, m).sum(axis=1),
+            "candidate_validity": float(valid.mean()) if valid.size else 0.0,
+        }
+        if self.density is not None:
+            if density is not None:
+                diagnostics["row_density"] = density[rows, chosen]
+            else:
+                # m == 1: score the selected rows in one full-batch query
+                diagnostics["row_density"] = self.density.score(x_cf)
+        if row_causal is not None:
+            diagnostics["row_causal"] = row_causal[rows, chosen]
+        if self.ensemble is not None:
+            # candidate_robustness averages the *full sweep*, not the
+            # selected rows
+            sweep = robust.reshape(-1)
+            diagnostics["row_cross_validity"] = cross[rows, chosen]
+            diagnostics["row_robust"] = robust[rows, chosen]
+            diagnostics["candidate_robustness"] = float(sweep.mean()) if sweep.size else 0.0
+        return result, diagnostics
 
     # -- Table IV scoring ---------------------------------------------------
     def evaluate(
@@ -210,7 +256,6 @@ class EngineRunner:
         x_train=None,
         report_kinds=("unary", "binary"),
         method_name=None,
-        plan=None,
     ):
         """Fit-free evaluation: one engine run scored as a Table IV row.
 
@@ -220,13 +265,10 @@ class EngineRunner:
         kernel pass instead of re-evaluating the scored rows.  A hosted
         density model additionally fills the report's
         ``mean_knn_distance`` column from the run's own density scores.
-        ``plan`` scores through an explicitly compiled
-        :class:`ExplainPlan` instead of the strategy's memoised one.
         """
         from ..metrics import evaluate_counterfactuals
 
-        result, diagnostics = self.run(
-            strategy, x, desired, return_diagnostics=True, plan=plan)
+        result, diagnostics = self.run(strategy, x, desired, return_diagnostics=True)
         report = diagnostics["report"]
         m = diagnostics["n_candidates"]
         if m > 1:

@@ -10,14 +10,15 @@ servable system:
   and the one :func:`fingerprint_state` hashing recipe behind it.
 * :mod:`repro.serve.store` -- :class:`ArtifactStore`, versioned on-disk
   persistence of trained pipelines with fingerprinted manifests, plus
-  the generic overlay registry (``save_overlay`` / ``load_overlay``)
-  for the model state persisted next to them.
+  one ``save_overlay`` / ``load_overlay`` surface over the fixed
+  ``OVERLAY_KINDS`` table (density, causal, ensemble) for the model
+  state persisted next to them.
 * :mod:`repro.serve.service` -- :class:`ExplanationService`, warm-start
   batch serving with an LRU result cache and single-row micro-batching.
 * :mod:`repro.serve.cache` -- the thread-safe LRU cache primitive.
 * :mod:`repro.serve.scale` -- the horizontally scaled tier:
-  :class:`WorkerPool` (N warm thread replicas, one shared pipeline, one
-  compiled plan) behind :class:`AsyncExplanationService` (asyncio
+  :class:`WorkerPool` (N warm thread replicas, one shared pipeline and
+  engine runner) behind :class:`AsyncExplanationService` (asyncio
   request coalescing).
 * :mod:`repro.serve.routing` -- consistent-hash request routing that
   keeps replica-local caches hot as the pool scales.
@@ -39,10 +40,7 @@ from .store import (
     ARTIFACT_FORMAT_VERSION,
     ArtifactError,
     ArtifactStore,
-    OverlayKind,
     StaleArtifactError,
-    overlay_kinds,
-    register_overlay_kind,
 )
 
 __all__ = [
@@ -54,7 +52,6 @@ __all__ = [
     "ExplainTicket",
     "ExplanationService",
     "LRUResultCache",
-    "OverlayKind",
     "PendingTicketError",
     "Persistable",
     "StaleArtifactError",
@@ -62,9 +59,7 @@ __all__ = [
     "WorkerPool",
     "fingerprint_state",
     "load_bundle",
-    "overlay_kinds",
     "pipeline_fingerprint",
-    "register_overlay_kind",
     "request_key",
     "train_pipeline",
     "train_shared_blackbox",

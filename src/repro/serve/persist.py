@@ -9,8 +9,7 @@ copy-paste — a flat ``get_state`` dict of arrays and scalars, a
 staleness checks.  This module is the single home of that contract:
 
 * :class:`Persistable` — the structural protocol all three layers
-  satisfy (and anything else that wants to ride the store's generic
-  overlay registry must satisfy),
+  satisfy (the store's overlays save and rebuild through it),
 * :func:`fingerprint_state` — the one fingerprint implementation the
   three layers now delegate to.  Arrays are hashed by content, scalars
   canonically JSON-encoded, and the digest truncated to 16 hex chars —

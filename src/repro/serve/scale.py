@@ -7,9 +7,9 @@ fleet.  Two pieces compose:
   pipeline.  The leader replica warm-starts from the
   :class:`~repro.serve.store.ArtifactStore` through the standard
   ``warm_start(overlays={...})`` contract; siblings wrap the same
-  pipeline object and adopt the leader's compiled execution state
-  (runner with its plan memo, core strategies) — so the pool compiles
-  ONE plan per served strategy, not N.  The replicas run in-process on
+  pipeline object and adopt the leader's execution state (its engine
+  runner and core strategies) — so the pool builds ONE of each, not N.
+  The replicas run in-process on
   the pool's dispatch threads and hold one copy of every model array.
   Requests shard across replicas by
   :class:`~repro.serve.routing.ConsistentHashRing` over the composite

@@ -4,10 +4,10 @@
 serving subsystem: it wraps a trained pipeline (freshly trained or
 rebuilt from an :class:`~repro.serve.store.ArtifactStore`), answers
 ``explain_batch`` requests through the shared
-:class:`repro.engine.EngineRunner` (which replays one compiled
-:class:`~repro.engine.plan.ExplainPlan` per served strategy), memoises
-per-row results in an LRU cache keyed on the pipeline fingerprint, and
-coalesces queued single-row requests into one vectorized runner pass.
+:class:`repro.engine.EngineRunner` (one ``run`` pass per batch of
+cache misses), memoises per-row results in an LRU cache keyed on the
+pipeline fingerprint, and coalesces queued single-row requests into one
+vectorized runner pass.
 
 The service is strategy-agnostic: without a strategy it serves the
 core CF-VAE through a :class:`repro.engine.CoreCFStrategy`; pass any
@@ -46,10 +46,7 @@ from ..utils.validation import (
     resolve_desired,
 )
 from .cache import LRUResultCache
-
-#: Overlay kinds :meth:`ExplanationService.warm_start` hosts, in the
-#: order the service constructor takes them.
-_SERVICE_OVERLAYS = ("density", "causal", "ensemble")
+from .store import OVERLAY_KINDS, StaleArtifactError
 
 __all__ = ["ExplainTicket", "ExplanationService", "PendingTicketError"]
 
@@ -165,8 +162,8 @@ class ExplanationService:
         self._fingerprint_memo = {}
         self._runner = None
         #: n_candidates -> default-rng CoreCFStrategy; one object per
-        #: sweep size so the runner's plan memo hits, and shared with
-        #: sibling replicas by :meth:`adopt_execution_from`.
+        #: sweep size, so its memoised default noise draw is reused, and
+        #: shared with sibling replicas by :meth:`adopt_execution_from`.
         self._core_strategies = {}
         self.cache = LRUResultCache(cache_size)
         self._pending = []
@@ -252,14 +249,12 @@ class ExplanationService:
         if on_stale not in ("raise", "migrate"):
             raise ValueError(
                 f'on_stale must be "raise" or "migrate", got {on_stale!r}')
-        from .store import StaleArtifactError
-
         overlays = dict(overlays) if overlays else {}
-        unknown = sorted(set(overlays) - set(_SERVICE_OVERLAYS))
+        unknown = sorted(set(overlays) - set(OVERLAY_KINDS))
         if unknown:
             raise ValueError(
                 f"unknown overlay kinds {unknown} in overlays; "
-                f"the service hosts {list(_SERVICE_OVERLAYS)}")
+                f"the service hosts {list(OVERLAY_KINDS)}")
 
         try:
             pipeline = store.load(name, expected_fingerprint=expected_fingerprint)
@@ -459,12 +454,14 @@ class ExplanationService:
         Re-validates every explanation cached by ``old_service`` (under
         its own composite fingerprint) against *this* service's model in
         ONE batched pass — one black-box predict over the cached
-        counterfactuals plus one compiled-kernel feasibility pass — and
-        re-inserts the rows whose counterfactual still reaches its
-        desired class under the new model, keyed under this service's
-        fingerprint.  Survivors keep serving from memory after a
-        retrain; dropped rows fall back to cache misses and are
-        re-explained by the new model on their next request.
+        counterfactuals plus one feasibility pass of the runner's kernel,
+        flagged against the served strategy's constraint columns exactly
+        as a cache miss is — and re-inserts the rows whose
+        counterfactual still reaches its desired class under the new
+        model, keyed under this service's fingerprint.  Survivors keep
+        serving from memory after a retrain; dropped rows fall back to
+        cache misses and are re-explained by the new model on their next
+        request.
 
         Returns (and records in :attr:`last_migration`) the counters
         ``{"examined", "survivors", "dropped"}``.
@@ -488,7 +485,9 @@ class ExplanationService:
             desired = np.asarray(desired, dtype=int)
             x_cf = np.stack(x_cf)
             predicted = self.explainer.blackbox.predict(x_cf)
-            feasible = self.explainer.compiled_constraints.satisfied(rows, x_cf)
+            runner = self.runner
+            feasible = runner.kernel.evaluate(rows, x_cf).subset_satisfied(
+                runner.flag_indices(self.strategy or self.core_strategy))
             survivors = predicted == desired
             fingerprint = self.cache_fingerprint
             for i in np.flatnonzero(survivors):
@@ -651,16 +650,15 @@ class ExplanationService:
 
     # -- execution-state sharing ----------------------------------------------
     def adopt_execution_from(self, sibling):
-        """Reuse a sibling replica's compiled execution state.
+        """Reuse a sibling replica's execution state.
 
         A scaled-out worker pool runs N services over ONE shared
         pipeline; without sharing, every replica would build its own
-        :class:`EngineRunner`, its own core strategies and compile its
-        own :class:`~repro.engine.plan.ExplainPlan`.  This adopts the
-        sibling's runner (whose plan memo holds the compiled plan) and
-        core strategies so the pool holds exactly one of each (the
-        runner and plan keep all state at construction time, so
-        concurrent replay is safe).
+        :class:`EngineRunner` and its own core strategies.  This adopts
+        the sibling's runner and core strategies so the pool holds
+        exactly one of each (the runner keeps all state at construction
+        time and ``run`` keeps none per call, so concurrent runs are
+        safe).
 
         Only legal between services hosting the *identical* model
         objects and execution configuration — anything else would let a

@@ -20,7 +20,7 @@ import hashlib
 import json
 import pathlib
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,10 +37,8 @@ __all__ = [
     "ARTIFACT_FORMAT_VERSION",
     "ArtifactError",
     "ArtifactStore",
-    "OverlayKind",
+    "OVERLAY_KINDS",
     "StaleArtifactError",
-    "overlay_kinds",
-    "register_overlay_kind",
 ]
 
 #: Bump when the artifact layout or manifest schema changes; loading an
@@ -50,29 +48,6 @@ ARTIFACT_FORMAT_VERSION = 1
 _MANIFEST = "manifest.json"
 _BLACKBOX = "blackbox.npz"
 _CFVAE = "cfvae.npz"
-_DENSITY = "density.npz"
-_DENSITY_META = "density.json"
-_CAUSAL = "causal.npz"
-_CAUSAL_META = "causal.json"
-_ENSEMBLE = "ensemble.npz"
-_ENSEMBLE_META = "ensemble.json"
-
-
-@dataclass(frozen=True)
-class OverlayKind:
-    """One registered overlay family: its files and its rebuild recipe.
-
-    ``rebuild(store, name, state, vae=, encoder=)`` turns the loaded flat
-    state dict back into a fitted model; kinds ignore the context
-    keyword arguments they do not need (``vae`` re-attaches a CF-VAE to
-    latent density estimators, ``encoder`` a fitted encoder to causal
-    models).
-    """
-
-    name: str
-    npz_name: str
-    meta_name: str
-    rebuild: callable
 
 
 def _rebuild_density(store, name, state, vae=None, encoder=None):
@@ -93,40 +68,25 @@ def _rebuild_ensemble(store, name, state, vae=None, encoder=None):
     return BlackBoxEnsemble.from_state(state)
 
 
-#: kind name -> OverlayKind; the store's generic save/load/has dispatch.
-_OVERLAY_KINDS = {}
+#: Overlay kind -> ``rebuild(store, name, state, vae=, encoder=)``, the
+#: recipe turning a loaded flat state dict back into a fitted model
+#: (``vae`` re-attaches a CF-VAE to latent density estimators,
+#: ``encoder`` a fitted encoder to causal models; each kind ignores the
+#: one it does not need).  A ``kind`` overlay lives in ``<kind>.npz``
+#: (its arrays) and ``<kind>.json`` (scalar state, fingerprint,
+#: checksum).  The order is the order the serving constructor takes them.
+OVERLAY_KINDS = {
+    "density": _rebuild_density,
+    "causal": _rebuild_causal,
+    "ensemble": _rebuild_ensemble,
+}
 
 
-def register_overlay_kind(kind, overwrite=False):
-    """Register an :class:`OverlayKind` under its name.
-
-    Every model family the store can attach to an artifact (density,
-    causal, ensemble, ...) registers once; the generic
-    :meth:`ArtifactStore.save_overlay` / :meth:`ArtifactStore.load_overlay`
-    surface then covers it with no per-kind store methods.
-    """
-    if kind.name in _OVERLAY_KINDS and not overwrite:
-        raise ValueError(
-            f"overlay kind {kind.name!r} is already registered (overwrite=True replaces)")
-    _OVERLAY_KINDS[kind.name] = kind
-    return kind
-
-
-def overlay_kinds():
-    """Sorted names of every registered overlay kind."""
-    return tuple(sorted(_OVERLAY_KINDS))
-
-
-def _overlay_kind(kind):
-    if kind not in _OVERLAY_KINDS:
-        known = ", ".join(overlay_kinds())
-        raise KeyError(f"unknown overlay kind {kind!r}; registered: {known}")
-    return _OVERLAY_KINDS[kind]
-
-
-register_overlay_kind(OverlayKind("density", _DENSITY, _DENSITY_META, _rebuild_density))
-register_overlay_kind(OverlayKind("causal", _CAUSAL, _CAUSAL_META, _rebuild_causal))
-register_overlay_kind(OverlayKind("ensemble", _ENSEMBLE, _ENSEMBLE_META, _rebuild_ensemble))
+def _overlay_rebuild(kind):
+    if kind not in OVERLAY_KINDS:
+        raise KeyError(
+            f"unknown overlay kind {kind!r}; known: {', '.join(sorted(OVERLAY_KINDS))}")
+    return OVERLAY_KINDS[kind]
 
 
 class ArtifactError(RuntimeError):
@@ -373,53 +333,25 @@ class ArtifactStore:
             bundle=None,
         )
 
-    # -- model-state overlays (density, causal) -----------------------------
-    def _save_overlay(self, name, model, label, npz_name, meta_name):
-        """Persist a fitted model's flat state next to artifact ``name``.
-
-        Every array of the state goes into ``<label>.npz``; scalar
-        state, the model fingerprint and the npz checksum go into a
-        ``<label>.json`` sidecar (written last, like the manifest).  The
-        artifact itself must already exist — model state is an overlay
-        on a trained pipeline, never a standalone artifact.
-        """
-        if not self.exists(name):
-            raise ArtifactError(
-                f"no artifact {name!r} to attach {label} state to; save the pipeline first"
-            )
-        state = model.get_state()
-        arrays = {k: v for k, v in state.items() if isinstance(v, np.ndarray)}
-        scalars = {k: v for k, v in state.items() if not isinstance(v, np.ndarray)}
-        target = self.artifact_dir(name)
-        np.savez(target / npz_name, **arrays)
-        meta = {
-            "format_version": ARTIFACT_FORMAT_VERSION,
-            "created_at": time.time(),
-            "state": scalars,
-            "array_keys": sorted(arrays),
-            "fingerprint": model.fingerprint(),
-            "checksum": _file_sha256(target / npz_name),
-        }
-        (target / meta_name).write_text(json.dumps(meta, indent=2) + "\n")
-        return target / meta_name
-
-    def _load_overlay(self, name, label, npz_name, meta_name):
+    # -- model-state overlays (density, causal, ensemble) --------------------
+    def _load_overlay(self, name, kind):
         """Read an overlay's ``(state, meta)``; shared staleness checks."""
+        npz_name, meta_name = f"{kind}.npz", f"{kind}.json"
         target = self.artifact_dir(name)
         meta_path = target / meta_name
         if not meta_path.is_file():
             raise ArtifactError(
-                f"artifact {name!r} has no {label} state (missing {meta_name})"
+                f"artifact {name!r} has no {kind} state (missing {meta_name})"
             )
         try:
             meta = json.loads(meta_path.read_text())
         except json.JSONDecodeError as error:
-            raise ArtifactError(f"{label} sidecar of {name!r} is corrupted: {error}") from error
+            raise ArtifactError(f"{kind} sidecar of {name!r} is corrupted: {error}") from error
 
         version = meta.get("format_version")
         if version != ARTIFACT_FORMAT_VERSION:
             raise StaleArtifactError(
-                f"{label} state of {name!r} has format_version={version}, this "
+                f"{kind} state of {name!r} has format_version={version}, this "
                 f"code reads version {ARTIFACT_FORMAT_VERSION} "
                 f"(expected {ARTIFACT_FORMAT_VERSION}, found {version}); "
                 f"refit and re-save",
@@ -431,7 +363,7 @@ class ArtifactStore:
         moved = sorted(meta.get("mmap_arrays") or ())
         if moved:
             raise StaleArtifactError(
-                f"{label} state of {name!r} keeps {', '.join(moved)} in .npy "
+                f"{kind} state of {name!r} keeps {', '.join(moved)} in .npy "
                 f"files outside {npz_name}, a layout this code no longer reads; "
                 f"refit and re-save",
                 expected=[],
@@ -455,12 +387,12 @@ class ArtifactStore:
                 state[key] = data[key]
         return state, meta
 
-    def _check_overlay_fingerprint(self, name, model, meta, label, expected_fingerprint):
+    def _check_overlay_fingerprint(self, name, model, meta, kind, expected_fingerprint):
         """Reject a rebuilt overlay model whose fingerprint drifted."""
         recomputed = model.fingerprint()
         if recomputed != meta["fingerprint"]:
             raise StaleArtifactError(
-                f"{label} state of {name!r} is stale: its fingerprint no "
+                f"{kind} state of {name!r} is stale: its fingerprint no "
                 f"longer matches the persisted state "
                 f"(expected {recomputed}, found {meta['fingerprint']}); "
                 f"refit and re-save",
@@ -469,7 +401,7 @@ class ArtifactStore:
             )
         if expected_fingerprint is not None and expected_fingerprint != recomputed:
             raise StaleArtifactError(
-                f"{label} state of {name!r} does not match the requested "
+                f"{kind} state of {name!r} does not match the requested "
                 f"model (expected {expected_fingerprint}, found {recomputed})",
                 expected=expected_fingerprint,
                 found=recomputed,
@@ -480,19 +412,39 @@ class ArtifactStore:
     def save_overlay(self, name, kind, model):
         """Persist a fitted model as a ``kind`` overlay on artifact ``name``.
 
-        One entry point for every registered :class:`OverlayKind`
-        (:func:`overlay_kinds` lists them): arrays of the model's
-        :meth:`get_state` go into ``<kind>.npz``; scalar state, the model
-        fingerprint and the npz checksum go into a ``<kind>.json``
-        sidecar (written last, like the manifest).
+        One entry point for every kind of :data:`OVERLAY_KINDS`: arrays
+        of the model's :meth:`get_state` go into ``<kind>.npz``; scalar
+        state, the model fingerprint and the npz checksum go into a
+        ``<kind>.json`` sidecar (written last, like the manifest).  The
+        artifact itself must already exist — model state is an overlay
+        on a trained pipeline, never a standalone artifact.
         """
-        spec = _overlay_kind(kind)
-        return self._save_overlay(name, model, spec.name, spec.npz_name, spec.meta_name)
+        _overlay_rebuild(kind)
+        if not self.exists(name):
+            raise ArtifactError(
+                f"no artifact {name!r} to attach {kind} state to; save the pipeline first"
+            )
+        npz_name, meta_name = f"{kind}.npz", f"{kind}.json"
+        state = model.get_state()
+        arrays = {k: v for k, v in state.items() if isinstance(v, np.ndarray)}
+        scalars = {k: v for k, v in state.items() if not isinstance(v, np.ndarray)}
+        target = self.artifact_dir(name)
+        np.savez(target / npz_name, **arrays)
+        meta = {
+            "format_version": ARTIFACT_FORMAT_VERSION,
+            "created_at": time.time(),
+            "state": scalars,
+            "array_keys": sorted(arrays),
+            "fingerprint": model.fingerprint(),
+            "checksum": _file_sha256(target / npz_name),
+        }
+        (target / meta_name).write_text(json.dumps(meta, indent=2) + "\n")
+        return target / meta_name
 
     def has_overlay(self, name, kind):
         """Whether artifact ``name`` carries a persisted ``kind`` overlay."""
-        spec = _overlay_kind(kind)
-        return (self.artifact_dir(name) / spec.meta_name).is_file()
+        _overlay_rebuild(kind)
+        return (self.artifact_dir(name) / f"{kind}.json").is_file()
 
     def load_overlay(self, name, kind, expected_fingerprint=None, vae=None, encoder=None):
         """Rebuild the fitted ``kind`` model stored with artifact ``name``.
@@ -506,11 +458,10 @@ class ArtifactStore:
         version or fingerprint drift, :class:`ArtifactError` on
         missing/corrupt files.
         """
-        spec = _overlay_kind(kind)
-        state, meta = self._load_overlay(name, spec.name, spec.npz_name, spec.meta_name)
-        model = spec.rebuild(self, name, state, vae=vae, encoder=encoder)
-        return self._check_overlay_fingerprint(
-            name, model, meta, spec.name, expected_fingerprint)
+        rebuild = _overlay_rebuild(kind)
+        state, meta = self._load_overlay(name, kind)
+        model = rebuild(self, name, state, vae=vae, encoder=encoder)
+        return self._check_overlay_fingerprint(name, model, meta, kind, expected_fingerprint)
 
     # -- train-or-load ------------------------------------------------------
     def ensure(

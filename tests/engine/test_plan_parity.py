@@ -1,9 +1,8 @@
-"""Compiled ExplainPlan parity: every runner path vs the staged reference.
+"""Explain-chain parity: ``EngineRunner.run`` and ``evaluate`` vs the staged reference.
 
-``ExplainPlan`` is the one implementation of the row -> CF chain:
-``EngineRunner.run`` replays a memoised plan, ``compile().execute``
-replays a fresh one and ``evaluate`` scores a run.  Each must produce
-exactly what the historical stage-by-stage chain
+``EngineRunner.run`` is the one implementation of the row -> CF chain
+and ``evaluate`` scores one of its runs.  Both must produce exactly
+what the historical stage-by-stage chain
 (``tests.helpers.parity.staged_run``) produces — same counterfactuals,
 same flags, same diagnostics — for every strategy on every registry
 dataset, with and without hosted density/causal/ensemble models,
@@ -90,10 +89,10 @@ class _SweepStrategy:
     """Deterministic fixed multi-candidate sweep, looked up by row bytes.
 
     Proposal consumes no RNG, so the *same* instance can feed both the
-    staged and the compiled path — which isolates the parity check to
-    the chain the plan fuses (projection, repair, validity, feasibility,
-    density/robust scoring, selection) across a genuine ``m > 1``
-    selection workload.
+    staged reference and ``runner.run`` — which isolates the parity
+    check to the chain after proposal (projection, repair, validity,
+    feasibility, density/robust scoring, selection) across a genuine
+    ``m > 1`` selection workload.
     """
 
     name = "test_sweep"
@@ -117,18 +116,14 @@ class _SweepStrategy:
 
 
 def assert_paths_match_staged(runner, make_strategy, x, desired, context):
-    """Pin ``runner.run`` and ``compile().execute`` to the staged reference.
+    """Pin ``runner.run`` to the staged reference.
 
     ``make_strategy`` returns a fresh strategy per call (or the same
-    RNG-free instance), so every path proposes from identical state.
+    RNG-free instance), so both paths propose from identical state.
     """
     staged = staged_run(runner, make_strategy(), x, desired, return_diagnostics=True)
     via_run = runner.run(make_strategy(), x, desired, return_diagnostics=True)
-    via_plan = runner.compile(make_strategy()).execute(
-        x, desired, return_diagnostics=True)
     assert_bit_identical(unpack(via_run), unpack(staged), context=f"run vs staged ({context})")
-    assert_bit_identical(
-        unpack(via_plan), unpack(staged), context=f"plan vs staged ({context})")
 
 
 class TestNumpyBackendBitParity:
@@ -196,18 +191,13 @@ class TestNumpyBackendBitParity:
         runner = EngineRunner(context.bundle.encoder, context.blackbox)
         strategy = _SweepStrategy(context.x_explain, m=5, seed=3)
         staged = staged_run(runner, strategy, context.x_explain, context.desired)
-        for label, compiled in (
-            ("run", runner.run(strategy, context.x_explain, context.desired)),
-            ("run(plan=)", runner.run(
-                strategy, context.x_explain, context.desired,
-                plan=runner.compile(strategy))),
-        ):
-            assert_bit_identical(
-                {"x_cf": compiled.x_cf, "predicted": compiled.predicted,
-                 "valid": compiled.valid, "feasible": compiled.feasible},
-                {"x_cf": staged.x_cf, "predicted": staged.predicted,
-                 "valid": staged.valid, "feasible": staged.feasible},
-                context=f"{label} vs staged")
+        served = runner.run(strategy, context.x_explain, context.desired)
+        assert_bit_identical(
+            {"x_cf": served.x_cf, "predicted": served.predicted,
+             "valid": served.valid, "feasible": served.feasible},
+            {"x_cf": staged.x_cf, "predicted": staged.predicted,
+             "valid": staged.valid, "feasible": staged.feasible},
+            context="run vs staged")
 
     def test_evaluate_matches_staged_report(self, context, hosted):
         density, causal, ensemble = hosted
@@ -223,11 +213,7 @@ class TestNumpyBackendBitParity:
             via_run = runner.evaluate(
                 built(context, "dice_random", {"max_attempts": 10}),
                 context.x_explain, context.desired, **kwargs)
-            plan = runner.compile(
-                built(context, "dice_random", {"max_attempts": 10}))
-            compiled = plan.evaluate(context.x_explain, context.desired, **kwargs)
             assert via_run.as_row() == staged.as_row()
-            assert compiled.as_row() == staged.as_row()
 
 
     def test_per_request_runs_agree_with_the_batch(self, context, hosted):
@@ -247,30 +233,12 @@ class TestNumpyBackendBitParity:
 
 
 class TestRunnerMemo:
-    def test_same_strategy_reuses_the_plan(self, context):
-        runner = EngineRunner(context.bundle.encoder, context.blackbox)
-        strategy = _SweepStrategy(context.x_explain, m=3, seed=1)
-        plan = runner.plan_for(strategy)
-        runner.run(strategy, context.x_explain, context.desired)
-        assert runner.plan_for(strategy) is plan
-        assert plan.strategy is strategy
-
-    def test_different_strategy_recompiles(self, context):
-        runner = EngineRunner(context.bundle.encoder, context.blackbox)
-        first = _SweepStrategy(context.x_explain, m=3, seed=1)
-        second = _SweepStrategy(context.x_explain, m=3, seed=1)
-        plan = runner.plan_for(first)
-        runner.run(second, context.x_explain, context.desired)
-        replaced = runner.plan_for(second)
-        assert replaced is not plan
-        assert replaced.strategy is second
-        # single slot: switching back compiles again, nothing is retained
-        assert runner.plan_for(first) is not plan
+    """The runner keeps no per-call state, so threads may share one."""
 
     def test_concurrent_runs_never_cross_strategies(self, context):
         # threads share one runner (as pool replicas do) and keep
-        # replacing its single memo slot; each run must still replay
-        # its own strategy's chain
+        # switching strategies; each run must still explain with its
+        # own strategy's proposals and flag columns
         import sys
         import threading
 
@@ -303,61 +271,11 @@ class TestRunnerMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
 
-    def test_compile_always_builds_a_fresh_plan(self, context):
-        runner = EngineRunner(context.bundle.encoder, context.blackbox)
-        strategy = _SweepStrategy(context.x_explain, m=3, seed=1)
-        memoised = runner.plan_for(strategy)
-        assert runner.compile(strategy) is not memoised
-        assert runner.plan_for(strategy) is memoised
-
-
-class TestPlanIdentity:
-    def test_fingerprint_is_deterministic_and_density_sensitive(
-            self, context, hosted):
-        density, _, _ = hosted
-        runner = EngineRunner(context.bundle.encoder, context.blackbox)
-        strategy = _SweepStrategy(context.x_explain, m=4, seed=1)
-        assert (runner.compile(strategy).fingerprint()
-                == runner.compile(strategy).fingerprint())
-        dense = EngineRunner(
-            context.bundle.encoder, context.blackbox, density=density)
-        assert (runner.compile(strategy).fingerprint()
-                != dense.compile(strategy).fingerprint())
-
-    def test_trace_records_hosted_stages(self, context, hosted):
-        density, causal, ensemble = hosted
-        strategy = _SweepStrategy(context.x_explain, m=4, seed=1)
-        plain = EngineRunner(context.bundle.encoder, context.blackbox)
-        full = EngineRunner(
-            context.bundle.encoder, context.blackbox, density=density,
-            causal=causal, ensemble=ensemble)
-        plain_stages = [s.name for s in plain.compile(strategy).stages]
-        full_stages = [s.name for s in full.compile(strategy).stages]
-        assert plain_stages == [
-            "propose", "project", "predict", "feasibility", "select"]
-        assert full_stages == [
-            "propose", "project", "causal", "predict", "feasibility",
-            "density", "robust", "select"]
-        assert "->" in repr(full.compile(strategy))
-
-    def test_run_rejects_foreign_plan(self, context):
-        runner = EngineRunner(context.bundle.encoder, context.blackbox)
-        other = EngineRunner(context.bundle.encoder, context.blackbox)
-        strategy = _SweepStrategy(context.x_explain, m=2, seed=1)
-        plan = runner.compile(strategy)
-        with pytest.raises(ValueError, match="different runner"):
-            other.run(strategy, context.x_explain, context.desired, plan=plan)
-        with pytest.raises(ValueError, match="different strategy"):
-            runner.run(
-                _SweepStrategy(context.x_explain, m=2, seed=1),
-                context.x_explain, context.desired, plan=plan)
-
 
 class TestPlanInputFuzz:
     def test_execute_rejects_malformed_rows(self, context):
         runner = EngineRunner(context.bundle.encoder, context.blackbox)
         strategy = _SweepStrategy(context.x_explain, m=3, seed=2)
-        plan = runner.compile(strategy)
         width = context.bundle.encoder.n_encoded
         rng = np.random.default_rng(20260807)
         bad_nan = context.x_explain.copy()
@@ -371,4 +289,4 @@ class TestPlanInputFuzz:
             bad_inf,
         ):
             with pytest.raises(SchemaMismatchError):
-                plan.execute(rows, context.desired[: len(rows)])
+                runner.run(strategy, rows, context.desired[: len(rows)])

@@ -1,22 +1,16 @@
-"""Generic overlay registry: one save/load/has surface for every kind.
+"""Generic overlay surface: one save/load/has surface for every kind.
 
 The per-kind store triples (``save_density`` / ``save_causal`` /
 ``save_ensemble`` and their load/has siblings) collapsed into
-``save_overlay(name, kind, model)`` dispatching through registered
-:class:`OverlayKind` entries.  These tests cover the generic surface
-and the kind registry.
+``save_overlay(name, kind, model)`` dispatching through the fixed
+``OVERLAY_KINDS`` rebuild table.  These tests cover the generic surface
+and the table.
 """
 
-import numpy as np
 import pytest
 
-from repro.serve import (
-    ArtifactStore,
-    OverlayKind,
-    overlay_kinds,
-    register_overlay_kind,
-)
-from repro.serve.store import _OVERLAY_KINDS
+from repro.serve import ArtifactStore
+from repro.serve.store import OVERLAY_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +37,7 @@ def saved(tiny_pipeline, tmp_path_factory):
 
 class TestGenericSurface:
     def test_registry_lists_the_three_builtin_kinds(self):
-        assert overlay_kinds() == ("causal", "density", "ensemble")
+        assert tuple(OVERLAY_KINDS) == ("density", "causal", "ensemble")
 
     @pytest.mark.parametrize("kind", ("density", "causal", "ensemble"))
     def test_roundtrip_every_kind(self, saved, tiny_pipeline, kind):
@@ -51,6 +45,10 @@ class TestGenericSurface:
         assert not store.has_overlay("t", kind)
         store.save_overlay("t", kind, models[kind])
         assert store.has_overlay("t", kind)
+        # the file names derive from the kind
+        target = store.artifact_dir("t")
+        assert (target / f"{kind}.npz").is_file()
+        assert (target / f"{kind}.json").is_file()
         loaded = store.load_overlay(
             "t", kind, encoder=tiny_pipeline.encoder)
         assert loaded.fingerprint() == models[kind].fingerprint()
@@ -63,28 +61,3 @@ class TestGenericSurface:
             store.has_overlay("t", "hologram")
         with pytest.raises(KeyError, match="unknown overlay kind"):
             store.load_overlay("t", "hologram")
-
-    def test_register_rejects_duplicates(self):
-        kind = OverlayKind("density", "density.npz", "density.json", None)
-        with pytest.raises(ValueError, match="already registered"):
-            register_overlay_kind(kind)
-
-    def test_register_custom_kind_dispatches(self, saved):
-        store, models = saved
-
-        def rebuild(store, name, state, vae=None, encoder=None):
-            from repro.density import density_from_state
-
-            return density_from_state(state, vae=vae)
-
-        try:
-            register_overlay_kind(
-                OverlayKind("shadow", "shadow.npz", "shadow.json", rebuild))
-            store.save_overlay("t", "shadow", models["density"])
-            assert (store.artifact_dir("t") / "shadow.npz").is_file()
-            loaded = store.load_overlay("t", "shadow")
-            probe = models["density"].reference_[:5]
-            np.testing.assert_array_equal(
-                loaded.score(probe), models["density"].score(probe))
-        finally:
-            _OVERLAY_KINDS.pop("shadow", None)

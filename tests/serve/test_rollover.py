@@ -139,6 +139,33 @@ class TestMigrateCacheDirect:
         fresh.explain_batch(explain_rows)
         assert fresh.cache.hits == hits_before + counters["survivors"]
 
+    def test_same_artifact_migration_keeps_every_entry(self, tiny_pipeline,
+                                                       tmp_path):
+        # a baseline strategy is flagged against the runner's whole
+        # kernel (unary + binary), not the pipeline's own unary set: a
+        # migrated entry must carry the flag a miss computes
+        from repro.engine import build_strategy
+
+        store = ArtifactStore(tmp_path / "store")
+        store.save(tiny_pipeline, name="same")
+        strategy = build_strategy(
+            "dice_random", tiny_pipeline.encoder, tiny_pipeline.blackbox,
+            seed=0, max_attempts=10,
+        ).fit(*tiny_pipeline.bundle.split("train"))
+        old = ExplanationService.warm_start(store, "same", strategy=strategy)
+        x_test, _ = tiny_pipeline.bundle.split("test")
+        old.explain_batch(x_test)
+        new = ExplanationService.warm_start(
+            store, "same", strategy=strategy, migrate_from=old)
+        entries = [(key, entry) for key, entry in old.cache.items()
+                   if entry[1] == key[1]]
+        assert new.last_migration["survivors"] == len(entries)
+        assert any(not entry[2] for _, entry in entries)
+        for (row, desired, _), (x_cf, predicted, feasible) in entries:
+            migrated = new.cache.get((row, desired, new.cache_fingerprint))
+            np.testing.assert_array_equal(migrated[0], x_cf)
+            assert (migrated[1], migrated[2]) == (predicted, feasible)
+
     def test_foreign_width_rows_are_skipped(self, rollover):
         store, v1_pipeline, v1_service, _ = rollover
         donor = ExplanationService(v1_pipeline)

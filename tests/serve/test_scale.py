@@ -124,15 +124,15 @@ class TestWorkerPool:
                 assert replica.runner is leader.runner
                 assert replica.core_strategy is leader.core_strategy
                 assert replica.pipeline is leader.pipeline
-            # every replica flushes through the one shared strategy, so
-            # the shared runner's single-slot memo holds ONE plan
+            # every replica flushes through the one shared strategy and
+            # the one shared runner
             pool.flush_rows(explain_rows[:12])
             strategy = leader._core_strategy_for(4)
-            plan = leader.runner.plan_for(strategy)
+            runner = leader.runner
             pool.flush_rows(explain_rows[12:24])
             for replica in pool.replicas:
                 assert replica._core_strategy_for(4) is strategy
-                assert replica.runner.plan_for(strategy) is plan
+                assert replica.runner is runner
 
     def test_shared_weights_can_be_disabled(self, store, explain_rows):
         # the removed options still accept their one remaining value
@@ -158,9 +158,10 @@ class TestAdoptExecution:
         assert sibling.runner is leader.runner
         assert sibling.core_strategy is leader.core_strategy
         leader.explain_batch(explain_rows[:3])
-        plan = leader.runner.plan_for(leader.core_strategy)
         sibling.explain_batch(explain_rows[3:6])
-        assert sibling.runner.plan_for(sibling.core_strategy) is plan
+        # serving keeps them shared
+        assert sibling.runner is leader.runner
+        assert sibling.core_strategy is leader.core_strategy
 
 
 class TestThreadSafety:

@@ -1,4 +1,4 @@
-"""Unified warm_start overlay spec and the one plan-replaying serving path."""
+"""Unified warm_start overlay spec and the one ``runner.run`` serving path."""
 
 import numpy as np
 import pytest
@@ -49,7 +49,7 @@ class TestWarmStartOverlays:
 
 
 class TestPlanEngine:
-    """The service answers every miss and flush by replaying a plan."""
+    """The service answers every miss and flush through ``runner.run``."""
 
     def test_rejects_unknown_engine(self, tiny_pipeline):
         # the staged/plan knob is gone: there is one execution path
@@ -80,18 +80,19 @@ class TestPlanEngine:
 
     def test_plan_recompiles_when_the_runner_rebuilds(self, tiny_pipeline,
                                                       explain_rows, stored):
+        # a re-pointed overlay rebuilds the runner that serves the misses
         _, density = stored
         service = ExplanationService(tiny_pipeline)
         service.explain_batch(explain_rows[:2])
-        first = service.runner.plan_for(service.core_strategy)
+        first = service.runner
         service.explain_batch(explain_rows[2:4])
         # stable while the configuration is stable
-        assert service.runner.plan_for(service.core_strategy) is first
+        assert service.runner is first
         service.density = density
         service.explain_batch(explain_rows[4:6])
-        second = service.runner.plan_for(service.core_strategy)
+        second = service.runner
         assert second is not first
-        assert second.runner.density is density
+        assert second.density is density
 
     def test_plan_engine_flush_serves_submitted_rows(self, tiny_pipeline,
                                                      explain_rows):
@@ -207,7 +208,9 @@ class TestCorePathParity:
             service.flush(n_candidates=4)
         strategy = service._core_strategy_for(4)
         assert strategy.n_candidates == 4
-        plan = service.runner.plan_for(strategy)
+        runner = service.runner
         service.submit(explain_rows[2])
         service.flush(n_candidates=4)
-        assert service.runner.plan_for(strategy) is plan
+        # one core strategy per sweep size, one runner per configuration
+        assert service._core_strategy_for(4) is strategy
+        assert service.runner is runner
