@@ -15,7 +15,10 @@ pair 2 of every workload, and so on.
 
 For each workload, and every end-to-end metric of ``BENCHMARK.json``
 (which it only reads), it prints a table row with each side's median and
-quartiles, the HEAD/BASE median ratio, the pairs HEAD won, and a verdict:
+quartiles, the HEAD/BASE median ratio, the pairs HEAD won, and a verdict
+(below ``peak_rss_mb`` it also prints each side's median passes per run:
+e2ebench's peak RSS grows with the passes a run fits, so a faster side
+reads as using more memory):
 
 * ``unresolved`` — BASE's interquartile range exceeds the metric's bound
   (relative to BASE's median) and the two sides' runs overlap: the
@@ -36,6 +39,7 @@ import argparse
 import json
 import math
 import pathlib
+import re
 import statistics
 import subprocess
 import sys
@@ -55,6 +59,21 @@ def parse_result(stdout):
         if line.startswith("{"):
             return json.loads(line)
     raise ValueError("no JSON result line in the run's output")
+
+
+def parse_passes(stdout):
+    """Passes one run made: ``N + M`` of its ``# workload=... passes=N+M`` line, or None."""
+    match = re.search(r"^# workload=.* passes=(\d+)\+(\d+)", stdout, re.MULTILINE)
+    return int(match[1]) + int(match[2]) if match else None
+
+
+def passes_note(results):
+    """One line: each side's median passes per run (``?`` when no run reported it)."""
+    sides = []
+    for side in ("base", "head"):
+        counts = [r["passes"] for r in results[side] if r.get("passes") is not None]
+        sides.append(f"{side} {statistics.median(counts):g}" if counts else f"{side} ?")
+    return f"{'':15s} passes per run (median): {', '.join(sides)}"
 
 
 def quartiles(values):
@@ -135,6 +154,7 @@ def run_side(checkout, workload, seed, seconds):
     if done.returncode != 0 or result is None or not result.get("correct"):
         sys.stderr.write(f"run failed in {checkout} (seed {seed}):\n{done.stderr[-2000:]}\n")
         return None
+    result["passes"] = parse_passes(done.stdout)
     return result
 
 
@@ -147,12 +167,14 @@ def report(workload, args, seconds, metrics, results, failed):
     failing = False
     for metric in metrics:
         name = metric["name"]
-        if not results["base"] or name not in results["base"][0]:
+        if not results["base"] or name not in results["base"][0]["metrics"]:
             continue
-        row = verdict(metric, [r[name]["value"] for r in results["base"]],
-                      [r[name]["value"] for r in results["head"]])
+        row = verdict(metric, [r["metrics"][name]["value"] for r in results["base"]],
+                      [r["metrics"][name]["value"] for r in results["head"]])
         failing |= row["verdict"] in ("REGRESSION", "unresolved")
         print(render(row))
+        if name == "peak_rss_mb":
+            print(passes_note(results))
     if failed:
         print(f"{failed} pair(s) had a failed run")
     return failing or bool(failed) or not results["base"]
@@ -184,7 +206,7 @@ def main(argv=None):
                     failed[workload] += 1
                     continue
                 for side, result in got.items():
-                    results[workload][side].append(result["metrics"])
+                    results[workload][side].append(result)
                 print(f"# {workload} pair {pair + 1}/{args.pairs} ({order[0]} first): "
                       f"wall_s base {got['base']['metrics']['wall_s']['value']:.4g} "
                       f"head {got['head']['metrics']['wall_s']['value']:.4g}", flush=True)

@@ -23,12 +23,11 @@ Scaling from N to N+1 replicas therefore moves only ~1/(N+1) of the keys
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 
 import numpy as np
 
-__all__ = ["ConsistentHashRing", "request_key"]
+__all__ = ["ConsistentHashRing", "request_hashes", "request_key"]
 
 
 def _hash64(data):
@@ -48,6 +47,21 @@ def request_key(fingerprint, row, desired=None):
     row = np.ascontiguousarray(row, dtype=np.float64)
     target = b"flip" if desired is None else str(int(desired)).encode()
     return fingerprint.encode() + b":" + target + b":" + row.tobytes()
+
+
+def request_hashes(fingerprint, rows, desired):
+    """uint64 hash of each row's :func:`request_key` (one class or None per row).
+
+    The shared ``fingerprint:`` prefix is hashed once and its blake2b
+    state copied per row, so the result equals hashing each key alone.
+    """
+    prefix = hashlib.blake2b(fingerprint.encode() + b":", digest_size=8)
+    digests = []
+    for row, target in zip(np.asarray(rows, dtype=np.float64), desired):
+        state = prefix.copy()
+        state.update((b"flip:" if target is None else b"%d:" % target) + row.tobytes())
+        digests.append(state.digest())
+    return np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64)
 
 
 class ConsistentHashRing:
@@ -78,18 +92,23 @@ class ConsistentHashRing:
             for index in range(points):
                 ring.append((_hash64(f"{node!r}#{index}".encode()), node))
         ring.sort()
-        self._positions = [position for position, _node in ring]
-        self._owners = [node for _position, node in ring]
+        self._positions = np.array([position for position, _node in ring], dtype=np.uint64)
+        # object dtype: node identities are any hashable, not only ints
+        self._owners = np.fromiter(
+            (node for _position, node in ring), dtype=object, count=len(ring))
 
     def __len__(self):
         return len(self.nodes)
 
     def node_for(self, key):
         """Node owning ``key`` (bytes): first ring position clockwise."""
-        index = bisect.bisect_right(self._positions, _hash64(key))
-        if index == len(self._positions):  # wrap past the top of the circle
-            index = 0
-        return self._owners[index]
+        return self.nodes_for_hashes([_hash64(key)])[0]
+
+    def nodes_for_hashes(self, hashes):
+        """Owning node of every 64-bit key hash (:func:`request_hashes`), as an array."""
+        index = np.searchsorted(
+            self._positions, np.asarray(hashes, dtype=np.uint64), side="right")
+        return self._owners[index % len(self._positions)]  # wrap past the top
 
     def distribution(self, keys):
         """``{node: count}`` of how ``keys`` shard across the ring."""

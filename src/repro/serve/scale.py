@@ -19,9 +19,10 @@ fleet.  Two pieces compose:
 * :class:`AsyncExplanationService` — an asyncio front for single-row
   traffic.  ``await front.explain(row)`` enqueues the request, coalesces
   arrivals for ``coalesce_window`` seconds (or until ``max_batch``),
-  then drains the batch through the pool's submit/flush micro-batcher
-  off the event loop; every request resolves as a future.  A request
-  that is not resolved within its ``timeout`` raises the same
+  then drains the batch through :meth:`WorkerPool.flush_rows` off the
+  event loop (one engine-runner pass per routed shard); every request
+  resolves as a future.  A request that is not resolved within its
+  ``timeout`` raises the same
   :class:`~repro.serve.service.PendingTicketError` a never-flushed
   synchronous ticket raises.
 """
@@ -29,14 +30,19 @@ fleet.  Two pieces compose:
 from __future__ import annotations
 
 import asyncio
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..core.result import CFBatchResult
-from ..utils.validation import check_desired, resolve_desired
-from .routing import ConsistentHashRing, request_key
+from ..utils.validation import (
+    SchemaMismatchError,
+    check_desired,
+    check_encoded_rows,
+    check_schema_width,
+    resolve_desired,
+)
+from .routing import ConsistentHashRing, request_hashes, request_key
 from .service import ExplanationService, PendingTicketError
 
 __all__ = ["AsyncExplanationService", "WorkerPool"]
@@ -60,8 +66,9 @@ class WorkerPool:
         leader; siblings replicate the exact configuration and share the
         leader's hosted model objects.
     flush_kwargs:
-        Keyword arguments for each replica's ``flush`` (e.g.
-        ``{"n_candidates": 8}`` on the core path).
+        Keyword arguments of :meth:`ExplanationService.flush` (e.g.
+        ``{"n_candidates": 8}`` on the core path) that pick the strategy
+        :meth:`flush_rows` answers each routed shard with.
     backend, shared_weights:
         Removed options, still accepted at their one remaining value
         (``"thread"`` and ``False``) because the e2e benchmark passes
@@ -122,15 +129,11 @@ class WorkerPool:
             )
             sibling.adopt_execution_from(leader)
             self.replicas.append(sibling)
-        # serializes each replica's submit/flush rounds: without it, two
-        # concurrent flush_rows calls could interleave so one call's
-        # flush captures the other's freshly submitted tickets and
-        # returns before they resolve
-        self._flush_locks = [threading.Lock() for _ in self.replicas]
 
         #: The pool's composite cache fingerprint (the routing key).
         self.fingerprint = leader.cache_fingerprint
-        self._template = leader
+        #: The served pipeline's fitted encoder (the request schema).
+        self.encoder = leader.encoder
         self.ring = ConsistentHashRing(range(n_replicas))
         self._executor = ThreadPoolExecutor(
             max_workers=n_replicas, thread_name_prefix="repro-pool")
@@ -142,15 +145,13 @@ class WorkerPool:
         return self.ring.node_for(request_key(self.fingerprint, row, desired))
 
     def _assign(self, rows, desired):
-        """Per-row replica assignment for a resolved batch."""
-        return np.array(
-            [self.route(rows[i], int(desired[i])) for i in range(len(rows))],
-            dtype=int,
-        )
+        """Replica of every row of a resolved batch (what :meth:`route` gives each)."""
+        return self.ring.nodes_for_hashes(
+            request_hashes(self.fingerprint, rows, desired.tolist()))
 
     def _resolve(self, rows, desired):
-        rows = self._template._check_rows(rows)
-        return rows, resolve_desired(self._template.explainer.blackbox, rows, desired)
+        rows = check_encoded_rows(rows, self.encoder, "rows")
+        return rows, resolve_desired(self.replicas[0].explainer.blackbox, rows, desired)
 
     def _dispatch(self, work, rows, desired):
         """Run ``work(replica, rows, desired)`` on every routed shard at once.
@@ -194,17 +195,16 @@ class WorkerPool:
             predicted=predicted,
             valid=predicted == desired,
             feasible=feasible,
-            encoder=self._template.encoder,
+            encoder=self.encoder,
         )
 
     # -- micro-batched single-row serving -------------------------------------
     def flush_rows(self, rows, desired=None):
-        """Answer coalesced single-row requests through submit/flush.
+        """Answer coalesced single-row requests; their result dicts in request order.
 
-        The async front's drain path: each replica receives its routed
-        shard as one submit storm plus ONE flush, all replicas work
-        concurrently, and the per-request result dicts come back in
-        request order.
+        The async front's drain path: the batch is checked and resolved
+        once, then every replica answers its routed shard concurrently
+        in ONE runner pass of the strategy ``flush_kwargs`` picks.
         """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim == 1:
@@ -212,26 +212,15 @@ class WorkerPool:
         rows, desired = self._resolve(rows, desired)
         results = [None] * len(rows)
         for indices, answers in self._dispatch(self._flush_shard, rows, desired):
-            for position, result in zip(indices, answers):
+            for position, result in zip(indices.tolist(), answers):
                 results[position] = result
         return results
 
     def _flush_shard(self, node, rows, desired):
-        """One replica's submit storm plus ONE flush; its ticket results."""
+        """One replica's routed shard answered in ONE runner pass."""
         service = self.replicas[node]
-        with self._flush_locks[node]:
-            tickets = [
-                service.submit(row, int(target))
-                for row, target in zip(rows, desired)
-            ]
-            try:
-                service.flush(**self._flush_kwargs)
-            except BaseException:
-                # the failed flush re-queued them, but this call's caller
-                # gets the error: a retry must not meet them again
-                service.withdraw(tickets)
-                raise
-        return [ticket.result() for ticket in tickets]
+        return service._answer_block(
+            service._flush_strategy(**self._flush_kwargs), rows, desired)
 
     # -- introspection --------------------------------------------------------
     def stats(self):
@@ -242,41 +231,16 @@ class WorkerPool:
         ``mean_batch_size`` fields for dashboards (and the serve-demo
         CLI table).
         """
-        per_replica = []
-        for index, replica in enumerate(self.replicas):
-            counters = dict(replica.stats)
-            lookups = counters["cache_hits"] + counters["cache_misses"]
-            counters["replica"] = index
-            # rows_served counts batch-path rows, rows_coalesced counts
-            # flush-path rows; a request went through exactly one of them
-            counters["requests"] = (
-                counters["rows_served"] + counters["rows_coalesced"])
-            counters["hit_rate"] = (
-                counters["cache_hits"] / lookups if lookups else 0.0)
-            counters["mean_batch_size"] = (
-                counters["rows_coalesced"] / counters["flushes"]
-                if counters["flushes"] else 0.0)
-            per_replica.append(counters)
-
-        total_rows = sum(c["rows_served"] for c in per_replica)
-        total_coalesced = sum(c["rows_coalesced"] for c in per_replica)
-        total_hits = sum(c["cache_hits"] for c in per_replica)
-        total_misses = sum(c["cache_misses"] for c in per_replica)
-        total_flushes = sum(c["flushes"] for c in per_replica)
-        lookups = total_hits + total_misses
+        per_replica = [
+            _with_rates(dict(replica.stats, replica=index))
+            for index, replica in enumerate(self.replicas)
+        ]
         aggregate = {
-            "replicas": self.n_replicas,
-            "requests": total_rows + total_coalesced,
-            "rows_served": total_rows,
-            "rows_coalesced": total_coalesced,
-            "flushes": total_flushes,
-            "cache_hits": total_hits,
-            "cache_misses": total_misses,
-            "hit_rate": total_hits / lookups if lookups else 0.0,
-            "mean_batch_size": (
-                total_coalesced / total_flushes if total_flushes else 0.0),
+            key: sum(counters[key] for counters in per_replica)
+            for key in ("rows_served", "rows_coalesced", "flushes", "cache_hits", "cache_misses")
         }
-        return {"per_replica": per_replica, "aggregate": aggregate}
+        aggregate["replicas"] = self.n_replicas
+        return {"per_replica": per_replica, "aggregate": _with_rates(aggregate)}
 
     # -- lifecycle -----------------------------------------------------------
     def close(self):
@@ -293,14 +257,26 @@ class WorkerPool:
         self.close()
 
 
+def _with_rates(counters):
+    """Add the derived ``requests``, ``hit_rate`` and ``mean_batch_size`` fields."""
+    lookups = counters["cache_hits"] + counters["cache_misses"]
+    # rows_served counts batch-path rows, rows_coalesced counts flush-path
+    # rows; a request went through exactly one of them
+    counters["requests"] = counters["rows_served"] + counters["rows_coalesced"]
+    counters["hit_rate"] = counters["cache_hits"] / lookups if lookups else 0.0
+    counters["mean_batch_size"] = (
+        counters["rows_coalesced"] / counters["flushes"] if counters["flushes"] else 0.0)
+    return counters
+
+
 class AsyncExplanationService:
     """Asyncio front coalescing single-row requests into pool flushes.
 
     Parameters
     ----------
     pool:
-        The :class:`WorkerPool` (or any object with ``flush_rows`` and
-        ``stats``) answering the coalesced batches.
+        The :class:`WorkerPool` (or any object with ``flush_rows``,
+        ``stats`` and ``encoder``) answering the coalesced batches.
     coalesce_window:
         Seconds to hold the first request of a batch while more arrive.
     max_batch:
@@ -316,6 +292,8 @@ class AsyncExplanationService:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.pool = pool
+        #: encoded width every request row must have
+        self._width = pool.encoder.n_encoded
         self.coalesce_window = coalesce_window
         self.max_batch = max_batch
         self._queue = []
@@ -332,13 +310,18 @@ class AsyncExplanationService:
         ``predicted``, ``valid``, ``feasible``, ...).  With ``timeout``,
         a request still pending after that many seconds raises
         :class:`PendingTicketError` — the asynchronous face of reading a
-        never-flushed ticket.  A ``desired`` class other than None, 0 or
-        1 raises ``ValueError`` here, before the request joins a batch.
+        never-flushed ticket.  A bad request fails alone: a ``desired``
+        other than None, 0 or 1 (``ValueError``) and a row of the wrong
+        width (``SchemaMismatchError``) raise here, before joining a
+        batch; a non-finite row's own future raises ``SchemaMismatchError``.
         """
         check_desired(desired)
+        row = np.asarray(row, dtype=np.float64).reshape(-1)
+        if len(row) != self._width:  # a shape compare per request; this raises
+            check_schema_width(row.reshape(1, -1), self._width, "row",
+                               context=f"dataset {self.pool.encoder.schema.name!r}")
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        row = np.asarray(row, dtype=np.float64).reshape(-1)
         self._queue.append((row, desired, future))
         self.requests += 1
         if self._drain_task is None or self._drain_task.done():
@@ -388,16 +371,22 @@ class AsyncExplanationService:
         self._drain_task = None
         if not batch:
             return
-        rows = np.stack([entry[0] for entry in batch])
-        desired = [entry[1] for entry in batch]
         loop = asyncio.get_running_loop()
         try:
+            rows = np.stack([entry[0] for entry in batch])
+            finite = np.isfinite(rows).all(axis=1)
+            if not finite.all():  # a non-finite row fails its own request only
+                for entry in [e for e, ok in zip(batch, finite.tolist()) if not ok]:
+                    _fail([entry], SchemaMismatchError("row contains NaN or infinite values"))
+                batch = [entry for entry, ok in zip(batch, finite.tolist()) if ok]
+                rows = rows[finite]
+                if not batch:
+                    return
             results = await loop.run_in_executor(
-                None, self.pool.flush_rows, rows, desired)
+                None, self.pool.flush_rows, rows, [entry[1] for entry in batch])
         except Exception as error:
-            for _row, _spec, future in batch:
-                if not future.done():
-                    future.set_exception(error)
+            # whatever broke, every request of the batch hears of it
+            _fail(batch, error)
             return
         self.flushes += 1
         self.rows_coalesced += len(batch)
@@ -429,9 +418,14 @@ class AsyncExplanationService:
     async def aclose(self):
         """Flush stragglers and fail anything left unresolved."""
         await self.drain()
-        for _row, _spec, future in self._queue:
-            if not future.done():
-                future.set_exception(PendingTicketError(
-                    "async front closed before this request's batch "
-                    "was flushed"))
+        _fail(self._queue, PendingTicketError(
+            "async front closed before this request's batch was flushed"))
         self._queue = []
+
+
+def _fail(entries, error):
+    """Resolve every still-pending future of queued ``entries`` with ``error``."""
+    for _row, _spec, future in entries:
+        # a timed-out awaiter cancelled its future; skip it
+        if not future.done():
+            future.set_exception(error)

@@ -369,11 +369,7 @@ class ExplanationService:
         """Name of the dataset the pipeline was trained on."""
         return self.pipeline.dataset
 
-    # -- validation ----------------------------------------------------------
-    def _check_rows(self, rows, name="rows"):
-        """Validate a request matrix against the trained schema."""
-        return check_encoded_rows(rows, self.encoder, name)
-
+    # -- fingerprints --------------------------------------------------------
     def _overlay_fingerprint(self, kind, obj, default, suffix=""):
         """Identity-memoised fingerprint of one served model slot.
 
@@ -511,7 +507,7 @@ class ExplanationService:
         ``FeasibleCFExplainer.explain`` computation.  ``desired`` takes
         every form :func:`repro.utils.validation.resolve_desired` does.
         """
-        rows = self._check_rows(rows)
+        rows = check_encoded_rows(rows, self.encoder, "rows")
         desired = resolve_desired(self.explainer.blackbox, rows, desired)
 
         n_rows, width = rows.shape
@@ -606,13 +602,7 @@ class ExplanationService:
         it re-raises, so they are answered by the next good flush (or
         taken off with :meth:`withdraw`).
         """
-        # built (and so checked) before the queue is touched
-        if self.strategy is not None:
-            strategy = self.strategy
-        elif rng is None:
-            strategy = self._core_strategy_for(n_candidates)
-        else:
-            strategy = CoreCFStrategy(self.explainer, n_candidates=n_candidates, rng=rng)
+        strategy = self._flush_strategy(n_candidates, rng)  # checked before the queue is touched
         # swap the queue atomically: a concurrent submit lands either in
         # this flush or the next one, never in both and never in neither
         with self._lock:
@@ -626,27 +616,42 @@ class ExplanationService:
             desired = resolve_desired(
                 self.explainer.blackbox, rows, [ticket.desired for ticket in tickets]
             )
-            result, diagnostics = self.runner.run(
-                strategy, rows, desired, return_diagnostics=True)
+            answers = self._answer_block(strategy, rows, desired)
         except BaseException:
             with self._lock:
                 self._pending[:0] = tickets
             raise
-        for i, ticket in enumerate(tickets):
-            ticket._result = {
-                "x_cf": result.x_cf[i],
-                "desired": int(desired[i]),
-                "predicted": int(result.predicted[i]),
-                "valid": bool(result.valid[i]),
-                "feasible": bool(result.feasible[i]),
-                "chosen": int(diagnostics["chosen"][i]),
-                "n_usable": int(diagnostics["n_usable"][i]),
-                "n_valid": int(diagnostics["n_valid"][i]),
-            }
+        for ticket, answer in zip(tickets, answers):
+            ticket._result = answer
+        return tickets
+
+    def _flush_strategy(self, n_candidates=8, rng=None):
+        """The strategy a flushed block runs with (see :meth:`flush`)."""
+        if self.strategy is not None:
+            return self.strategy
+        if rng is None:
+            return self._core_strategy_for(n_candidates)
+        return CoreCFStrategy(self.explainer, n_candidates=n_candidates, rng=rng)
+
+    def _answer_block(self, strategy, rows, desired):
+        """ONE runner pass over checked rows and resolved classes; a result dict per row.
+
+        How :meth:`flush` and :meth:`WorkerPool.flush_rows` turn a block
+        into answers; the pass counts as one flush of ``len(rows)`` rows.
+        """
+        result, diagnostics = self.runner.run(strategy, rows, desired, return_diagnostics=True)
+        columns = zip(result.x_cf, *(column.tolist() for column in (
+            desired, result.predicted, result.valid, result.feasible,
+            diagnostics["chosen"], diagnostics["n_usable"], diagnostics["n_valid"])))
+        answers = [
+            {"x_cf": x_cf, "desired": target, "predicted": predicted, "valid": valid,
+             "feasible": feasible, "chosen": chosen, "n_usable": n_usable, "n_valid": n_valid}
+            for x_cf, target, predicted, valid, feasible, chosen, n_usable, n_valid in columns
+        ]
         with self._lock:
             self.flushes += 1
-            self.rows_coalesced += len(tickets)
-        return tickets
+            self.rows_coalesced += len(answers)
+        return answers
 
     # -- execution-state sharing ----------------------------------------------
     def adopt_execution_from(self, sibling):

@@ -12,6 +12,7 @@ from repro.serve import (
     PendingTicketError,
     WorkerPool,
 )
+from repro.utils.validation import SchemaMismatchError
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +184,76 @@ class TestAsyncFront:
             queued, results = asyncio.run(scenario(pool))
         assert queued == 0  # the mismatch raised before anything queued
         assert [result["desired"] for result in results] == [1] * 5
+
+
+class TestBadRows:
+    """One bad row fails its own request; the rest of its batch is answered.
+
+    Every wait is bounded: a regression hangs the batch rather than
+    failing it.
+    """
+
+    def test_wrong_width_row_fails_in_explain(self, store, explain_rows):
+        async def scenario(pool):
+            front = AsyncExplanationService(pool, coalesce_window=0.05)
+            good = [asyncio.ensure_future(front.explain(row)) for row in explain_rows[:3]]
+            with pytest.raises(SchemaMismatchError, match="row has 5 columns"):
+                await asyncio.wait_for(front.explain(explain_rows[3][:5]), 10.0)
+            results = await asyncio.wait_for(asyncio.gather(*good), 10.0)
+            stats = front.stats["front"]
+            await front.aclose()
+            return results, stats
+
+        with WorkerPool(store, "tiny", n_replicas=2) as pool:
+            results, stats = asyncio.run(scenario(pool))
+        assert [r["x_cf"].shape for r in results] == [explain_rows[0].shape] * 3
+        assert stats["requests"] == 3 and stats["rows_coalesced"] == 3
+
+    def test_nan_row_fails_only_its_own_request(self, store, explain_rows):
+        rows = explain_rows[:4].copy()
+        rows[2, 0] = np.nan
+
+        async def scenario(pool):
+            front = AsyncExplanationService(pool, coalesce_window=30.0, max_batch=4)
+            results = await asyncio.wait_for(asyncio.gather(
+                *(front.explain(row) for row in rows), return_exceptions=True), 10.0)
+            stats = front.stats["front"]
+            await front.aclose()
+            return results, stats
+
+        with WorkerPool(store, "tiny", n_replicas=2,
+                        flush_kwargs={"n_candidates": 4}) as pool:
+            results, stats = asyncio.run(scenario(pool))
+            # the good rows were answered as the batch they formed
+            reference = pool.flush_rows(rows[[0, 1, 3]])
+        assert isinstance(results[2], SchemaMismatchError)
+        assert "NaN" in str(results[2])
+        for got, want in zip([results[0], results[1], results[3]], reference):
+            np.testing.assert_array_equal(got["x_cf"], want["x_cf"])
+            assert got["n_usable"] == want["n_usable"]
+        assert stats["flushes"] == 1 and stats["rows_coalesced"] == 3
+
+    def test_batch_building_error_resolves_every_request(self, store, explain_rows):
+        async def scenario(pool):
+            front = AsyncExplanationService(pool, coalesce_window=30.0)
+            good = asyncio.ensure_future(front.explain(explain_rows[0]))
+            await asyncio.sleep(0)  # let the request enqueue
+            # a malformed entry that bypassed explain()'s checks
+            bad = asyncio.get_running_loop().create_future()
+            front._queue.append((explain_rows[1][:5], None, bad))
+            await asyncio.wait_for(front.drain(), 10.0)
+            with pytest.raises(ValueError):
+                await asyncio.wait_for(good, 10.0)
+            error = bad.exception()
+            # the front keeps serving after the failed batch
+            later = asyncio.ensure_future(front.explain(explain_rows[2]))
+            await asyncio.sleep(0)
+            await asyncio.wait_for(front.drain(), 10.0)
+            answer = await later
+            await front.aclose()
+            return error, answer
+
+        with WorkerPool(store, "tiny", n_replicas=1) as pool:
+            error, answer = asyncio.run(scenario(pool))
+        assert isinstance(error, ValueError)
+        assert answer["x_cf"].shape == explain_rows[2].shape

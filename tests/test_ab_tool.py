@@ -140,3 +140,29 @@ def test_one_failing_workload_fails_the_whole_ab(ab, monkeypatch, capsys, serve_
     out = capsys.readouterr().out
     assert "fit: BASE -> HEAD" in out
     assert ("REGRESSION" in out) if serve_head else ("2 pair(s) had a failed run" in out)
+
+
+def test_parse_passes_reads_the_workload_header(ab):
+    stdout = ("# workload=serve_async seed=3 trace=0 passes=29+0 setups=29\n"
+              "# nproc=2 python=3.11\n" + result_line(0.3) + "\n")
+    assert ab.parse_passes(stdout) == 29
+    assert ab.parse_passes("# workload=fit seed=0 trace=1 passes=4+2 setups=6\n") == 6
+    assert ab.parse_passes(result_line(0.3)) is None
+
+
+def test_passes_per_run_print_below_peak_rss(ab, monkeypatch, capsys):
+    passes = {"base": iter([24, 26, 25]), "head": iter([30, 28, 29])}
+
+    def run_side(checkout, workload, seed, seconds):
+        result = json.loads(result_line(0.3))
+        result["metrics"]["peak_rss_mb"] = {"value": 140.0, "unit": "MB"}
+        result["passes"] = next(passes[checkout.name])
+        return result
+
+    monkeypatch.setattr(ab, "export", lambda ref, into: into.mkdir(parents=True))
+    monkeypatch.setattr(ab, "run_side", run_side)
+    assert ab.main(["BASE", "--workload", "serve_async", "--pairs", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rss = next(i for i, line in enumerate(lines) if line.startswith("peak_rss_mb"))
+    assert lines[rss + 1].split() == ["passes", "per", "run", "(median):", "base", "25,",
+                                      "head", "29"]
