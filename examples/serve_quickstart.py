@@ -7,20 +7,36 @@ Walks the full serving loop the docs describe (docs/serving.md):
 3. warm-start an :class:`repro.serve.ExplanationService` from disk, as a
    fresh serving process would,
 4. answer a 1,000-row batch, then answer it again from the result cache,
-5. coalesce a handful of single-row requests into one vectorized sweep.
+5. coalesce a handful of concurrent single-row requests into one
+   vectorized sweep through the asyncio front over a worker pool.
 
 Run with::
 
     PYTHONPATH=src python examples/serve_quickstart.py
 """
 
+import asyncio
 import tempfile
 import time
 
 import numpy as np
 
 from repro.core import fast_config
-from repro.serve import ArtifactStore, ExplanationService, train_pipeline
+from repro.serve import (
+    ArtifactStore,
+    AsyncExplanationService,
+    ExplanationService,
+    WorkerPool,
+    train_pipeline,
+)
+
+
+async def coalesce(pool, rows):
+    """Send ``rows`` as concurrent single-row requests; their answers and the front's counters."""
+    front = AsyncExplanationService(pool, coalesce_window=0.05)
+    answers = await front.explain_many(rows)
+    await front.aclose()
+    return answers, front.stats["front"]
 
 
 def main():
@@ -63,18 +79,18 @@ def main():
         cached_seconds = time.perf_counter() - start
         print(f"same batch from the LRU cache:       {cached_seconds:6.4f}s")
 
-        # 5. Micro-batching: single-row tickets, one vectorized flush.
-        tickets = [service.submit(row) for row in batch[:8]]
-        service.flush(n_candidates=12, rng=rng)
-        usable = sum(t.result()["valid"] and t.result()["feasible"]
-                     for t in tickets)
-        print(f"coalesced 8 single-row tickets in 1 sweep; "
-              f"{usable}/8 valid & feasible")
-
         stats = service.stats
         print(f"service stats: {stats['rows_served']} rows served, "
-              f"{stats['cache_hits']} cache hits, "
-              f"{stats['rows_coalesced']} rows coalesced")
+              f"{stats['cache_hits']} cache hits")
+
+        # 5. Single-row traffic: the asyncio front coalesces concurrent
+        #    requests into one pool flush (a 12-candidate latent sweep).
+        with WorkerPool(store, "quickstart", n_replicas=1,
+                        flush_kwargs={"n_candidates": 12}) as pool:
+            answers, front = asyncio.run(coalesce(pool, batch[:8]))
+        usable = sum(a["valid"] and a["feasible"] for a in answers)
+        print(f"coalesced {front['requests']} single-row requests into "
+              f"{front['flushes']} sweep(s); {usable}/{len(answers)} valid & feasible")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ servable system:
   ``OVERLAY_KINDS`` table (density, causal, ensemble) for the model
   state persisted next to them.
 * :mod:`repro.serve.service` -- :class:`ExplanationService`, warm-start
-  batch serving with an LRU result cache and single-row micro-batching.
+  batch serving with an LRU result cache.
 * :mod:`repro.serve.cache` -- the thread-safe LRU cache primitive.
 * :mod:`repro.serve.scale` -- the horizontally scaled tier:
   :class:`WorkerPool` (N warm thread replicas, one shared pipeline and
@@ -35,7 +35,7 @@ from .pipeline import (
 )
 from .routing import ConsistentHashRing, request_key
 from .scale import AsyncExplanationService, WorkerPool
-from .service import ExplainTicket, ExplanationService, PendingTicketError
+from .service import ExplanationService
 from .store import (
     ARTIFACT_FORMAT_VERSION,
     ArtifactError,
@@ -49,10 +49,8 @@ __all__ = [
     "ArtifactStore",
     "AsyncExplanationService",
     "ConsistentHashRing",
-    "ExplainTicket",
     "ExplanationService",
     "LRUResultCache",
-    "PendingTicketError",
     "Persistable",
     "StaleArtifactError",
     "TrainedPipeline",

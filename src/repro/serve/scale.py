@@ -22,9 +22,7 @@ fleet.  Two pieces compose:
   then drains the batch through :meth:`WorkerPool.flush_rows` off the
   event loop (one engine-runner pass per routed shard); every request
   resolves as a future.  A request that is not resolved within its
-  ``timeout`` raises the same
-  :class:`~repro.serve.service.PendingTicketError` a never-flushed
-  synchronous ticket raises.
+  ``timeout`` raises the builtin ``TimeoutError``.
 """
 
 from __future__ import annotations
@@ -37,13 +35,14 @@ import numpy as np
 from ..core.result import CFBatchResult
 from ..utils.validation import (
     SchemaMismatchError,
+    check_count,
     check_desired,
     check_encoded_rows,
     check_schema_width,
     resolve_desired,
 )
 from .routing import ConsistentHashRing, request_hashes, request_key
-from .service import ExplanationService, PendingTicketError
+from .service import ExplanationService
 
 __all__ = ["AsyncExplanationService", "WorkerPool"]
 
@@ -66,9 +65,10 @@ class WorkerPool:
         leader; siblings replicate the exact configuration and share the
         leader's hosted model objects.
     flush_kwargs:
-        Keyword arguments of :meth:`ExplanationService.flush` (e.g.
-        ``{"n_candidates": 8}`` on the core path) that pick the strategy
-        :meth:`flush_rows` answers each routed shard with.
+        ``{"n_candidates": m}`` (default 8): the latent sweep size of
+        the core strategy :meth:`flush_rows` answers each routed shard
+        with when no ``strategy`` is served.  Checked here: another key,
+        or an ``m`` that is not an int >= 1, raises ``ValueError``.
     backend, shared_weights:
         Removed options, still accepted at their one remaining value
         (``"thread"`` and ``False``) because the e2e benchmark passes
@@ -102,7 +102,12 @@ class WorkerPool:
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
         self.n_replicas = n_replicas
-        self._flush_kwargs = dict(flush_kwargs or {})
+        flush_kwargs = dict(flush_kwargs or {})
+        unknown = sorted(set(flush_kwargs) - {"n_candidates"})
+        if unknown:
+            raise ValueError(
+                f"unknown flush_kwargs {unknown}; the only key is 'n_candidates'")
+        n_candidates = check_count(flush_kwargs.get("n_candidates", 8), "n_candidates", 1)
 
         leader = ExplanationService.warm_start(
             store,
@@ -130,6 +135,10 @@ class WorkerPool:
             sibling.adopt_execution_from(leader)
             self.replicas.append(sibling)
 
+        #: The strategy every routed shard of :meth:`flush_rows` runs:
+        #: the served one, else the leader's core sweep (which the
+        #: siblings share through ``adopt_execution_from``).
+        self._shard_strategy = leader.strategy or leader._core_strategy_for(n_candidates)
         #: The pool's composite cache fingerprint (the routing key).
         self.fingerprint = leader.cache_fingerprint
         #: The served pipeline's fitted encoder (the request schema).
@@ -204,7 +213,7 @@ class WorkerPool:
 
         The async front's drain path: the batch is checked and resolved
         once, then every replica answers its routed shard concurrently
-        in ONE runner pass of the strategy ``flush_kwargs`` picks.
+        in ONE runner pass of the strategy fixed at construction.
         """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim == 1:
@@ -218,9 +227,7 @@ class WorkerPool:
 
     def _flush_shard(self, node, rows, desired):
         """One replica's routed shard answered in ONE runner pass."""
-        service = self.replicas[node]
-        return service._answer_block(
-            service._flush_strategy(**self._flush_kwargs), rows, desired)
+        return self.replicas[node]._answer_block(self._shard_strategy, rows, desired)
 
     # -- introspection --------------------------------------------------------
     def stats(self):
@@ -306,14 +313,13 @@ class AsyncExplanationService:
     async def explain(self, row, desired=None, timeout=None):
         """Explain one row; resolves when its coalesced batch flushes.
 
-        Returns the ticket-result dict (``x_cf``, ``desired``,
-        ``predicted``, ``valid``, ``feasible``, ...).  With ``timeout``,
-        a request still pending after that many seconds raises
-        :class:`PendingTicketError` — the asynchronous face of reading a
-        never-flushed ticket.  A bad request fails alone: a ``desired``
-        other than None, 0 or 1 (``ValueError``) and a row of the wrong
-        width (``SchemaMismatchError``) raise here, before joining a
-        batch; a non-finite row's own future raises ``SchemaMismatchError``.
+        Returns the result dict (``x_cf``, ``desired``, ``predicted``,
+        ``valid``, ``feasible``, ...).  With ``timeout``, a request still
+        pending after that many seconds raises ``TimeoutError``.  A bad
+        request fails alone: a ``desired`` other than None, 0 or 1
+        (``ValueError``) and a row of the wrong width
+        (``SchemaMismatchError``) raise here, before joining a batch; a
+        non-finite row's own future raises ``SchemaMismatchError``.
         """
         check_desired(desired)
         row = np.asarray(row, dtype=np.float64).reshape(-1)
@@ -334,8 +340,8 @@ class AsyncExplanationService:
             return await future
         try:
             return await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
-            raise PendingTicketError(
+        except asyncio.TimeoutError:  # not the builtin before Python 3.11
+            raise TimeoutError(
                 f"request was not resolved within {timeout}s: its "
                 f"coalesced batch has not flushed yet (window "
                 f"{self.coalesce_window}s) — raise the timeout or shrink "
@@ -418,7 +424,7 @@ class AsyncExplanationService:
     async def aclose(self):
         """Flush stragglers and fail anything left unresolved."""
         await self.drain()
-        _fail(self._queue, PendingTicketError(
+        _fail(self._queue, RuntimeError(
             "async front closed before this request's batch was flushed"))
         self._queue = []
 

@@ -5,9 +5,10 @@ serving subsystem: it wraps a trained pipeline (freshly trained or
 rebuilt from an :class:`~repro.serve.store.ArtifactStore`), answers
 ``explain_batch`` requests through the shared
 :class:`repro.engine.EngineRunner` (one ``run`` pass per batch of
-cache misses), memoises per-row results in an LRU cache keyed on the
-pipeline fingerprint, and coalesces queued single-row requests into one
-vectorized runner pass.
+cache misses), and memoises per-row results in an LRU cache keyed on
+the pipeline fingerprint.  Coalesced single-row traffic reaches a service
+through :class:`repro.serve.WorkerPool` (behind the asyncio front),
+which answers each routed block with :meth:`ExplanationService._answer_block`.
 
 The service is strategy-agnostic: without a strategy it serves the
 core CF-VAE through a :class:`repro.engine.CoreCFStrategy`; pass any
@@ -39,59 +40,11 @@ import numpy as np
 
 from ..core.result import CFBatchResult
 from ..engine import CoreCFStrategy, EngineRunner
-from ..utils.validation import (
-    check_desired,
-    check_encoded_rows,
-    check_positive,
-    resolve_desired,
-)
+from ..utils.validation import check_encoded_rows, check_positive, resolve_desired
 from .cache import LRUResultCache
 from .store import OVERLAY_KINDS, StaleArtifactError
 
-__all__ = ["ExplainTicket", "ExplanationService", "PendingTicketError"]
-
-
-class PendingTicketError(RuntimeError):
-    """A ticket's result was read before the owning service flushed it.
-
-    Raised by :meth:`ExplainTicket.result` on a never-flushed ticket —
-    the fix is almost always a missing ``service.flush()`` call between
-    ``submit`` and ``result``.  The async serving front
-    (:class:`repro.serve.AsyncExplanationService`) raises the same error
-    when an awaited request times out before its coalesced batch was
-    flushed, so both serving styles report the one failure mode with the
-    one exception type.
-    """
-
-
-class ExplainTicket:
-    """Pending single-row explanation, resolved by the next flush.
-
-    Attributes
-    ----------
-    row:
-        The encoded input row, shape (d,).
-    desired:
-        Requested target class, or ``None`` for "flip the prediction".
-    """
-
-    def __init__(self, row, desired):
-        self.row = row
-        self.desired = desired
-        self._result = None
-
-    @property
-    def ready(self):
-        """Whether the owning service has flushed this ticket."""
-        return self._result is not None
-
-    def result(self):
-        """The resolved result dict; raises until the service flushes."""
-        if self._result is None:
-            raise PendingTicketError(
-                "ticket is not resolved yet: the owning service has not "
-                "flushed it — call service.flush() after submitting")
-        return self._result
+__all__ = ["ExplanationService"]
 
 
 class ExplanationService:
@@ -106,7 +59,7 @@ class ExplanationService:
         LRU result-cache capacity in rows; ``0`` disables caching.
     strategy:
         Optional fitted :class:`repro.engine.CFStrategy`.  When given,
-        cache-miss rows and flushed tickets are explained by that
+        cache-miss rows and pool-flushed blocks are explained by that
         strategy instead of the pipeline's core CF-VAE strategy.
     density:
         Optional fitted :class:`repro.density.DensityModel`.  When
@@ -166,12 +119,10 @@ class ExplanationService:
         #: shared with sibling replicas by :meth:`adopt_execution_from`.
         self._core_strategies = {}
         self.cache = LRUResultCache(cache_size)
-        self._pending = []
-        #: Guards the pending-ticket queue and the serving counters so a
-        #: flush racing an explain_batch from another thread can neither
-        #: lose tickets nor tear the counter snapshot ``stats`` returns
-        #: (the cache itself is independently lock-protected).
-        self._lock = threading.RLock()
+        #: Guards only the serving counters, so concurrent explain_batch
+        #: and _answer_block calls neither lose an increment nor tear the
+        #: snapshot ``stats`` returns (the cache has its own lock).
+        self._lock = threading.Lock()
         self.batches_served = 0
         self.rows_served = 0
         self.flushes = 0
@@ -303,7 +254,7 @@ class ExplanationService:
         """Trade-off ``lambda`` of the Figure 3 score (finite and > 0).
 
         Checked on every assignment, so a bad weight fails where it is
-        set rather than at the flush that first builds the runner.
+        set rather than at the first request that builds the runner.
         """
         return self._density_weight
 
@@ -552,92 +503,12 @@ class ExplanationService:
             encoder=self.encoder,
         )
 
-    # -- micro-batched single-row serving -------------------------------------
-    def submit(self, row, desired=None):
-        """Queue one row for the next flush; returns an :class:`ExplainTicket`.
-
-        Single-row traffic is the worst case for a vectorized engine, so
-        the service does not answer immediately: queued tickets are
-        resolved together by :meth:`flush` through ONE engine-runner
-        pass covering every pending row.  ``desired`` (None flips the
-        prediction) is checked here, so a bad class fails its own submit,
-        not the flush it would have joined.
-        """
-        row = np.asarray(row, dtype=np.float64).reshape(-1)
-        check_encoded_rows(row.reshape(1, -1), self.encoder, "row")
-        check_desired(desired)
-        ticket = ExplainTicket(row, desired)
-        with self._lock:
-            self._pending.append(ticket)
-        return ticket
-
-    @property
-    def pending(self):
-        """Number of tickets waiting for a flush."""
-        with self._lock:
-            return len(self._pending)
-
-    def withdraw(self, tickets):
-        """Take still-queued ``tickets`` off the queue (their caller gave up)."""
-        gone = {id(ticket) for ticket in tickets}
-        with self._lock:
-            self._pending = [ticket for ticket in self._pending if id(ticket) not in gone]
-
-    def flush(self, n_candidates=8, rng=None):
-        """Resolve every pending ticket with one vectorized sweep.
-
-        Stacks all queued rows and answers them in ONE engine-runner
-        pass.  Without a served strategy that pass proposes
-        ``n_candidates`` latent perturbations per row through a
-        :class:`~repro.engine.CoreCFStrategy` drawing its noise from
-        ``rng`` (the explainer's seeded stream when ``None``) and picks
-        the closest valid & feasible candidate per ticket (or ranks by
-        the Figure 3 score when density is hosted); a
-        strategy-configured service routes the rows through its
-        strategy, so tickets and ``explain_batch`` answer with the same
-        method.  Returns the resolved tickets.
-
-        A flush that fails (a bad ``n_candidates``, an error inside the
-        runner) puts its tickets back at the front of the queue before
-        it re-raises, so they are answered by the next good flush (or
-        taken off with :meth:`withdraw`).
-        """
-        strategy = self._flush_strategy(n_candidates, rng)  # checked before the queue is touched
-        # swap the queue atomically: a concurrent submit lands either in
-        # this flush or the next one, never in both and never in neither
-        with self._lock:
-            if not self._pending:
-                return []
-            tickets = self._pending
-            self._pending = []
-
-        try:
-            rows = np.stack([ticket.row for ticket in tickets])
-            desired = resolve_desired(
-                self.explainer.blackbox, rows, [ticket.desired for ticket in tickets]
-            )
-            answers = self._answer_block(strategy, rows, desired)
-        except BaseException:
-            with self._lock:
-                self._pending[:0] = tickets
-            raise
-        for ticket, answer in zip(tickets, answers):
-            ticket._result = answer
-        return tickets
-
-    def _flush_strategy(self, n_candidates=8, rng=None):
-        """The strategy a flushed block runs with (see :meth:`flush`)."""
-        if self.strategy is not None:
-            return self.strategy
-        if rng is None:
-            return self._core_strategy_for(n_candidates)
-        return CoreCFStrategy(self.explainer, n_candidates=n_candidates, rng=rng)
-
+    # -- coalesced block serving ---------------------------------------------
     def _answer_block(self, strategy, rows, desired):
         """ONE runner pass over checked rows and resolved classes; a result dict per row.
 
-        How :meth:`flush` and :meth:`WorkerPool.flush_rows` turn a block
-        into answers; the pass counts as one flush of ``len(rows)`` rows.
+        How :meth:`WorkerPool.flush_rows` turns a routed shard into
+        answers; the pass counts as one flush of ``len(rows)`` rows.
         """
         result, diagnostics = self.runner.run(strategy, rows, desired, return_diagnostics=True)
         columns = zip(result.x_cf, *(column.tolist() for column in (

@@ -5,11 +5,11 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.engine import CoreCFStrategy
 from repro.serve import (
     ArtifactStore,
     AsyncExplanationService,
     ExplanationService,
-    PendingTicketError,
     WorkerPool,
 )
 from repro.utils.validation import SchemaMismatchError
@@ -57,9 +57,9 @@ class TestAsyncFront:
     def test_single_replica_async_parity_with_sync_service(
             self, store, explain_rows):
         sync = ExplanationService.warm_start(store, "tiny", cache_size=0)
-        tickets = [sync.submit(row) for row in explain_rows[:8]]
-        sync.flush()
-        reference = [ticket.result() for ticket in tickets]
+        rows = explain_rows[:8]
+        reference = sync._answer_block(CoreCFStrategy(sync.explainer, n_candidates=8),
+                                       rows, 1 - sync.explainer.blackbox.predict(rows))
 
         async def scenario(pool):
             front = AsyncExplanationService(
@@ -106,10 +106,10 @@ class TestAsyncFront:
             results = asyncio.run(scenario(pool))
         assert len(results) == 4
 
-    def test_timeout_maps_to_pending_ticket_error(self, store, explain_rows):
+    def test_timeout_raises_timeout_error(self, store, explain_rows):
         async def scenario(pool):
             front = AsyncExplanationService(pool, coalesce_window=30.0)
-            with pytest.raises(PendingTicketError, match="coalesce"):
+            with pytest.raises(TimeoutError, match="coalesce"):
                 await front.explain(explain_rows[0], timeout=0.01)
             await front.aclose()
 
@@ -141,7 +141,8 @@ class TestAsyncFront:
 
         with WorkerPool(store, "tiny", n_replicas=1) as pool:
             error = asyncio.run(scenario(pool))
-        assert isinstance(error, PendingTicketError)
+        assert type(error) is RuntimeError
+        assert "closed before" in str(error)
 
     def test_desired_target_is_honoured(self, store, explain_rows):
         async def scenario(pool):

@@ -2,10 +2,9 @@
 
 The pool checks the coalesced rows and resolves their desired classes
 once for the whole batch, then answers each routed shard with ONE
-``EngineRunner.run`` through the replica's shared strategy.  No ticket
-is built and no replica ``submit``/``flush`` runs, and the asyncio front
-hands each request the very dict ``flush_rows`` built (a copy would
-break callers that match answers by identity).
+``EngineRunner.run`` through the pool's shared strategy, and the
+asyncio front hands each request the very dict ``flush_rows`` built (a
+copy would break callers that match answers by identity).
 """
 
 import asyncio
@@ -16,7 +15,6 @@ import pytest
 
 from repro.engine import EngineRunner
 from repro.serve import ArtifactStore, AsyncExplanationService, WorkerPool
-from repro.serve.service import ExplainTicket, ExplanationService
 from repro.utils import validation
 
 
@@ -36,8 +34,7 @@ def counts(monkeypatch):
     ``EngineRunner.run`` (the runner and its strategy check their own
     inputs).
     """
-    tally = dict.fromkeys(
-        ("tickets", "submits", "flushes", "runs", "row_checks", "resolves"), 0)
+    tally = dict.fromkeys(("runs", "row_checks", "resolves"), 0)
     lock = threading.Lock()
     inside_run = threading.local()
 
@@ -63,11 +60,6 @@ def counts(monkeypatch):
             inside_run.active = False
 
     monkeypatch.setattr(EngineRunner, "run", counting_run)
-    monkeypatch.setattr(ExplainTicket, "__init__", counting("tickets", ExplainTicket.__init__))
-    monkeypatch.setattr(ExplanationService, "submit",
-                        counting("submits", ExplanationService.submit))
-    monkeypatch.setattr(ExplanationService, "flush",
-                        counting("flushes", ExplanationService.flush))
     for name, original in (("check_encoded_rows", validation.check_encoded_rows),
                            ("resolve_desired", validation.resolve_desired)):
         key = "row_checks" if name == "check_encoded_rows" else "resolves"
@@ -84,8 +76,7 @@ def test_flush_rows_makes_one_runner_pass_per_shard(pool, explain_rows, counts):
     answers = pool.flush_rows(rows, 1)
     after = pool.stats()["aggregate"]
     assert len(answers) == len(rows)
-    assert counts == {"tickets": 0, "submits": 0, "flushes": 0, "runs": len(shards),
-                      "row_checks": 1, "resolves": 1}
+    assert counts == {"runs": len(shards), "row_checks": 1, "resolves": 1}
     # the replicas still count each shard as one flush of its rows
     assert after["flushes"] - before["flushes"] == len(shards)
     assert after["rows_coalesced"] - before["rows_coalesced"] == len(rows)

@@ -5,12 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serve import (
-    ArtifactStore,
-    ExplanationService,
-    PendingTicketError,
-    WorkerPool,
-)
+from repro.engine import CoreCFStrategy
+from repro.serve import ArtifactStore, ExplanationService, WorkerPool
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +36,17 @@ class TestWorkerPool:
         with pytest.raises(ValueError, match="density_weight must be finite"):
             ExplanationService.warm_start(store, "tiny", density_weight=-1.0)
 
+    @pytest.mark.parametrize("flush_kwargs, match", [
+        ({"n_candidates": 0}, "n_candidates must be an int >= 1"),
+        ({"n_candidates": 2.5}, "n_candidates must be an int >= 1"),
+        ({"n_candidate": 8}, "unknown flush_kwargs"),
+        ({"n_candidates": 8, "rng": 0}, "unknown flush_kwargs"),
+    ])
+    def test_rejects_bad_flush_kwargs_at_construction(self, store, flush_kwargs, match):
+        # checked here, or a bad value would fail every request of the first batch
+        with pytest.raises(ValueError, match=match):
+            WorkerPool(store, "tiny", flush_kwargs=flush_kwargs)
+
     def test_batch_parity_with_single_service(
             self, store, sync_service, explain_rows):
         reference = sync_service.explain_batch(explain_rows)
@@ -52,9 +59,9 @@ class TestWorkerPool:
 
     def test_single_replica_flush_parity(self, store, explain_rows):
         sync = ExplanationService.warm_start(store, "tiny", cache_size=0)
-        tickets = [sync.submit(row) for row in explain_rows[:8]]
-        sync.flush()
-        reference = [ticket.result() for ticket in tickets]
+        rows = explain_rows[:8]
+        reference = sync._answer_block(CoreCFStrategy(sync.explainer, n_candidates=8),
+                                       rows, 1 - sync.explainer.blackbox.predict(rows))
         with WorkerPool(store, "tiny", n_replicas=1) as pool:
             results = pool.flush_rows(explain_rows[:8])
         for got, want in zip(results, reference):
@@ -73,7 +80,6 @@ class TestWorkerPool:
             monkeypatch.setattr(replica.runner, "run", broken)
             with pytest.raises(RuntimeError, match="runner failed"):
                 pool.flush_rows(explain_rows[:4])
-            assert replica.pending == 0
             monkeypatch.undo()
             assert len(pool.flush_rows(explain_rows[4:6])) == 2
             assert replica.stats["rows_coalesced"] == 2
@@ -165,48 +171,40 @@ class TestAdoptExecution:
 
 
 class TestThreadSafety:
-    def test_submit_flush_storm_loses_no_tickets(
-            self, tiny_pipeline, explain_rows):
-        """Concurrent submitters + flushers: every ticket resolves once."""
-        service = ExplanationService(tiny_pipeline, cache_size=0)
-        n_threads, per_thread = 6, 12
-        all_tickets = [[] for _ in range(n_threads)]
-        start_gate = threading.Barrier(n_threads + 2)
-        stop_flushing = threading.Event()
+    def test_concurrent_flush_rows_lose_no_rows(self, store, explain_rows):
+        """Concurrent flush_rows callers: every row answered, counted once."""
+        n_threads, per_thread = 6, 4
+        # overlapping 3-row blocks, so threads race on the same replicas
+        blocks = [[explain_rows[start:start + 3] for start in range(slot, slot + per_thread)]
+                  for slot in range(n_threads)]
+        answers = [None] * n_threads
+        gate = threading.Barrier(n_threads)
 
-        def submitter(slot):
-            start_gate.wait()
-            for i in range(per_thread):
-                row = explain_rows[(slot + i) % len(explain_rows)]
-                all_tickets[slot].append(service.submit(row))
+        def flusher(slot, pool):
+            gate.wait()
+            answers[slot] = [answer for rows in blocks[slot] for answer in pool.flush_rows(rows)]
 
-        def flusher():
-            start_gate.wait()
-            while not stop_flushing.is_set():
-                service.flush(n_candidates=2)
-            service.flush(n_candidates=2)  # drain stragglers
+        with WorkerPool(store, "tiny", n_replicas=2,
+                        flush_kwargs={"n_candidates": 2}) as pool:
+            threads = [threading.Thread(target=flusher, args=(slot, pool))
+                       for slot in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            stats = pool.stats()
+            blackbox = pool.replicas[0].explainer.blackbox
+            routed = [0] * pool.n_replicas
+            for rows in (rows for slot in blocks for rows in slot):
+                for row, desired in zip(rows, 1 - blackbox.predict(rows)):
+                    routed[pool.route(row, int(desired))] += 1
 
-        threads = [threading.Thread(target=submitter, args=(slot,))
-                   for slot in range(n_threads)]
-        threads.extend(threading.Thread(target=flusher) for _ in range(2))
-        for thread in threads:
-            thread.start()
-        try:
-            for thread in threads[:n_threads]:
-                thread.join(timeout=30)
-        finally:
-            stop_flushing.set()
-        for thread in threads[n_threads:]:
-            thread.join(timeout=30)
-
-        flat = [ticket for slot in all_tickets for ticket in slot]
-        assert len(flat) == n_threads * per_thread
-        for ticket in flat:
-            assert ticket.ready  # nothing lost
-            assert ticket.result() is ticket.result()  # resolved once
-        assert service.pending == 0
-        # nothing duplicated: coalesced rows account for each ticket once
-        assert service.stats["rows_coalesced"] == len(flat)
+        assert [len(got) for got in answers] == [per_thread * 3] * n_threads  # nothing lost
+        assert all(answer["x_cf"].shape == explain_rows[0].shape
+                   for got in answers for answer in got)
+        # each replica counted every row routed to it exactly once
+        assert [entry["rows_coalesced"] for entry in stats["per_replica"]] == routed
+        assert stats["aggregate"]["rows_coalesced"] == n_threads * per_thread * 3
 
     def test_concurrent_explain_batch_keeps_counters_consistent(
             self, tiny_pipeline, explain_rows):
@@ -232,14 +230,3 @@ class TestThreadSafety:
         assert stats["rows_served"] == total * len(explain_rows)
         lookups = stats["cache_hits"] + stats["cache_misses"]
         assert lookups == total * len(explain_rows)
-
-
-class TestPendingTicket:
-    def test_unflushed_ticket_raises_typed_error(
-            self, tiny_pipeline, explain_rows):
-        service = ExplanationService(tiny_pipeline)
-        ticket = service.submit(explain_rows[0])
-        with pytest.raises(PendingTicketError, match="flush"):
-            ticket.result()
-        service.flush()
-        assert ticket.result()["x_cf"].shape == explain_rows[0].shape

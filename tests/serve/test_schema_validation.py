@@ -60,12 +60,6 @@ class TestService:
         with pytest.raises(SchemaMismatchError, match="adult"):
             service.explain_batch(wrong_width_rows)
 
-    def test_submit_rejects_wrong_width(self, tiny_pipeline):
-        service = ExplanationService(tiny_pipeline)
-        with pytest.raises(SchemaMismatchError, match="expects"):
-            service.submit(np.zeros(5))
-        assert service.pending == 0
-
     def test_valid_width_passes(self, tiny_pipeline, explain_rows):
         service = ExplanationService(tiny_pipeline)
         result = service.explain_batch(explain_rows[:2])

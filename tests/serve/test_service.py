@@ -1,8 +1,9 @@
-"""ExplanationService tests: cache correctness, micro-batching, parity."""
+"""ExplanationService tests: cache correctness, block answers, parity."""
 
 import numpy as np
 import pytest
 
+from repro.engine import CoreCFStrategy
 from repro.serve import ArtifactStore, ExplanationService
 
 
@@ -77,29 +78,29 @@ class TestResultCache:
 
 
 class TestMicroBatching:
-    def test_flush_resolves_all_tickets_in_one_sweep(self, service, explain_rows):
-        tickets = [service.submit(row) for row in explain_rows[:6]]
-        assert service.pending == 6
-        assert not tickets[0].ready
-        resolved = service.flush(n_candidates=5, rng=np.random.default_rng(11))
-        assert resolved == tickets
-        assert service.pending == 0
+    def test_answer_block_answers_every_row_in_one_pass(self, service, explain_rows):
+        rows = explain_rows[:6]
+        strategy = CoreCFStrategy(service.explainer, n_candidates=5,
+                                  rng=np.random.default_rng(11))
+        desired = 1 - service.explainer.blackbox.predict(rows)
+        answers = service._answer_block(strategy, rows, desired)
+        assert len(answers) == 6
         assert service.stats["flushes"] == 1
         assert service.stats["rows_coalesced"] == 6
-        for ticket in tickets:
-            result = ticket.result()
-            assert result["x_cf"].shape == explain_rows[0].shape
-            assert 0 <= result["chosen"] < 5
+        for answer in answers:
+            assert answer["x_cf"].shape == explain_rows[0].shape
+            assert 0 <= answer["chosen"] < 5
 
     def test_flush_matches_direct_candidate_sweep(self, service, explain_rows):
         from tests.helpers.loops import sweep_candidate_sets
         from tests.helpers.parity import pick_candidate
 
         rows = explain_rows[:4]
-        tickets = [service.submit(row) for row in rows]
-        service.flush(n_candidates=6, rng=np.random.default_rng(3))
-
         desired = 1 - service.explainer.blackbox.predict(rows)
+        answers = service._answer_block(
+            CoreCFStrategy(service.explainer, n_candidates=6, rng=np.random.default_rng(3)),
+            rows, desired)
+
         candidate_sets = sweep_candidate_sets(
             service.explainer,
             rows,
@@ -107,77 +108,21 @@ class TestMicroBatching:
             desired=desired,
             rng=np.random.default_rng(3),
         )
-        for ticket, candidate_set in zip(tickets, candidate_sets):
+        for answer, candidate_set in zip(answers, candidate_sets):
             index = pick_candidate(candidate_set)
-            assert np.array_equal(
-                ticket.result()["x_cf"], candidate_set.candidates[index]
-            )
-
-    def test_explicit_desired_ticket(self, service, explain_rows):
-        ticket = service.submit(explain_rows[0], desired=1)
-        service.flush(rng=np.random.default_rng(0))
-        assert ticket.result()["desired"] == 1
-
-    @pytest.mark.parametrize("bad", [2, -1, 0.7])
-    def test_bad_desired_fails_its_submit_not_the_flush(self, service, explain_rows, bad):
-        good = service.submit(explain_rows[0], desired=1)
-        with pytest.raises(ValueError, match="desired must contain only 0/1"):
-            service.submit(explain_rows[1], desired=bad)
-        assert service.pending == 1
-        assert service.flush(rng=np.random.default_rng(0)) == [good]
-        assert good.result()["desired"] == 1
-
-    def test_unresolved_ticket_raises(self, service, explain_rows):
-        ticket = service.submit(explain_rows[0])
-        with pytest.raises(RuntimeError, match="not resolved"):
-            ticket.result()
-        service.flush()
-
-    def test_flush_with_nothing_pending(self, service):
-        assert service.flush() == []
-        assert service.stats["flushes"] == 0
-
-    def test_bad_flush_keeps_every_ticket_queued(self, service, explain_rows):
-        tickets = [service.submit(row) for row in explain_rows[:3]]
-        with pytest.raises(ValueError, match="n_candidates must be >= 1"):
-            service.flush(n_candidates=0)
-        assert service.pending == 3
-        assert not any(ticket.ready for ticket in tickets)
-        assert service.flush(n_candidates=4) == tickets
-        assert all(ticket.ready for ticket in tickets)
-        assert service.stats["flushes"] == 1
-
-    def test_failed_run_requeues_its_tickets_first(self, service, explain_rows,
-                                                    monkeypatch):
-        failed = [service.submit(row) for row in explain_rows[:2]]
-        later = []
-
-        def broken(*args, **kwargs):
-            # a submit racing the flush lands in the fresh queue
-            later.append(service.submit(explain_rows[2]))
-            raise RuntimeError("replica lost")
-
-        monkeypatch.setattr(service.runner, "run", broken)
-        with pytest.raises(RuntimeError, match="replica lost"):
-            service.flush(n_candidates=3)
-        monkeypatch.undo()
-        assert service.pending == 3
-        # the failed flush's tickets go back ahead of the racing submit
-        assert service.flush(n_candidates=3) == failed + later
+            assert np.array_equal(answer["x_cf"], candidate_set.candidates[index])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_density_weight_fails_where_it_is_set(self, tiny_pipeline, service,
                                                       explain_rows, bad):
         # the runner is built lazily, so an unchecked weight would first
-        # fail inside a flush, after the queue was swapped out
+        # fail inside a later request instead of at the assignment
         with pytest.raises(ValueError, match="density_weight must be finite and positive"):
             ExplanationService(tiny_pipeline, density_weight=bad)
-        ticket = service.submit(explain_rows[0])
         with pytest.raises(ValueError, match="density_weight must be finite and positive"):
             service.density_weight = bad
         assert service.density_weight == 1.0
-        assert service.flush(n_candidates=3) == [ticket]
-        assert ticket.result()["x_cf"].shape == explain_rows[0].shape
+        assert service.explain_batch(explain_rows[:1]).x_cf.shape == (1, explain_rows.shape[1])
 
 
 class TestStats:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.density import KnnDensity
 from repro.engine import CoreCFStrategy, EngineRunner
-from repro.serve import ArtifactStore, ExplanationService
+from repro.serve import ArtifactStore, ExplanationService, WorkerPool
 from tests.helpers.parity import assert_bit_identical, pick_candidate, staged_run
 
 
@@ -95,15 +95,14 @@ class TestPlanEngine:
         assert second.density is density
 
     def test_plan_engine_flush_serves_submitted_rows(self, tiny_pipeline,
-                                                     explain_rows):
+                                                     explain_rows, stored):
         # a one-candidate flush proposes the deterministic decode, so a
-        # ticket answers exactly what the batch path answers for its row
-        service = ExplanationService(tiny_pipeline, cache_size=0)
-        batch = service.explain_batch(explain_rows[:3])
-        tickets = [service.submit(row) for row in explain_rows[:3]]
-        service.flush(n_candidates=1)
-        for i, ticket in enumerate(tickets):
-            resolved = ticket.result()
+        # flushed row gets exactly what the batch path answers for it
+        store, _ = stored
+        batch = ExplanationService(tiny_pipeline, cache_size=0).explain_batch(explain_rows[:3])
+        with WorkerPool(store, "t", n_replicas=1, flush_kwargs={"n_candidates": 1}) as pool:
+            answers = pool.flush_rows(explain_rows[:3])
+        for i, resolved in enumerate(answers):
             np.testing.assert_array_equal(resolved["x_cf"], batch.x_cf[i])
             assert resolved["valid"] == bool(batch.valid[i])
             assert resolved["feasible"] == bool(batch.feasible[i])
@@ -150,31 +149,30 @@ class TestCorePathParity:
         assert service.stats["cache_hits"] == repeats
 
     def test_flush_matches_candidate_sweep_and_closest_pick(self, tiny_pipeline,
-                                                             explain_rows):
+                                                             explain_rows, stored):
         from tests.helpers.loops import sweep_candidate_sets
 
-        service = ExplanationService(tiny_pipeline)
+        store, _ = stored
         explainer = tiny_pipeline.explainer
-        for rows, spec in self._batches(explain_rows):
-            specs = spec if spec is not None else [None] * len(rows)
-            tickets = [service.submit(row, None if s is None else int(s))
-                       for row, s in zip(rows, specs)]
-            service.flush(n_candidates=6)
-            flipped = 1 - explainer.blackbox.predict(rows)
-            desired = np.array([f if s is None else s for f, s in zip(flipped, specs)])
-            candidate_sets = sweep_candidate_sets(
-                explainer, rows, n_candidates=6, desired=desired)
-            for ticket, target, cs in zip(tickets, desired, candidate_sets):
-                index = pick_candidate(cs)
-                valid = bool(cs.valid[index])
-                assert_bit_identical(
-                    ticket.result(),
-                    {"x_cf": cs.candidates[index], "desired": int(target),
-                     "predicted": int(target) if valid else 1 - int(target),
-                     "valid": valid, "feasible": bool(cs.feasible[index]),
-                     "chosen": index, "n_usable": int(cs.usable_mask.sum()),
-                     "n_valid": int(cs.valid.sum())},
-                    context="flush vs per-row candidate sweep+closest pick")
+        with WorkerPool(store, "t", n_replicas=1, flush_kwargs={"n_candidates": 6}) as pool:
+            for rows, spec in self._batches(explain_rows):
+                specs = spec if spec is not None else [None] * len(rows)
+                answers = pool.flush_rows(rows, specs)
+                flipped = 1 - explainer.blackbox.predict(rows)
+                desired = np.array([f if s is None else s for f, s in zip(flipped, specs)])
+                candidate_sets = sweep_candidate_sets(
+                    explainer, rows, n_candidates=6, desired=desired)
+                for answer, target, cs in zip(answers, desired, candidate_sets):
+                    index = pick_candidate(cs)
+                    valid = bool(cs.valid[index])
+                    assert_bit_identical(
+                        answer,
+                        {"x_cf": cs.candidates[index], "desired": int(target),
+                         "predicted": int(target) if valid else 1 - int(target),
+                         "valid": valid, "feasible": bool(cs.feasible[index]),
+                         "chosen": index, "n_usable": int(cs.usable_mask.sum()),
+                         "n_valid": int(cs.valid.sum())},
+                        context="flush vs per-row candidate sweep+closest pick")
 
     def test_hosted_flush_honours_n_candidates_and_rng(self, tiny_pipeline,
                                                        explain_rows):
@@ -183,8 +181,9 @@ class TestCorePathParity:
         causal = ScmCausalModel(tiny_pipeline.encoder)
         service = ExplanationService(tiny_pipeline, causal=causal)
         rows = explain_rows[:7]
-        tickets = [service.submit(row) for row in rows]
-        service.flush(n_candidates=3, rng=np.random.default_rng(0))
+        answers = service._answer_block(
+            CoreCFStrategy(tiny_pipeline.explainer, n_candidates=3, rng=np.random.default_rng(0)),
+            rows, 1 - tiny_pipeline.blackbox.predict(rows))
         runner = EngineRunner(tiny_pipeline.encoder, tiny_pipeline.blackbox,
                               causal=causal)
         result, diagnostics = runner.run(
@@ -192,8 +191,7 @@ class TestCorePathParity:
                            rng=np.random.default_rng(0)),
             rows, return_diagnostics=True)
         assert diagnostics["n_candidates"] == 3
-        for i, ticket in enumerate(tickets):
-            resolved = ticket.result()
+        for i, resolved in enumerate(answers):
             np.testing.assert_array_equal(resolved["x_cf"], result.x_cf[i])
             assert resolved["predicted"] == int(result.predicted[i])
             assert resolved["feasible"] == bool(result.feasible[i])
@@ -201,16 +199,16 @@ class TestCorePathParity:
             assert resolved["n_usable"] == int(diagnostics["n_usable"][i])
             assert resolved["n_valid"] == int(diagnostics["n_valid"][i])
 
-    def test_default_rng_flush_reuses_one_plan(self, tiny_pipeline, explain_rows):
-        service = ExplanationService(tiny_pipeline)
-        for row in explain_rows[:2]:
-            service.submit(row)
-            service.flush(n_candidates=4)
-        strategy = service._core_strategy_for(4)
-        assert strategy.n_candidates == 4
-        runner = service.runner
-        service.submit(explain_rows[2])
-        service.flush(n_candidates=4)
-        # one core strategy per sweep size, one runner per configuration
-        assert service._core_strategy_for(4) is strategy
-        assert service.runner is runner
+    def test_default_rng_flush_reuses_one_plan(self, explain_rows, stored):
+        store, _ = stored
+        with WorkerPool(store, "t", n_replicas=1, flush_kwargs={"n_candidates": 4}) as pool:
+            service = pool.replicas[0]
+            for row in explain_rows[:2]:
+                pool.flush_rows(row)
+            strategy = service._core_strategy_for(4)
+            assert strategy.n_candidates == 4
+            runner = service.runner
+            pool.flush_rows(explain_rows[2])
+            # one core strategy per sweep size, one runner per configuration
+            assert service._core_strategy_for(4) is strategy
+            assert service.runner is runner

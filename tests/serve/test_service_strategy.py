@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import EngineRunner, build_strategy
-from repro.serve import ArtifactStore, ExplanationService
+from repro.serve import ArtifactStore, ExplanationService, WorkerPool
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ class TestStrategyServing:
             result.feasible, explainer.constraints.satisfied(explain_rows, x_cf)
         )
 
-    def test_flush_routes_through_strategy(self, tiny_pipeline, explain_rows):
+    def test_flush_routes_through_strategy(self, tmp_path, tiny_pipeline, explain_rows):
         def built():
             strategy = build_strategy(
                 "dice_random",
@@ -100,15 +100,15 @@ class TestStrategyServing:
             )
             return strategy.fit(*tiny_pipeline.bundle.split("train"))
 
-        service = ExplanationService(tiny_pipeline, strategy=built())
+        store = ArtifactStore(tmp_path / "store")
+        store.save(tiny_pipeline, name="tiny")
         rows = explain_rows[:4]
-        tickets = [service.submit(row) for row in rows]
-        service.flush()
+        with WorkerPool(store, "tiny", n_replicas=1, strategy=built()) as pool:
+            answers = pool.flush_rows(rows)
         desired = 1 - tiny_pipeline.blackbox.predict(rows)
         runner = EngineRunner(tiny_pipeline.encoder, tiny_pipeline.blackbox)
         direct = runner.run(built(), rows, desired)
-        for i, ticket in enumerate(tickets):
-            result = ticket.result()
+        for i, result in enumerate(answers):
             np.testing.assert_array_equal(result["x_cf"], direct.x_cf[i])
             assert result["valid"] == bool(direct.valid[i])
             assert result["feasible"] == bool(direct.feasible[i])

@@ -17,11 +17,11 @@ import pytest
 
 from repro.causal import fit_causal
 from repro.density import fit_class_density
-from repro.serve import ArtifactStore, ExplanationService
+from repro.serve import ArtifactStore, ExplanationService, WorkerPool
 
 #: sha256 over (x_cf, valid, feasible) of 64 single-row explain_batch calls
 SINGLE_ROW_DIGEST = "9a1c05ed7b2589d73571afc2eb9b1837fce0f1f95f8db0219a43744c5825f2c9"
-#: the same over one flush(n_candidates=8) of 32 submitted rows
+#: the same over one 1-replica WorkerPool flush_rows (n_candidates=8) of 32 rows
 FLUSH_DIGEST = "63e336c4382ca510fcd7a41b721f8b5685bf6e53844f00bf877ac216b33c20d8"
 
 
@@ -69,10 +69,10 @@ def test_single_row_answers_match_golden_digest(golden_store, golden_rows,
 
 
 def test_flush_answers_match_golden_digest(golden_store, golden_rows):
-    service = _warm_service(golden_store)
-    tickets = [service.submit(row) for row in golden_rows[64:96]]
-    service.flush(n_candidates=8)
-    answers = [ticket.result() for ticket in tickets]
+    with WorkerPool(golden_store, "g", n_replicas=1,
+                    overlays={"density": "store", "causal": "store"},
+                    flush_kwargs={"n_candidates": 8}) as pool:
+        answers = pool.flush_rows(golden_rows[64:96])
     x_cf = np.stack([a["x_cf"] for a in answers])
     valid = np.array([a["valid"] for a in answers])
     feasible = np.array([a["feasible"] for a in answers])

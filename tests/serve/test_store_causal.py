@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from repro.causal import MinedCausalModel, ScmCausalModel
-from repro.serve import ArtifactError, ArtifactStore, ExplanationService, StaleArtifactError
+from repro.serve import (
+    ArtifactError,
+    ArtifactStore,
+    ExplanationService,
+    StaleArtifactError,
+    WorkerPool,
+)
 
 
 @pytest.fixture()
@@ -149,12 +155,9 @@ class TestCausalAwareServing:
     def test_flush_routes_tickets_through_the_causal_runner(self, saved, explain_rows):
         store, pipeline = saved
         model = fitted_causal(pipeline)
-        service = ExplanationService(pipeline, causal=model)
-        tickets = [service.submit(row) for row in explain_rows[:4]]
-        service.flush()
-        for ticket in tickets:
-            assert ticket.ready
-            cost = model.score(
-                ticket.row.reshape(1, -1),
-                ticket.result()["x_cf"].reshape(1, -1))
+        rows = explain_rows[:4]
+        with WorkerPool(store, "tiny", n_replicas=1, overlays={"causal": model}) as pool:
+            answers = pool.flush_rows(rows)
+        for row, answer in zip(rows, answers):
+            cost = model.score(row.reshape(1, -1), answer["x_cf"].reshape(1, -1))
             assert cost[0] <= 1e-6

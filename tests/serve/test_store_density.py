@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.density import KnnDensity, LatentDensity
-from repro.serve import ArtifactStore, ExplanationService
+from repro.serve import ArtifactStore, ExplanationService, WorkerPool
 from repro.serve.store import ArtifactError, StaleArtifactError
 
 
@@ -160,12 +160,12 @@ class TestDensityAwareServing:
     def test_flush_routes_through_density_runner(self, trained):
         store, pipeline, reference = trained
         model = KnnDensity(k_neighbors=5).fit(reference)
-        service = ExplanationService(pipeline, density=model)
         x_test, _ = pipeline.bundle.split("test")
-        ticket = service.submit(x_test[0])
-        service.flush()
-        resolved = ticket.result()
-        assert 0 <= resolved["chosen"] < service.density_candidates
+        with WorkerPool(store, "t", n_replicas=1, overlays={"density": model},
+                        flush_kwargs={"n_candidates": 5}) as pool:
+            assert pool.replicas[0].runner.density is model
+            (resolved,) = pool.flush_rows(x_test[:1])
+        assert 0 <= resolved["chosen"] < 5
         assert isinstance(resolved["valid"], bool)
 
 
