@@ -6,10 +6,9 @@ fleet.  Two pieces compose:
 * :class:`WorkerPool` — N warm replicas over ONE shared trained
   pipeline.  The leader replica warm-starts from the
   :class:`~repro.serve.store.ArtifactStore` through the standard
-  ``warm_start(overlays={...})`` contract; siblings wrap the same
-  pipeline object and adopt the leader's execution state (its engine
-  runner and core strategies) — so the pool builds ONE of each, not N.
-  The replicas run in-process on
+  ``warm_start(overlays={...})`` contract; siblings are its clones
+  (:meth:`ExplanationService.clone`), sharing its pipeline, engine
+  runner and served strategy.  The replicas run in-process on
   the pool's dispatch threads and hold one copy of every model array.
   Requests shard across replicas by
   :class:`~repro.serve.routing.ConsistentHashRing` over the composite
@@ -22,7 +21,8 @@ fleet.  Two pieces compose:
   then drains the batch through :meth:`WorkerPool.flush_rows` off the
   event loop (one engine-runner pass per routed shard); every request
   resolves as a future.  A request that is not resolved within its
-  ``timeout`` raises the builtin ``TimeoutError``.
+  ``timeout`` raises the builtin ``TimeoutError``; if its batch has not
+  drained yet, it leaves the batch and its row is never computed.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ..core.result import CFBatchResult
+from ..engine import CoreCFStrategy
 from ..utils.validation import (
     SchemaMismatchError,
     check_count,
@@ -62,8 +63,7 @@ class WorkerPool:
     overlays, strategy, cache_size, density_weight, density_candidates,
     robust_quorum:
         Forwarded to :meth:`ExplanationService.warm_start` for the
-        leader; siblings replicate the exact configuration and share the
-        leader's hosted model objects.
+        leader; the other replicas are its clones.
     flush_kwargs:
         ``{"n_candidates": m}`` (default 8): the latent sweep size of
         the core strategy :meth:`flush_rows` answers each routed shard
@@ -119,28 +119,14 @@ class WorkerPool:
             density_candidates=density_candidates,
             robust_quorum=robust_quorum,
         )
-        self.replicas = [leader]
-        for _ in range(1, n_replicas):
-            sibling = ExplanationService(
-                leader.pipeline,
-                cache_size=cache_size,
-                strategy=leader.strategy,
-                density=leader.density,
-                density_weight=density_weight,
-                density_candidates=density_candidates,
-                causal=leader.causal,
-                ensemble=leader.ensemble,
-                robust_quorum=robust_quorum,
-            )
-            sibling.adopt_execution_from(leader)
-            self.replicas.append(sibling)
-
-        #: The strategy every routed shard of :meth:`flush_rows` runs:
-        #: the served one, else the leader's core sweep (which the
-        #: siblings share through ``adopt_execution_from``).
-        self._shard_strategy = leader.strategy or leader._core_strategy_for(n_candidates)
-        #: The pool's composite cache fingerprint (the routing key).
+        #: The pool's composite cache fingerprint (the routing key),
+        #: computed before cloning so every replica shares it.
         self.fingerprint = leader.cache_fingerprint
+        self.replicas = [leader] + [leader.clone() for _ in range(1, n_replicas)]
+        #: The strategy every routed shard of :meth:`flush_rows` runs:
+        #: the served one, else one core sweep of ``n_candidates``.
+        self._shard_strategy = leader.strategy or CoreCFStrategy(
+            leader.explainer, n_candidates=n_candidates)
         #: The served pipeline's fitted encoder (the request schema).
         self.encoder = leader.encoder
         self.ring = ConsistentHashRing(range(n_replicas))
@@ -315,7 +301,8 @@ class AsyncExplanationService:
 
         Returns the result dict (``x_cf``, ``desired``, ``predicted``,
         ``valid``, ``feasible``, ...).  With ``timeout``, a request still
-        pending after that many seconds raises ``TimeoutError``.  A bad
+        pending after that many seconds raises ``TimeoutError`` (and
+        leaves its batch if that has not drained yet).  A bad
         request fails alone: a ``desired`` other than None, 0 or 1
         (``ValueError``) and a row of the wrong width
         (``SchemaMismatchError``) raise here, before joining a batch; a
@@ -372,8 +359,11 @@ class AsyncExplanationService:
             except asyncio.TimeoutError:
                 pass
         # swap the queue and clear the task slot BEFORE the blocking
-        # dispatch, so requests arriving mid-flush arm the next drain
-        batch, self._queue = self._queue, []
+        # dispatch, so requests arriving mid-flush arm the next drain;
+        # a request whose awaiter timed out (its future is cancelled)
+        # leaves the batch, so its row is never computed
+        batch = [entry for entry in self._queue if not entry[2].done()]
+        self._queue = []
         self._drain_task = None
         if not batch:
             return
@@ -397,7 +387,7 @@ class AsyncExplanationService:
         self.flushes += 1
         self.rows_coalesced += len(batch)
         for (_row, _spec, future), result in zip(batch, results):
-            # a timed-out awaiter cancelled its future; skip it
+            # an awaiter that timed out during the flush cancelled its future
             if not future.done():
                 future.set_result(result)
 

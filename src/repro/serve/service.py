@@ -3,44 +3,35 @@
 :class:`ExplanationService` is the request-facing entry point of the
 serving subsystem: it wraps a trained pipeline (freshly trained or
 rebuilt from an :class:`~repro.serve.store.ArtifactStore`), answers
-``explain_batch`` requests through the shared
-:class:`repro.engine.EngineRunner` (one ``run`` pass per batch of
-cache misses), and memoises per-row results in an LRU cache keyed on
-the pipeline fingerprint.  Coalesced single-row traffic reaches a service
+``explain_batch`` requests through one :class:`repro.engine.EngineRunner`
+(one ``run`` pass per batch of cache misses), and memoises per-row
+results in an LRU cache.  Coalesced single-row traffic reaches a service
 through :class:`repro.serve.WorkerPool` (behind the asyncio front),
 which answers each routed block with :meth:`ExplanationService._answer_block`.
 
-The service is strategy-agnostic: without a strategy it serves the
-core CF-VAE through a :class:`repro.engine.CoreCFStrategy`; pass any
-fitted :class:`repro.engine.CFStrategy` (a baseline, or a
-diverse-candidate core strategy) and batches route through that one
-instead.  Cache keys carry a strategy fingerprint, so results from
-different strategies never collide.
-
-It is also density-aware: pass a fitted
-:class:`repro.density.DensityModel` (or warm-start one straight from
-the artifact store's persisted density state) and cache-miss rows are
-selected by the Figure 3 proximity+density score through the engine
-runner — the paper's density criterion survives a process restart.
-Cache keys additionally carry the density fingerprint.
-
-And it is causality-aware: pass a fitted
-:class:`repro.causal.CausalModel` (or warm-start one from the store's
-persisted causal state) and every cache-miss batch is causally repaired
-by the engine runner before validity/feasibility — the paper's first
-pillar survives a process restart too.  Cache keys additionally carry
-the causal fingerprint.
+A service's configuration is fixed at construction.  The runner holds
+the hosted overlays — a :class:`repro.density.DensityModel` selects by
+the Figure 3 proximity+density score, a :class:`repro.causal.CausalModel`
+repairs every batch before validity/feasibility, a
+:class:`repro.models.BlackBoxEnsemble` prefers quorum-robust candidates —
+and the served strategy is the given :class:`repro.engine.CFStrategy`
+or a :class:`repro.engine.CoreCFStrategy`.  Cache keys carry the
+pipeline, strategy and overlay fingerprints, so services of different
+configurations never share an entry.  To serve another configuration,
+build another service.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import threading
 
 import numpy as np
 
 from ..core.result import CFBatchResult
 from ..engine import CoreCFStrategy, EngineRunner
-from ..utils.validation import check_encoded_rows, check_positive, resolve_desired
+from ..utils.validation import check_count, check_encoded_rows, resolve_desired
 from .cache import LRUResultCache
 from .store import OVERLAY_KINDS, StaleArtifactError
 
@@ -69,10 +60,11 @@ class ExplanationService:
         ``density_candidates`` latent perturbations per row so there is
         a candidate set for the density criterion to act on.
     density_weight:
-        Trade-off ``lambda`` of the density-aware selection score.
+        Trade-off ``lambda`` of the density-aware selection score
+        (finite and > 0).
     density_candidates:
-        Candidates per row the core path proposes when ``density`` is
-        set (ignored with an explicit ``strategy``).
+        Candidates per row (an int >= 1) the core path proposes when
+        ``density`` is set (ignored with an explicit ``strategy``).
     causal:
         Optional fitted :class:`repro.causal.CausalModel`.  When given,
         the engine runner hosts it: every cache-miss batch is causally
@@ -85,7 +77,11 @@ class ExplanationService:
         quorum-robust candidates win selection.  Cache keys additionally
         carry the ensemble fingerprint.
     robust_quorum:
-        Member-agreement fraction a candidate needs to count as robust.
+        Member-agreement fraction in (0, 1] a candidate needs to count as
+        robust.
+
+    Every parameter is fixed at construction, and a bad one raises
+    ``ValueError`` here rather than at the first request.
     """
 
     def __init__(
@@ -100,24 +96,32 @@ class ExplanationService:
         ensemble=None,
         robust_quorum=0.5,
     ):
+        check_count(density_candidates, "density_candidates", 1)
         self.pipeline = pipeline
         self.explainer = pipeline.explainer
         self.strategy = strategy
-        self.density = density
-        self.density_weight = density_weight
-        self.density_candidates = int(density_candidates)
-        self.causal = causal
-        self.ensemble = ensemble
-        self.robust_quorum = float(robust_quorum)
         self.fingerprint = pipeline.fingerprint
-        #: kind -> (model identity, raw fingerprint) memo behind the
-        #: ``*_fingerprint`` properties; see :meth:`_overlay_fingerprint`.
-        self._fingerprint_memo = {}
-        self._runner = None
-        #: n_candidates -> default-rng CoreCFStrategy; one object per
-        #: sweep size, so its memoised default noise draw is reused, and
-        #: shared with sibling replicas by :meth:`adopt_execution_from`.
-        self._core_strategies = {}
+        #: The one holder of the hosted models and serving parameters
+        #: (``runner.density``, ``runner.density_weight``, ...); building
+        #: it here rejects a bad configuration before any request.
+        self.runner = EngineRunner(
+            self.encoder,
+            self.explainer.blackbox,
+            density=density,
+            density_weight=density_weight,
+            causal=causal,
+            ensemble=ensemble,
+            robust_quorum=robust_quorum,
+        )
+        #: The strategy every cache miss runs: ``strategy``, else the
+        #: core sweep of ``density_candidates`` candidates with density
+        #: hosted, else the one-shot deterministic decode.
+        self.served_strategy = strategy or CoreCFStrategy(
+            self.explainer, n_candidates=density_candidates if density is not None else 1)
+        self._init_serving_state(cache_size)
+
+    def _init_serving_state(self, cache_size):
+        """Give this service its own cache, counter lock and counters."""
         self.cache = LRUResultCache(cache_size)
         #: Guards only the serving counters, so concurrent explain_batch
         #: and _answer_block calls neither lose an increment nor tear the
@@ -250,67 +254,6 @@ class ExplanationService:
         return service
 
     @property
-    def density_weight(self):
-        """Trade-off ``lambda`` of the Figure 3 score (finite and > 0).
-
-        Checked on every assignment, so a bad weight fails where it is
-        set rather than at the first request that builds the runner.
-        """
-        return self._density_weight
-
-    @density_weight.setter
-    def density_weight(self, value):
-        self._density_weight = check_positive(value, "density_weight")
-
-    @property
-    def runner(self):
-        """Shared engine runner over the pipeline (built lazily).
-
-        Rebuilt when :attr:`density`, :attr:`density_weight`,
-        :attr:`causal`, :attr:`ensemble` or :attr:`robust_quorum` is
-        re-pointed so the hosted model configuration always matches the
-        one the cache keys are derived from.
-        """
-        if (
-            self._runner is None
-            or self._runner.density is not self.density
-            or self._runner.density_weight != self.density_weight
-            or self._runner.causal is not self.causal
-            or self._runner.ensemble is not self.ensemble
-            or self._runner.robust_quorum != self.robust_quorum
-        ):
-            self._runner = EngineRunner(
-                self.encoder,
-                self.explainer.blackbox,
-                density=self.density,
-                density_weight=self.density_weight,
-                causal=self.causal,
-                ensemble=self.ensemble,
-                robust_quorum=self.robust_quorum,
-            )
-        return self._runner
-
-    @property
-    def core_strategy(self):
-        """Core strategy ``explain_batch`` serves when no strategy is set.
-
-        Density-aware serving proposes a diverse latent sweep of
-        ``density_candidates`` so the Figure 3 criterion has candidates
-        to rank; otherwise the one-shot deterministic decode (the
-        ``FeasibleCFExplainer.explain`` computation).
-        """
-        return self._core_strategy_for(self.density_candidates if self.density is not None else 1)
-
-    def _core_strategy_for(self, n_candidates):
-        """The cached default-rng :class:`CoreCFStrategy` of one sweep size."""
-        strategy = self._core_strategies.get(n_candidates)
-        if strategy is None:
-            strategy = self._core_strategies.setdefault(
-                n_candidates, CoreCFStrategy(self.explainer, n_candidates=n_candidates)
-            )
-        return strategy
-
-    @property
     def encoder(self):
         """The pipeline's fitted tabular encoder."""
         return self.explainer.encoder
@@ -320,76 +263,39 @@ class ExplanationService:
         """Name of the dataset the pipeline was trained on."""
         return self.pipeline.dataset
 
-    # -- fingerprints --------------------------------------------------------
-    def _overlay_fingerprint(self, kind, obj, default, suffix=""):
-        """Identity-memoised fingerprint of one served model slot.
+    def clone(self):
+        """A sibling replica of this service for a worker pool.
 
-        The one recompute rule behind every ``*_fingerprint`` property:
-        the fingerprint is recomputed when the slot is re-pointed at a
-        different object (identity comparison), so switching models can
-        never serve stale cross-model cache hits — while an in-place
-        refit of the hosted instance is *not* detected (attach a freshly
-        fitted model instead).  ``suffix`` tags cache-relevant serving
-        parameters (selection weight, robustness quorum) onto a hosted
-        model's fingerprint; slots without a model report ``default``
-        untagged.
+        The clone shares the pipeline, the runner, the served strategy
+        and (once computed) the cache fingerprint; it owns its own LRU
+        cache of the same capacity, its own counter lock and counters.
         """
-        memo = self._fingerprint_memo.get(kind)
-        if memo is None or memo[0] is not obj:
-            value = obj.fingerprint() if obj is not None else default
-            self._fingerprint_memo[kind] = (obj, value)
-        else:
-            value = memo[1]
-        if obj is None:
-            return value
-        return f"{value}{suffix}"
+        replica = copy.copy(self)
+        replica._init_serving_state(self.cache.capacity)
+        return replica
 
-    @property
-    def strategy_fingerprint(self):
-        """Fingerprint of the currently served strategy (``"core"`` if none)."""
-        return self._overlay_fingerprint("strategy", self.strategy, "core")
-
-    @property
-    def density_fingerprint(self):
-        """Fingerprint of the served density configuration.
-
-        ``"none"`` without a model; otherwise the estimator fingerprint
-        tagged with the selection weight (the weight changes which
-        candidate wins, so it is cache-relevant).
-        """
-        return self._overlay_fingerprint(
-            "density", self.density, "none", suffix=f"@w{self.density_weight}")
-
-    @property
-    def causal_fingerprint(self):
-        """Fingerprint of the served causal configuration (``"none"`` if none)."""
-        return self._overlay_fingerprint("causal", self.causal, "none")
-
-    @property
-    def ensemble_fingerprint(self):
-        """Fingerprint of the served ensemble configuration.
-
-        ``"none"`` without an ensemble; otherwise the ensemble
-        fingerprint tagged with the quorum (the quorum changes which
-        candidate wins selection, so it is cache-relevant).
-        """
-        return self._overlay_fingerprint(
-            "ensemble", self.ensemble, "none", suffix=f"@q{self.robust_quorum}")
-
-    @property
+    @functools.cached_property
     def cache_fingerprint(self):
         """Composite cache-key component:
         ``pipeline:strategy:density:causal:ensemble``.
 
-        Uses the pipeline fingerprint hashed once at construction —
-        recomputing it per lookup would re-serialise the config and
-        schema on every cached row.
+        ``"core"`` without a strategy and ``"none"`` for an absent
+        overlay.  The density component is tagged ``@w<density_weight>``
+        and the ensemble one ``@q<robust_quorum>``: both change which
+        candidate wins selection.  Computed once, on first use (hashing
+        a density reference is not free), since the configuration is
+        fixed at construction.
         """
-        return (
-            f"{self.fingerprint}:{self.strategy_fingerprint}"
-            f":{self.density_fingerprint}:{self.causal_fingerprint}"
-            f":{self.ensemble_fingerprint}"
-        )
+        runner = self.runner
+        strategy = self.strategy.fingerprint() if self.strategy is not None else "core"
+        density = causal = ensemble = "none"
+        if runner.density is not None:
+            density = f"{runner.density.fingerprint()}@w{runner.density_weight}"
+        if runner.causal is not None:
+            causal = runner.causal.fingerprint()
+        if runner.ensemble is not None:
+            ensemble = f"{runner.ensemble.fingerprint()}@q{runner.robust_quorum}"
+        return f"{self.fingerprint}:{strategy}:{density}:{causal}:{ensemble}"
 
     def _key(self, row, desired, fingerprint):
         return (row.tobytes(), int(desired), fingerprint)
@@ -434,7 +340,7 @@ class ExplanationService:
             predicted = self.explainer.blackbox.predict(x_cf)
             runner = self.runner
             feasible = runner.kernel.evaluate(rows, x_cf).subset_satisfied(
-                runner.flag_indices(self.strategy or self.core_strategy))
+                runner.flag_indices(self.served_strategy))
             survivors = predicted == desired
             fingerprint = self.cache_fingerprint
             for i in np.flatnonzero(survivors):
@@ -478,7 +384,7 @@ class ExplanationService:
 
         if miss_indices:
             miss = np.asarray(miss_indices)
-            sub = self.runner.run(self.strategy or self.core_strategy, rows[miss], desired[miss])
+            sub = self.runner.run(self.served_strategy, rows[miss], desired[miss])
             x_cf[miss] = sub.x_cf
             predicted[miss] = sub.predicted
             feasible[miss] = sub.feasible
@@ -523,48 +429,6 @@ class ExplanationService:
             self.flushes += 1
             self.rows_coalesced += len(answers)
         return answers
-
-    # -- execution-state sharing ----------------------------------------------
-    def adopt_execution_from(self, sibling):
-        """Reuse a sibling replica's execution state.
-
-        A scaled-out worker pool runs N services over ONE shared
-        pipeline; without sharing, every replica would build its own
-        :class:`EngineRunner` and its own core strategies.  This adopts
-        the sibling's runner and core strategies so the pool holds
-        exactly one of each (the runner keeps all state at construction
-        time and ``run`` keeps none per call, so concurrent runs are
-        safe).
-
-        Only legal between services hosting the *identical* model
-        objects and execution configuration — anything else would let a
-        cache key describe one configuration while another one serves,
-        so it raises ``ValueError`` instead.
-        """
-        mismatched = [
-            name
-            for name, mine, theirs in (
-                ("strategy", self.strategy, sibling.strategy),
-                ("density", self.density, sibling.density),
-                ("causal", self.causal, sibling.causal),
-                ("ensemble", self.ensemble, sibling.ensemble),
-            )
-            if mine is not theirs
-        ]
-        if (
-            self.density_weight != sibling.density_weight
-            or self.density_candidates != sibling.density_candidates
-        ):
-            mismatched.append("density configuration")
-        if self.robust_quorum != sibling.robust_quorum:
-            mismatched.append("robust_quorum")
-        if mismatched:
-            raise ValueError(
-                "cannot adopt execution state across differently configured "
-                f"services (mismatched: {', '.join(mismatched)})")
-        self._runner = sibling.runner
-        self._core_strategies = sibling._core_strategies
-        return self
 
     # -- introspection --------------------------------------------------------
     @property

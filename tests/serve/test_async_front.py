@@ -116,6 +116,42 @@ class TestAsyncFront:
         with WorkerPool(store, "tiny", n_replicas=1) as pool:
             asyncio.run(scenario(pool))
 
+    def test_timed_out_requests_leave_their_batch(self, store, explain_rows):
+        async def scenario(pool):
+            front = AsyncExplanationService(pool, coalesce_window=0.2)
+            outcomes = await asyncio.gather(
+                *(front.explain(row, timeout=0.001) for row in explain_rows[:4]),
+                return_exceptions=True)
+            await front.aclose()
+            return outcomes, front.stats
+
+        with WorkerPool(store, "tiny", n_replicas=1) as pool:
+            outcomes, stats = asyncio.run(scenario(pool))
+        assert all(isinstance(outcome, TimeoutError) for outcome in outcomes)
+        # no row was computed for a request nobody awaits any more
+        assert stats["front"]["requests"] == 4
+        assert stats["front"]["flushes"] == 0
+        assert stats["front"]["rows_coalesced"] == 0
+        assert stats["pool"]["aggregate"]["rows_coalesced"] == 0
+
+    def test_only_live_requests_are_computed(self, store, explain_rows):
+        async def scenario(pool):
+            front = AsyncExplanationService(pool, coalesce_window=0.2)
+            live = asyncio.ensure_future(front.explain(explain_rows[0]))
+            with pytest.raises(TimeoutError):
+                await front.explain(explain_rows[1], timeout=0.001)
+            result = await live
+            await front.aclose()
+            return result, front.stats
+
+        with WorkerPool(store, "tiny", n_replicas=1) as pool:
+            result, stats = asyncio.run(scenario(pool))
+            (alone,) = pool.flush_rows(explain_rows[0])
+        np.testing.assert_array_equal(result["x_cf"], alone["x_cf"])
+        assert stats["front"]["flushes"] == 1
+        assert stats["front"]["rows_coalesced"] == 1
+        assert stats["pool"]["aggregate"]["rows_coalesced"] == 1
+
     def test_aclose_serves_queued_requests(self, store, explain_rows):
         async def scenario(pool):
             front = AsyncExplanationService(pool, coalesce_window=30.0)

@@ -213,7 +213,7 @@ class TestEnsembleRollover:
         service = ExplanationService.warm_start(
             store, "tiny", expected_fingerprint=v1_fingerprint,
             on_stale="migrate", migrate_from=v1_service, overlays={"ensemble": "store"})
-        assert service.ensemble.fingerprint() == ensemble.fingerprint()
+        assert service.runner.ensemble.fingerprint() == ensemble.fingerprint()
         # the migrated survivors were keyed under the ensemble-extended
         # composite fingerprint, so robust serving replays them
         assert len(service.cache) == service.last_migration["survivors"]

@@ -126,19 +126,20 @@ class TestWorkerPool:
         with WorkerPool(store, "tiny", n_replicas=3,
                         flush_kwargs={"n_candidates": 4}) as pool:
             leader = pool.replicas[0]
+            strategy = pool._shard_strategy
+            assert strategy.n_candidates == 4
             for replica in pool.replicas[1:]:
                 assert replica.runner is leader.runner
-                assert replica.core_strategy is leader.core_strategy
+                assert replica.served_strategy is leader.served_strategy
                 assert replica.pipeline is leader.pipeline
-            # every replica flushes through the one shared strategy and
+                assert replica.cache_fingerprint is leader.cache_fingerprint
+            assert len({id(replica.cache) for replica in pool.replicas}) == 3
+            # every replica flushes through the one shard strategy and
             # the one shared runner
-            pool.flush_rows(explain_rows[:12])
-            strategy = leader._core_strategy_for(4)
-            runner = leader.runner
-            pool.flush_rows(explain_rows[12:24])
+            pool.flush_rows(explain_rows[:24])
+            assert pool._shard_strategy is strategy
             for replica in pool.replicas:
-                assert replica._core_strategy_for(4) is strategy
-                assert replica.runner is runner
+                assert replica.runner is leader.runner
 
     def test_shared_weights_can_be_disabled(self, store, explain_rows):
         # the removed options still accept their one remaining value
@@ -147,27 +148,23 @@ class TestWorkerPool:
             assert len(pool.explain_batch(explain_rows[:4]).x_cf) == 4
 
 
-class TestAdoptExecution:
-    def test_rejects_mismatched_configuration(self, tiny_pipeline):
-        leader = ExplanationService(tiny_pipeline)
-        sibling = ExplanationService(tiny_pipeline, density_weight=2.0)
-        with pytest.raises(ValueError, match="density configuration"):
-            sibling.adopt_execution_from(leader)
-        quorum = ExplanationService(tiny_pipeline, robust_quorum=0.75)
-        with pytest.raises(ValueError, match="robust_quorum"):
-            quorum.adopt_execution_from(leader)
-
-    def test_adopts_runner_strategy_and_plan(self, tiny_pipeline, explain_rows):
-        leader = ExplanationService(tiny_pipeline)
-        sibling = ExplanationService(tiny_pipeline)
-        assert sibling.adopt_execution_from(leader) is sibling
-        assert sibling.runner is leader.runner
-        assert sibling.core_strategy is leader.core_strategy
+class TestClone:
+    def test_clone_shares_execution_state_not_cache(self, tiny_pipeline, explain_rows):
+        leader = ExplanationService(tiny_pipeline, cache_size=16)
         leader.explain_batch(explain_rows[:3])
-        sibling.explain_batch(explain_rows[3:6])
-        # serving keeps them shared
-        assert sibling.runner is leader.runner
-        assert sibling.core_strategy is leader.core_strategy
+        clone = leader.clone()
+        assert clone.pipeline is leader.pipeline
+        assert clone.runner is leader.runner
+        assert clone.served_strategy is leader.served_strategy
+        assert clone.cache_fingerprint is leader.cache_fingerprint
+        # its own cache (same capacity), lock and counters
+        assert clone.cache is not leader.cache
+        assert clone._lock is not leader._lock
+        assert clone.cache.capacity == 16
+        assert clone.stats["rows_served"] == 0 and clone.stats["cache_size"] == 0
+        clone.explain_batch(explain_rows[:3])
+        assert clone.stats["cache_misses"] == 3
+        assert leader.stats["rows_served"] == 3
 
 
 class TestThreadSafety:

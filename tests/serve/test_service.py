@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.density import KnnDensity
 from repro.engine import CoreCFStrategy
-from repro.serve import ArtifactStore, ExplanationService
+from repro.serve import ArtifactStore, ExplanationService, WorkerPool
 
 
 @pytest.fixture()
@@ -113,16 +114,39 @@ class TestMicroBatching:
             assert np.array_equal(answer["x_cf"], candidate_set.candidates[index])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_density_weight_fails_where_it_is_set(self, tiny_pipeline, service,
-                                                      explain_rows, bad):
-        # the runner is built lazily, so an unchecked weight would first
-        # fail inside a later request instead of at the assignment
+    def test_bad_density_weight_fails_where_it_is_set(self, tiny_pipeline, bad):
+        # the weight is set once, at construction, and checked there
         with pytest.raises(ValueError, match="density_weight must be finite and positive"):
             ExplanationService(tiny_pipeline, density_weight=bad)
-        with pytest.raises(ValueError, match="density_weight must be finite and positive"):
-            service.density_weight = bad
-        assert service.density_weight == 1.0
-        assert service.explain_batch(explain_rows[:1]).x_cf.shape == (1, explain_rows.shape[1])
+
+
+class TestConfigurationAtConstruction:
+    """A bad serving configuration fails when the service is built."""
+
+    @pytest.fixture(scope="class")
+    def store(self, tiny_pipeline, tmp_path_factory):
+        store = ArtifactStore(tmp_path_factory.mktemp("config"))
+        store.save(tiny_pipeline, name="p")
+        return store
+
+    @pytest.fixture(scope="class")
+    def density(self, tiny_pipeline):
+        return KnnDensity(k_neighbors=5).fit(tiny_pipeline.bundle.split("train")[0][:150])
+
+    @pytest.mark.parametrize("surface", ["service", "pool"])
+    @pytest.mark.parametrize("name, value", [
+        ("robust_quorum", 0), ("robust_quorum", 2.0),
+        ("density_candidates", 0), ("density_candidates", 2.7),
+    ])
+    def test_bad_configuration_fails_at_construction(
+            self, tiny_pipeline, store, density, surface, name, value):
+        config = {name: value}
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            if surface == "service":
+                ExplanationService(tiny_pipeline, density=density, **config)
+            else:
+                WorkerPool(store, "p", n_replicas=1, overlays={"density": density},
+                           **config).close()
 
 
 class TestStats:

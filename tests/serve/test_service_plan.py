@@ -26,14 +26,14 @@ class TestWarmStartOverlays:
         store, density = stored
         service = ExplanationService.warm_start(
             store, "t", overlays={"density": "store"})
-        assert service.density is not None
-        assert service.density.fingerprint() == density.fingerprint()
+        assert service.runner.density is not None
+        assert service.runner.density.fingerprint() == density.fingerprint()
 
     def test_overlays_spec_accepts_fitted_models(self, stored):
         store, density = stored
         service = ExplanationService.warm_start(
             store, "t", overlays={"density": density})
-        assert service.density is density
+        assert service.runner.density is density
 
     def test_per_kind_kwargs_rejected(self, stored):
         # overlays= is the one spec: a kind can no longer arrive twice
@@ -78,21 +78,15 @@ class TestPlanEngine:
         # pipeline:strategy:density:causal:ensemble
         assert parts == [service.fingerprint, "core", "none", "none", "none"]
 
-    def test_plan_recompiles_when_the_runner_rebuilds(self, tiny_pipeline,
-                                                      explain_rows, stored):
-        # a re-pointed overlay rebuilds the runner that serves the misses
+    def test_served_strategy_is_fixed_at_construction(self, tiny_pipeline, stored):
+        # the core path decodes once per row; hosted density gets a
+        # sweep of density_candidates for the Figure 3 score to rank
         _, density = stored
-        service = ExplanationService(tiny_pipeline)
-        service.explain_batch(explain_rows[:2])
-        first = service.runner
-        service.explain_batch(explain_rows[2:4])
-        # stable while the configuration is stable
-        assert service.runner is first
-        service.density = density
-        service.explain_batch(explain_rows[4:6])
-        second = service.runner
-        assert second is not first
-        assert second.density is density
+        plain = ExplanationService(tiny_pipeline)
+        dense = ExplanationService(tiny_pipeline, density=density, density_candidates=5)
+        assert plain.served_strategy.n_candidates == 1
+        assert dense.served_strategy.n_candidates == 5
+        assert dense.runner.density is density
 
     def test_plan_engine_flush_serves_submitted_rows(self, tiny_pipeline,
                                                      explain_rows, stored):
@@ -203,12 +197,10 @@ class TestCorePathParity:
         store, _ = stored
         with WorkerPool(store, "t", n_replicas=1, flush_kwargs={"n_candidates": 4}) as pool:
             service = pool.replicas[0]
-            for row in explain_rows[:2]:
-                pool.flush_rows(row)
-            strategy = service._core_strategy_for(4)
+            strategy, runner = pool._shard_strategy, service.runner
             assert strategy.n_candidates == 4
-            runner = service.runner
-            pool.flush_rows(explain_rows[2])
-            # one core strategy per sweep size, one runner per configuration
-            assert service._core_strategy_for(4) is strategy
+            for row in explain_rows[:3]:
+                pool.flush_rows(row)
+            # one shard strategy and one runner, whatever the traffic
+            assert pool._shard_strategy is strategy
             assert service.runner is runner

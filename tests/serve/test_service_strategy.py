@@ -24,7 +24,7 @@ class TestStrategyServing:
         service = ExplanationService(tiny_pipeline, strategy=dice_strategy)
         result = service.explain_batch(explain_rows)
         assert result.x_cf.shape == explain_rows.shape
-        assert service.strategy_fingerprint == dice_strategy.fingerprint()
+        assert service.cache_fingerprint.split(":")[1] == dice_strategy.fingerprint()
 
     def test_matches_direct_runner(self, tiny_pipeline, explain_rows):
         def built():
@@ -55,22 +55,22 @@ class TestStrategyServing:
 
     def test_cache_keys_separate_strategies(self, tiny_pipeline, dice_strategy, explain_rows):
         core = ExplanationService(tiny_pipeline)
-        assert core.strategy_fingerprint == "core"
+        assert core.cache_fingerprint.split(":")[1] == "core"
         assert core.cache_fingerprint != ExplanationService(
             tiny_pipeline, strategy=dice_strategy
         ).cache_fingerprint
         assert core.fingerprint == tiny_pipeline.fingerprint
 
-    def test_repointing_strategy_invalidates_cached_rows(
+    def test_another_strategy_keys_another_cache(
         self, tiny_pipeline, dice_strategy, explain_rows
     ):
         service = ExplanationService(tiny_pipeline, strategy=dice_strategy)
-        before = service.cache_fingerprint
+        assert service.served_strategy is dice_strategy
         served = service.explain_batch(explain_rows)
-        service.strategy = None  # re-point to the core generator
-        assert service.cache_fingerprint != before
-        core = service.explain_batch(explain_rows)
-        assert service.stats["cache_hits"] == 0  # no stale cross-strategy hits
+        # to serve the core generator instead, build another service
+        core_service = ExplanationService(tiny_pipeline)
+        assert core_service.cache_fingerprint != service.cache_fingerprint
+        core = core_service.explain_batch(explain_rows)
         explainer = tiny_pipeline.explainer
         desired = 1 - explainer.blackbox.predict(explain_rows)
         np.testing.assert_array_equal(

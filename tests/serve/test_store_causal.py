@@ -140,17 +140,15 @@ class TestCausalAwareServing:
             f":none:{model.fingerprint()}:none")
         assert plain.cache_fingerprint != causal.cache_fingerprint
 
-    def test_repointing_causal_refreshes_fingerprint_and_runner(self, saved):
+    def test_another_causal_model_keys_another_cache(self, saved):
         store, pipeline = saved
         first = fitted_causal(pipeline, "scm")
         second = fitted_causal(pipeline, "mined")
-        service = ExplanationService(pipeline, causal=first)
-        runner_before = service.runner
-        key_before = service.cache_fingerprint
-        service.causal = second
-        assert service.cache_fingerprint != key_before
-        assert service.runner is not runner_before
-        assert service.runner.causal is second
+        one = ExplanationService(pipeline, causal=first)
+        other = ExplanationService(pipeline, causal=second)
+        assert one.runner.causal is first
+        assert other.runner.causal is second
+        assert one.cache_fingerprint != other.cache_fingerprint
 
     def test_flush_routes_tickets_through_the_causal_runner(self, saved, explain_rows):
         store, pipeline = saved

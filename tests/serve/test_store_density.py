@@ -107,8 +107,8 @@ class TestDensityAwareServing:
         model = KnnDensity(k_neighbors=5).fit(reference)
         store.save_overlay("t", "density", model)
         service = ExplanationService.warm_start(store, "t", overlays={"density": "store"})
-        assert service.density is not None
-        assert service.density.fingerprint() == model.fingerprint()
+        assert service.runner.density is not None
+        assert service.runner.density.fingerprint() == model.fingerprint()
         x_test, _ = pipeline.bundle.split("test")
         result = service.explain_batch(x_test[:6])
         assert result.x_cf.shape == (6, x_test.shape[1])
@@ -123,28 +123,23 @@ class TestDensityAwareServing:
             f":{model.fingerprint()}@w1.0:none:none")
         assert plain.cache_fingerprint != dense.cache_fingerprint
 
-    def test_repointing_density_refreshes_fingerprint_and_runner(self, trained):
+    def test_another_density_keys_another_cache(self, trained):
         store, pipeline, reference = trained
         first = KnnDensity(k_neighbors=5).fit(reference)
         second = KnnDensity(k_neighbors=7).fit(reference)
-        service = ExplanationService(pipeline, density=first)
-        runner_before = service.runner
-        key_before = service.cache_fingerprint
-        service.density = second
-        assert service.cache_fingerprint != key_before
-        assert service.runner is not runner_before
-        assert service.runner.density is second
+        one = ExplanationService(pipeline, density=first)
+        other = ExplanationService(pipeline, density=second)
+        assert one.runner.density is first
+        assert other.runner.density is second
+        assert one.cache_fingerprint != other.cache_fingerprint
 
-    def test_repointing_density_weight_refreshes_key_and_runner(self, trained):
+    def test_another_density_weight_keys_another_cache(self, trained):
         store, pipeline, reference = trained
         model = KnnDensity(k_neighbors=5).fit(reference)
-        service = ExplanationService(pipeline, density=model, density_weight=1.0)
-        runner_before = service.runner
-        key_before = service.cache_fingerprint
-        service.density_weight = 4.0
-        assert service.cache_fingerprint != key_before
-        assert service.runner is not runner_before
-        assert service.runner.density_weight == 4.0
+        light = ExplanationService(pipeline, density=model, density_weight=1.0)
+        heavy = ExplanationService(pipeline, density=model, density_weight=4.0)
+        assert heavy.runner.density_weight == 4.0
+        assert light.cache_fingerprint != heavy.cache_fingerprint
 
     def test_density_batches_select_by_figure3_policy(self, trained):
         store, pipeline, reference = trained
@@ -176,9 +171,9 @@ class TestWarmStartBackend:
         store.save_overlay("t", "density", model)
         service = ExplanationService.warm_start(
             store, "t", overlays={"density": "store"}, density_backend="ann")
-        assert service.density.backend == "ann"
+        assert service.runner.density.backend == "ann"
         # the persisted state is backend-agnostic: same reference rows
-        np.testing.assert_array_equal(service.density.reference_, reference)
+        np.testing.assert_array_equal(service.runner.density.reference_, reference)
         x_test, _ = pipeline.bundle.split("test")
         result = service.explain_batch(x_test[:4])
         assert result.x_cf.shape == (4, x_test.shape[1])

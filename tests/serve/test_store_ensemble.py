@@ -159,7 +159,7 @@ class TestEnsembleAwareServing:
         store, pipeline = saved
         store.save_overlay("tiny", "ensemble", tiny_ensemble)
         service = ExplanationService.warm_start(store, "tiny", overlays={"ensemble": "store"})
-        assert service.ensemble.fingerprint() == tiny_ensemble.fingerprint()
+        assert service.runner.ensemble.fingerprint() == tiny_ensemble.fingerprint()
         result = service.explain_batch(explain_rows)
         assert len(result) == len(explain_rows)
 
@@ -189,15 +189,12 @@ class TestEnsembleAwareServing:
             pipeline, ensemble=tiny_ensemble, robust_quorum=1.0)
         assert stricter.cache_fingerprint != robust.cache_fingerprint
 
-    def test_repointing_ensemble_refreshes_fingerprint_and_runner(
-            self, saved, tiny_ensemble):
+    def test_another_ensemble_keys_another_cache(self, saved, tiny_ensemble):
         store, pipeline = saved
         x_train, y_train = pipeline.bundle.split("train")
-        other = train_ensemble(x_train, y_train, n_members=2, seed=9, epochs=2)
-        service = ExplanationService(pipeline, ensemble=tiny_ensemble)
-        runner_before = service.runner
-        key_before = service.cache_fingerprint
-        service.ensemble = other
-        assert service.cache_fingerprint != key_before
-        assert service.runner is not runner_before
-        assert service.runner.ensemble is other
+        members = train_ensemble(x_train, y_train, n_members=2, seed=9, epochs=2)
+        one = ExplanationService(pipeline, ensemble=tiny_ensemble)
+        other = ExplanationService(pipeline, ensemble=members)
+        assert one.runner.ensemble is tiny_ensemble
+        assert other.runner.ensemble is members
+        assert one.cache_fingerprint != other.cache_fingerprint

@@ -5,12 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_serve_quickstart_runs():
+def run_example(name):
+    """Run ``examples/<name>.py`` from the repo root; assert exit code 0, return stdout."""
     done = subprocess.run(
-        [sys.executable, str(ROOT / "examples" / "serve_quickstart.py")],
+        [sys.executable, str(ROOT / "examples" / f"{name}.py")],
         cwd=ROOT,
         env=dict(os.environ, PYTHONPATH="src"),
         capture_output=True,
@@ -18,4 +21,13 @@ def test_serve_quickstart_runs():
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert "coalesced 8 single-row requests into 1 sweep(s)" in done.stdout
+    return done.stdout
+
+
+def test_serve_quickstart_runs():
+    assert "coalesced 8 single-row requests into 1 sweep(s)" in run_example("serve_quickstart")
+
+
+@pytest.mark.parametrize("name", ["quickstart", "loan_approval", "constraint_discovery"])
+def test_example_runs(name):
+    run_example(name)
