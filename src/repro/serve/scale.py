@@ -8,8 +8,8 @@ fleet.  Two pieces compose:
   :class:`~repro.serve.store.ArtifactStore` through the standard
   ``warm_start(overlays={...})`` contract; siblings are its clones
   (:meth:`ExplanationService.clone`), sharing its pipeline, engine
-  runner and served strategy.  The replicas run in-process on
-  the pool's dispatch threads and hold one copy of every model array.
+  runner and served strategy.  The replicas run in-process, on the
+  calling thread, and hold one copy of every model array.
   Requests shard across replicas by
   :class:`~repro.serve.routing.ConsistentHashRing` over the composite
   cache fingerprint plus row bytes, so each replica's LRU cache owns a
@@ -18,9 +18,12 @@ fleet.  Two pieces compose:
 * :class:`AsyncExplanationService` — an asyncio front for single-row
   traffic.  ``await front.explain(row)`` enqueues the request, coalesces
   arrivals for ``coalesce_window`` seconds (or until ``max_batch``),
-  then drains the batch through :meth:`WorkerPool.flush_rows` off the
-  event loop (one engine-runner pass per routed shard); every request
-  resolves as a future.  A request that is not resolved within its
+  then drains the batch through :meth:`WorkerPool.flush_rows` in one
+  event-loop callback (one engine-runner pass per routed shard, the
+  shards answered in turn); every request resolves as a future.  The
+  work holds the GIL, so a thread hand-off would add latency and no
+  overlap; a flush blocks the loop for its duration instead.  A
+  request that is not resolved within its
   ``timeout`` raises the builtin ``TimeoutError``; if its batch has not
   drained yet, it leaves the batch and its row is never computed.
 """
@@ -28,7 +31,6 @@ fleet.  Two pieces compose:
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -130,8 +132,6 @@ class WorkerPool:
         #: The served pipeline's fitted encoder (the request schema).
         self.encoder = leader.encoder
         self.ring = ConsistentHashRing(range(n_replicas))
-        self._executor = ThreadPoolExecutor(
-            max_workers=n_replicas, thread_name_prefix="repro-pool")
         self._closed = False
 
     # -- routing -------------------------------------------------------------
@@ -148,37 +148,33 @@ class WorkerPool:
         rows = check_encoded_rows(rows, self.encoder, "rows")
         return rows, resolve_desired(self.replicas[0].explainer.blackbox, rows, desired)
 
-    def _dispatch(self, work, rows, desired):
-        """Run ``work(replica, rows, desired)`` on every routed shard at once.
-
-        Returns ``(indices, answer)`` per non-empty shard, in ring order.
-        """
+    def _shards(self, rows, desired):
+        """``(replica, indices)`` of every non-empty routed shard, in ring order."""
+        if self._closed:
+            raise RuntimeError("this WorkerPool is closed; build a new pool to serve more rows")
         assignment = self._assign(rows, desired)
-        futures = []
+        shards = []
         for node in self.ring.nodes:
             indices = np.flatnonzero(assignment == node)
             if len(indices):
-                futures.append((indices, self._executor.submit(
-                    work, node, rows[indices], desired[indices])))
-        return [(indices, future.result()) for indices, future in futures]
+                shards.append((self.replicas[node], indices))
+        return shards
 
     # -- batch serving -------------------------------------------------------
     def explain_batch(self, rows, desired=None):
         """Explain many rows across the pool; returns a :class:`CFBatchResult`.
 
         The batch is partitioned by consistent-hash routing, every
-        shard dispatches to its replica concurrently, and the results
-        reassemble in request order.
+        shard is answered by its replica in turn, and the results
+        reassemble in request order.  A closed pool raises ``RuntimeError``.
         """
         rows, desired = self._resolve(rows, desired)
         n_rows = len(rows)
         x_cf = np.empty(rows.shape)
         predicted = np.empty(n_rows, dtype=int)
         feasible = np.empty(n_rows, dtype=bool)
-        shards = self._dispatch(
-            lambda node, part, targets: self.replicas[node].explain_batch(part, targets),
-            rows, desired)
-        for indices, part in shards:
+        for replica, indices in self._shards(rows, desired):
+            part = replica.explain_batch(rows[indices], desired[indices])
             x_cf[indices] = part.x_cf
             predicted[indices] = part.predicted
             feasible[indices] = part.feasible
@@ -198,22 +194,20 @@ class WorkerPool:
         """Answer coalesced single-row requests; their result dicts in request order.
 
         The async front's drain path: the batch is checked and resolved
-        once, then every replica answers its routed shard concurrently
-        in ONE runner pass of the strategy fixed at construction.
+        once, then every replica in turn answers its routed shard in ONE
+        runner pass of the strategy fixed at construction.  A closed
+        pool raises ``RuntimeError``.
         """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
         rows, desired = self._resolve(rows, desired)
         results = [None] * len(rows)
-        for indices, answers in self._dispatch(self._flush_shard, rows, desired):
+        for replica, indices in self._shards(rows, desired):
+            answers = replica._answer_block(self._shard_strategy, rows[indices], desired[indices])
             for position, result in zip(indices.tolist(), answers):
                 results[position] = result
         return results
-
-    def _flush_shard(self, node, rows, desired):
-        """One replica's routed shard answered in ONE runner pass."""
-        return self.replicas[node]._answer_block(self._shard_strategy, rows, desired)
 
     # -- introspection --------------------------------------------------------
     def stats(self):
@@ -237,11 +231,8 @@ class WorkerPool:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self):
-        """Shut down the dispatch executor."""
-        if self._closed:
-            return
+        """Refuse further requests: later calls raise ``RuntimeError``."""
         self._closed = True
-        self._executor.shutdown(wait=True)
 
     def __enter__(self):
         return self
@@ -273,7 +264,13 @@ class AsyncExplanationService:
     coalesce_window:
         Seconds to hold the first request of a batch while more arrive.
     max_batch:
-        Drain immediately once this many requests are queued.
+        Drain at the loop's next turn once this many requests are queued.
+
+    The first request of a batch arms ``loop.call_later(coalesce_window)``
+    and the ``max_batch``-th swaps it for ``loop.call_soon``: the batch
+    drains in that loop callback, never inside the ``explain`` call, which
+    would resolve the last client's future before it yields and let it
+    queue its next request ahead of the others.
     """
 
     def __init__(self, pool, coalesce_window=0.002, max_batch=256):
@@ -290,8 +287,9 @@ class AsyncExplanationService:
         self.coalesce_window = coalesce_window
         self.max_batch = max_batch
         self._queue = []
-        self._drain_task = None
-        self._wake = None
+        #: The armed drain callback's handle (None while nothing is queued).
+        self._drain_handle = None
+        self._closed = False
         self.requests = 0
         self.flushes = 0
         self.rows_coalesced = 0
@@ -306,8 +304,11 @@ class AsyncExplanationService:
         request fails alone: a ``desired`` other than None, 0 or 1
         (``ValueError``) and a row of the wrong width
         (``SchemaMismatchError``) raise here, before joining a batch; a
-        non-finite row's own future raises ``SchemaMismatchError``.
+        non-finite row's own future raises ``SchemaMismatchError``.  After
+        :meth:`aclose` this raises ``RuntimeError``.
         """
+        if self._closed:
+            raise RuntimeError("async front is closed; it takes no new requests")
         check_desired(desired)
         row = np.asarray(row, dtype=np.float64).reshape(-1)
         if len(row) != self._width:  # a shape compare per request; this raises
@@ -317,12 +318,11 @@ class AsyncExplanationService:
         future = loop.create_future()
         self._queue.append((row, desired, future))
         self.requests += 1
-        if self._drain_task is None or self._drain_task.done():
-            self._wake = asyncio.Event()
-            self._drain_task = loop.create_task(
-                self._drain_after(self.coalesce_window, self._wake))
-        if len(self._queue) >= self.max_batch:
-            self._wake.set()
+        if self._drain_handle is None:
+            self._drain_handle = loop.call_later(self.coalesce_window, self._drain)
+        if len(self._queue) == self.max_batch:
+            self._drain_handle.cancel()
+            self._drain_handle = loop.call_soon(self._drain)
         if timeout is None:
             return await future
         try:
@@ -352,22 +352,17 @@ class AsyncExplanationService:
         return await asyncio.gather(
             *(self.explain(row, spec) for row, spec in zip(rows, specs)))
 
-    async def _drain_after(self, delay, wake):
-        if delay > 0:
-            try:
-                await asyncio.wait_for(wake.wait(), delay)
-            except asyncio.TimeoutError:
-                pass
-        # swap the queue and clear the task slot BEFORE the blocking
-        # dispatch, so requests arriving mid-flush arm the next drain;
+    def _drain(self):
+        """Answer every live queued request with one pool flush, on the loop thread."""
+        if self._drain_handle is not None:
+            self._drain_handle.cancel()  # a no-op when it is the callback running now
+            self._drain_handle = None
         # a request whose awaiter timed out (its future is cancelled)
         # leaves the batch, so its row is never computed
         batch = [entry for entry in self._queue if not entry[2].done()]
         self._queue = []
-        self._drain_task = None
         if not batch:
             return
-        loop = asyncio.get_running_loop()
         try:
             rows = np.stack([entry[0] for entry in batch])
             finite = np.isfinite(rows).all(axis=1)
@@ -378,8 +373,7 @@ class AsyncExplanationService:
                 rows = rows[finite]
                 if not batch:
                     return
-            results = await loop.run_in_executor(
-                None, self.pool.flush_rows, rows, [entry[1] for entry in batch])
+            results = self.pool.flush_rows(rows, [entry[1] for entry in batch])
         except Exception as error:
             # whatever broke, every request of the batch hears of it
             _fail(batch, error)
@@ -387,16 +381,11 @@ class AsyncExplanationService:
         self.flushes += 1
         self.rows_coalesced += len(batch)
         for (_row, _spec, future), result in zip(batch, results):
-            # an awaiter that timed out during the flush cancelled its future
-            if not future.done():
-                future.set_result(result)
+            future.set_result(result)
 
     async def drain(self):
         """Flush any queued requests now (don't wait out the window)."""
-        task = self._drain_task
-        if task is not None and not task.done():
-            self._wake.set()
-            await task
+        self._drain()
 
     @property
     def stats(self):
@@ -412,11 +401,9 @@ class AsyncExplanationService:
         return {"front": counters, "pool": self.pool.stats()}
 
     async def aclose(self):
-        """Flush stragglers and fail anything left unresolved."""
-        await self.drain()
-        _fail(self._queue, RuntimeError(
-            "async front closed before this request's batch was flushed"))
-        self._queue = []
+        """Flush queued requests; later :meth:`explain` calls raise ``RuntimeError``."""
+        self._closed = True
+        self._drain()
 
 
 def _fail(entries, error):

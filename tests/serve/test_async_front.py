@@ -1,6 +1,7 @@
 """Tests for the coalescing asyncio front (repro.serve.scale)."""
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -164,21 +165,42 @@ class TestAsyncFront:
             result = asyncio.run(scenario(pool))
         assert result["x_cf"].shape == explain_rows[0].shape
 
-    def test_aclose_fails_stragglers_that_missed_the_drain(
+    def test_explain_after_aclose_fails_without_arming_a_timer(
             self, store, explain_rows):
         async def scenario(pool):
             front = AsyncExplanationService(pool, coalesce_window=30.0)
-            # a request that lands after the final drain has no batch
-            # left to join; aclose must fail it rather than hang it
-            straggler = asyncio.get_running_loop().create_future()
-            front._queue.append((explain_rows[0], None, straggler))
             await front.aclose()
-            return straggler.exception()
+            with pytest.raises(RuntimeError, match="closed"):
+                await front.explain(explain_rows[0])
+            return front
 
         with WorkerPool(store, "tiny", n_replicas=1) as pool:
-            error = asyncio.run(scenario(pool))
-        assert type(error) is RuntimeError
-        assert "closed before" in str(error)
+            front = asyncio.run(scenario(pool))
+        assert front._drain_handle is None
+        assert front.stats["front"]["requests"] == 0
+        assert front.stats["front"]["queued"] == 0
+
+    def test_batch_is_flushed_on_the_event_loop_thread(self, store, explain_rows,
+                                                       monkeypatch):
+        flush_threads = []
+
+        async def scenario(pool):
+            front = AsyncExplanationService(pool, coalesce_window=30.0, max_batch=4)
+            results = await asyncio.wait_for(front.explain_many(explain_rows[:4]), 10.0)
+            await front.aclose()
+            return results, threading.get_ident()
+
+        with WorkerPool(store, "tiny", n_replicas=2) as pool:
+            flush_rows = pool.flush_rows
+
+            def recording(*args, **kwargs):
+                flush_threads.append(threading.get_ident())
+                return flush_rows(*args, **kwargs)
+
+            monkeypatch.setattr(pool, "flush_rows", recording)
+            results, loop_thread = asyncio.run(scenario(pool))
+        assert len(results) == 4
+        assert flush_threads == [loop_thread]
 
     def test_desired_target_is_honoured(self, store, explain_rows):
         async def scenario(pool):

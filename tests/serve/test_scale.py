@@ -147,6 +147,42 @@ class TestWorkerPool:
                         shared_weights=False) as pool:
             assert len(pool.explain_batch(explain_rows[:4]).x_cf) == 4
 
+    @pytest.mark.parametrize("entry", ["flush_rows", "explain_batch"])
+    def test_closed_pool_refuses_requests(self, store, explain_rows, entry):
+        with WorkerPool(store, "tiny", n_replicas=2) as pool:
+            pass
+        with pytest.raises(RuntimeError, match="WorkerPool is closed"):
+            getattr(pool, entry)(explain_rows[:4])
+        assert pool.stats()["aggregate"]["requests"] == 0
+
+
+class TestNoHandOff:
+    """The pool answers every shard on the caller's thread and starts none."""
+
+    def test_flush_rows_answers_every_shard_on_the_callers_thread(
+            self, store, explain_rows, monkeypatch):
+        threads = []
+        answer_block = ExplanationService._answer_block
+
+        def recording(self, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return answer_block(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExplanationService, "_answer_block", recording)
+        with WorkerPool(store, "tiny", n_replicas=2) as pool:
+            rows = explain_rows[:16]
+            shards = {pool.route(row, 1) for row in rows}
+            assert len(pool.flush_rows(rows, 1)) == len(rows)
+        assert len(shards) == 2
+        assert threads == [threading.get_ident()] * len(shards)
+
+    def test_serving_from_a_pool_starts_no_thread(self, store, explain_rows):
+        before = set(threading.enumerate())
+        with WorkerPool(store, "tiny", n_replicas=3) as pool:
+            pool.flush_rows(explain_rows[:8])
+            pool.explain_batch(explain_rows[8:16])
+            assert set(threading.enumerate()) == before
+
 
 class TestClone:
     def test_clone_shares_execution_state_not_cache(self, tiny_pipeline, explain_rows):
