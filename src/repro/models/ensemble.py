@@ -139,8 +139,6 @@ class BlackBoxEnsemble:
         """
         x = check_2d_fast(x, "x")
         w1, b1, w2, b2 = self._stacked_weights()
-        if x.dtype != w1.dtype:
-            x = x.astype(w1.dtype)
         hidden = np.maximum(x @ w1 + b1, 0.0)
         hidden = hidden.reshape(len(x), self.n_members, self.hidden)
         return np.einsum("nkh,kh->nk", hidden, w2) + b2

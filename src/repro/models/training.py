@@ -25,7 +25,6 @@ from ..nn import (
     CompiledStep,
     check_finite_loss,
     gaussian_kl,
-    get_default_dtype,
     mse_loss,
 )
 from ..nn.optim import check_writeable
@@ -110,7 +109,7 @@ def _key(vae, x, labels, generators, layout, epochs, lr, batch_size, beta):
         sha.update(repr(generator.bit_generator.state).encode())
     sha.update(repr(layout).encode())
     sha.update(repr((int(epochs), float(lr), int(batch_size), type(beta).__name__,
-                     float(beta), np.dtype(get_default_dtype()).str)).encode())
+                     float(beta))).encode())
     return sha.hexdigest()
 
 

@@ -34,10 +34,10 @@ DECODER_WIDTHS = (12, 14, 16, 18)
 DROPOUT_P = 0.3
 
 
-def _class_column(labels, dtype):
-    """The class labels as a ``(n, 1)`` column of ``dtype`` (a view when no
+def _class_column(labels):
+    """The class labels as a float64 ``(n, 1)`` column (a view when no
     conversion is needed)."""
-    return np.asarray(labels, dtype=dtype).reshape(-1, 1)
+    return np.asarray(labels, dtype=np.float64).reshape(-1, 1)
 
 
 def _mlp(widths, rng, dropout_rng, dropout_p):
@@ -85,8 +85,8 @@ class ConditionalVAE(Module):
     # -- pieces ------------------------------------------------------------
     @staticmethod
     def _with_class(x, labels):
-        """Append the class label as an extra column (dtype follows x)."""
-        column = host(_class_column, labels, x.data.dtype)
+        """Append the class label as an extra column."""
+        column = host(_class_column, labels)
         return Tensor.concatenate([x, Tensor(column)], axis=1)
 
     def encode(self, x, labels):
@@ -101,13 +101,10 @@ class ConditionalVAE(Module):
         log_var = self.log_var_head(hidden)
         return mu, log_var
 
-    def _draw_eps(self, shape, dtype):
-        return self._noise_rng.standard_normal(shape).astype(dtype, copy=False)
-
     def reparameterize(self, mu, log_var):
         """Sample ``z = mu + sigma * eps`` with pathwise gradients."""
-        eps = host(self._draw_eps, mu.shape, mu.data.dtype)
-        floor = Tensor(host(np.full, log_var.shape, -10.0, log_var.data.dtype))
+        eps = host(self._noise_rng.standard_normal, mu.shape)
+        floor = Tensor(host(np.full, log_var.shape, -10.0))
         sigma = (log_var * 0.5).maximum(floor).exp()
         return mu + sigma * eps
 
@@ -135,12 +132,11 @@ class ConditionalVAE(Module):
     # numerically identical to the ``no_grad`` graph path.
     @staticmethod
     def _with_class_array(x, labels):
-        """ndarray twin of :meth:`_with_class` (dtype-preserving)."""
+        """ndarray twin of :meth:`_with_class`."""
         x = np.asarray(x)
-        if x.dtype.kind != "f":
+        if x.dtype.type is not np.float64:
             x = x.astype(np.float64)
-        labels = np.asarray(labels, dtype=x.dtype).reshape(-1, 1)
-        return np.concatenate([x, labels], axis=1)
+        return np.concatenate([x, _class_column(labels)], axis=1)
 
     def encode_array(self, x, labels):
         """Graph-free :meth:`encode`: ``(mu, log_var)`` as plain ndarrays."""

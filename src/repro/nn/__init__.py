@@ -15,20 +15,16 @@ from .serialize import load_state, save_state
 from .tensor import (
     Tensor,
     as_tensor,
-    dtype_scope,
-    get_default_dtype,
     host,
     is_grad_enabled,
     linear,
     no_grad,
-    set_default_dtype,
 )
 from .training_utils import TrainingDivergedError, check_finite_loss
 
 __all__ = [
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
     "linear", "functional", "host", "CompiledStep",
-    "get_default_dtype", "set_default_dtype", "dtype_scope",
     "Module", "Linear", "ReLU", "Dropout", "Sequential",
     "bce_with_logits", "hinge_loss", "mse_loss", "gaussian_kl", "logsumexp",
     "Optimizer", "SGD", "Adam",

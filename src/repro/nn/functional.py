@@ -6,11 +6,10 @@ graph-free ``Module.forward_array`` inference path.  Keeping a single
 implementation is what makes the fast path *numerically identical* to
 the training path — there is no second formula to drift.
 
-All kernels are dtype-preserving: they compute in whatever float dtype
-the inputs carry (float64 by default, float32 in fast mode — see
-:func:`repro.nn.tensor.set_default_dtype`).  Each takes an optional
-``out=`` array, which a replayed training step (:mod:`repro.nn.compile`)
-passes to refresh a node in place; the result is the same either way.
+Both callers pass float64 arrays, the one float type of :mod:`repro.nn`.
+Each kernel takes an optional ``out=`` array, which a replayed training
+step (:mod:`repro.nn.compile`) passes to refresh a node in place; the
+result is the same either way.
 """
 
 from __future__ import annotations

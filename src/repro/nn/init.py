@@ -3,19 +3,11 @@
 All initialisers take an explicit ``numpy.random.Generator`` so every model
 in the reproduction is fully seedable (the experiment harness threads one
 RNG through dataset generation, model init and training).
-
-Initialisers emit arrays in the configured default dtype (see
-:func:`repro.nn.set_default_dtype`), so parameters created inside a
-``dtype_scope("float32")`` are float32 — the rng draw itself always
-happens in float64 so the float32 weights are bit-reproducible casts of
-the float64 ones.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .tensor import get_default_dtype
 
 __all__ = ["xavier_uniform", "he_uniform", "zeros"]
 
@@ -26,8 +18,7 @@ def xavier_uniform(rng, fan_in, fan_out):
     Samples from ``U(-a, a)`` with ``a = sqrt(6 / (fan_in + fan_out))``.
     """
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    weights = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    return weights.astype(get_default_dtype(), copy=False)
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
 def he_uniform(rng, fan_in, fan_out):
@@ -36,10 +27,9 @@ def he_uniform(rng, fan_in, fan_out):
     Samples from ``U(-a, a)`` with ``a = sqrt(6 / fan_in)``.
     """
     bound = np.sqrt(6.0 / fan_in)
-    weights = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    return weights.astype(get_default_dtype(), copy=False)
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
 def zeros(shape):
     """All-zero array, used for biases."""
-    return np.zeros(shape, dtype=get_default_dtype())
+    return np.zeros(shape)

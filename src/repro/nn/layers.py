@@ -154,7 +154,7 @@ class Module:
                            f"unexpected={sorted(unexpected)}")
         for name, value in state.items():
             target = parameters[name]
-            value = np.asarray(value, dtype=target.data.dtype)
+            value = np.asarray(value, dtype=np.float64)
             if value.shape != target.data.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: {value.shape} vs {target.data.shape}")
@@ -192,11 +192,10 @@ class Linear(Module):
         return linear(x, self.weight, self.bias)
 
     def forward_array(self, x):
-        weight = self.weight.data
         x = np.asarray(x)
-        if x.dtype != weight.dtype:
-            x = x.astype(weight.dtype)
-        return functional.linear_forward(x, weight, self.bias.data)
+        if x.dtype.type is not np.float64:
+            x = x.astype(np.float64)
+        return functional.linear_forward(x, self.weight.data, self.bias.data)
 
     def __repr__(self):
         return f"Linear({self.in_features}, {self.out_features})"
@@ -231,20 +230,19 @@ class Dropout(Module):
         self.p = float(p)
         self._rng = rng
 
-    def _mask(self, shape, dtype):
+    def _mask(self, shape):
         keep = 1.0 - self.p
-        mask = (self._rng.random(shape) < keep) / keep
-        return mask.astype(dtype, copy=False)
+        return (self._rng.random(shape) < keep) / keep
 
     def forward(self, x):
         if not self.training or self.p == 0.0:
             return x
-        return x * host(self._mask, x.shape, x.data.dtype)
+        return x * host(self._mask, x.shape)
 
     def forward_array(self, x):
         if not self.training or self.p == 0.0:
             return x
-        return x * self._mask(np.shape(x), np.asarray(x).dtype)
+        return x * self._mask(np.shape(x))
 
     def __repr__(self):
         return f"Dropout(p={self.p})"

@@ -4,13 +4,11 @@
 trains: the black-box classifier, the CF-VAE (Table III uses plain SGD
 learning rates of 0.1/0.2) and the gradient-based baselines.
 
-Both keep their state (momentum, Adam moments) in one flat buffer per
-parameter dtype and make one fused elementwise update per step over all
+Both keep their state (momentum, Adam moments) in one flat float64
+buffer each and make one fused elementwise update per step over all
 parameters' gradients gathered end to end.  The formula is the textbook
 per-parameter one, so the result is bit-identical to updating tensor by
-tensor (as long as the gradients of one parameter dtype share a dtype,
-which every model here satisfies; mixed gradients combine at the
-promoted dtype).  Parameters are updated in place (``p.data -= ...``): a module
+tensor.  Parameters are updated in place (``p.data -= ...``): a module
 whose weights are bound to external arrays stays bound, and a read-only
 binding (e.g. a numpy view with ``writeable=False``) raises instead of being
 silently replaced by a private copy.
@@ -33,19 +31,27 @@ def check_writeable(parameter):
             "bound to a read-only view (e.g. shared serving weights)")
 
 
-class _FlatGroup:
-    """Parameters of one dtype, laid end to end in flat state buffers."""
+class Optimizer:
+    """Base optimiser bound to a list of parameter tensors.
 
-    def __init__(self, parameters):
-        self.parameters = parameters
-        self.dtype = parameters[0].data.dtype
-        self.ends = np.cumsum([p.data.size for p in parameters]).tolist()
+    The parameters are laid end to end in flat state buffers: parameter
+    ``i`` owns elements ``_ends[i - 1]:_ends[i]`` of each.
+    """
 
-    def state(self):
-        """A zeroed state buffer (float32 parameters keep float32 state)."""
-        return np.zeros(self.ends[-1], dtype=self.dtype)
+    def __init__(self, parameters, lr):
+        self.parameters = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received no parameters")
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        self.lr = float(lr)
+        self._ends = np.cumsum([p.data.size for p in self.parameters]).tolist()
 
-    def gather(self):
+    def _state(self):
+        """A zeroed flat state buffer."""
+        return np.zeros(self._ends[-1])
+
+    def _gather(self):
         """``(live, grad, index)`` over the parameters holding a gradient.
 
         ``grad`` is their gradients raveled end to end and ``index``
@@ -56,7 +62,7 @@ class _FlatGroup:
         """
         live, spans = [], []
         start = 0
-        for parameter, end in zip(self.parameters, self.ends):
+        for parameter, end in zip(self.parameters, self._ends):
             if parameter.grad is not None:
                 check_writeable(parameter)
                 live.append(parameter)
@@ -70,29 +76,13 @@ class _FlatGroup:
         return live, grad, np.concatenate([np.arange(a, b) for a, b in spans])
 
     @staticmethod
-    def apply(live, update):
+    def _apply(live, update):
         """``p.data -= update`` for each live parameter's slice, in place."""
         offset = 0
         for parameter in live:
             size = parameter.data.size
             parameter.data -= update[offset:offset + size].reshape(parameter.data.shape)
             offset += size
-
-
-class Optimizer:
-    """Base optimiser bound to a list of parameter tensors."""
-
-    def __init__(self, parameters, lr):
-        self.parameters = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received no parameters")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = float(lr)
-        by_dtype = {}
-        for parameter in self.parameters:
-            by_dtype.setdefault(parameter.data.dtype, []).append(parameter)
-        self._groups = [_FlatGroup(group) for group in by_dtype.values()]
 
     def zero_grad(self):
         """Clear gradients on all managed parameters."""
@@ -112,24 +102,23 @@ class SGD(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
-        self._velocity = [group.state() for group in self._groups]
+        self._velocity = self._state()
 
     def step(self):
-        for group, velocity_all in zip(self._groups, self._velocity):
-            gathered = group.gather()
-            if gathered is None:
-                continue
-            live, grad, index = gathered
-            if self.momentum:
-                velocity = velocity_all[index]
-                velocity *= self.momentum
-                velocity += grad
-                if index is not _ALL:
-                    velocity_all[index] = velocity
-                update = velocity
-            else:
-                update = grad
-            group.apply(live, self.lr * update)
+        gathered = self._gather()
+        if gathered is None:
+            return
+        live, grad, index = gathered
+        if self.momentum:
+            velocity = self._velocity[index]
+            velocity *= self.momentum
+            velocity += grad
+            if index is not _ALL:
+                self._velocity[index] = velocity
+            update = velocity
+        else:
+            update = grad
+        self._apply(live, self.lr * update)
 
 
 class Adam(Optimizer):
@@ -140,27 +129,25 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
         self._step_count = 0
-        self._first_moment = [group.state() for group in self._groups]
-        self._second_moment = [group.state() for group in self._groups]
+        self._first_moment = self._state()
+        self._second_moment = self._state()
 
     def step(self):
         self._step_count += 1
         bias1 = 1.0 - self.beta1 ** self._step_count
         bias2 = 1.0 - self.beta2 ** self._step_count
-        for group, m_all, v_all in zip(self._groups, self._first_moment,
-                                       self._second_moment):
-            gathered = group.gather()
-            if gathered is None:
-                continue
-            live, grad, index = gathered
-            m, v = m_all[index], v_all[index]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            if index is not _ALL:
-                m_all[index] = m
-                v_all[index] = v
-            m_hat = m / bias1
-            v_hat = v / bias2
-            group.apply(live, self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        gathered = self._gather()
+        if gathered is None:
+            return
+        live, grad, index = gathered
+        m, v = self._first_moment[index], self._second_moment[index]
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        if index is not _ALL:
+            self._first_moment[index] = m
+            self._second_moment[index] = v
+        m_hat = m / bias1
+        v_hat = v / bias2
+        self._apply(live, self.lr * m_hat / (np.sqrt(v_hat) + self.eps))

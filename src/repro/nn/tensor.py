@@ -66,7 +66,6 @@ from . import functional
 
 __all__ = [
     "Tensor", "as_tensor", "linear", "host", "no_grad", "is_grad_enabled",
-    "get_default_dtype", "set_default_dtype", "dtype_scope",
 ]
 
 _GRAD_ENABLED = True
@@ -74,50 +73,6 @@ _GRAD_ENABLED = True
 _TRACE = None
 #: The :class:`repro.nn.compile.BackwardPlan` recording a backward, if any.
 _RECORD = None
-_DEFAULT_DTYPE = np.float64
-_FLOAT_TYPES = (np.float32, np.float64)
-
-
-def set_default_dtype(dtype):
-    """Set the dtype new tensors are created with; returns the previous one.
-
-    ``float64`` (the default) is the gradcheck-grade mode every parity
-    test runs in; ``float32`` is the fast mode — half the memory traffic
-    through the matmul-bound hot paths at the cost of ~1e-7 relative
-    precision.  Accepts ``"float32"``/``"float64"`` or the numpy types.
-    """
-    global _DEFAULT_DTYPE
-    resolved = np.dtype(dtype).type
-    if resolved not in (np.float32, np.float64):
-        raise ValueError(f"default dtype must be float32 or float64, got {dtype!r}")
-    previous = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = resolved
-    return previous
-
-
-def get_default_dtype():
-    """Return the dtype new tensors are created with."""
-    return _DEFAULT_DTYPE
-
-
-class dtype_scope:
-    """Context manager pinning the default tensor dtype inside a block.
-
-    >>> with dtype_scope("float32"):
-    ...     model = BlackBoxClassifier(n, rng)   # float32 parameters
-    """
-
-    def __init__(self, dtype):
-        self._dtype = dtype
-        self._previous = None
-
-    def __enter__(self):
-        self._previous = set_default_dtype(self._dtype)
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback):
-        set_default_dtype(self._previous)
-        return False
 
 
 class no_grad:
@@ -237,10 +192,10 @@ def _broadcast_into(a, shape, out=None):
     return out
 
 
-def _scatter_into(g, index, shape, dtype, out=None):
+def _scatter_into(g, index, shape, out=None):
     """The gradient of ``a[index]``: zeros of ``shape`` with ``g`` added at ``index``."""
     if out is None:
-        out = np.zeros(shape, dtype)
+        out = np.zeros(shape)
     else:
         out.fill(0)
     np.add.at(out, index, g)
@@ -285,13 +240,10 @@ class Tensor:
     __array_priority__ = 100  # make numpy defer to our __r*__ operators
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        # float32/float64 data keeps its dtype (so float32 models stay
-        # float32 through graph ops even outside a dtype_scope);
-        # everything else coerces to the configured default.
         source = data
         data = np.asarray(data)
-        if data.dtype.type not in _FLOAT_TYPES:
-            data = data.astype(_DEFAULT_DTYPE)
+        if data.dtype.type is not np.float64:
+            data = data.astype(np.float64)
         self.data = data
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self.grad = None
@@ -361,12 +313,12 @@ class Tensor:
                     break
         if not requires:
             parents, backward = (), None
-        if data.__class__ is not np.ndarray or data.dtype.type not in _FLOAT_TYPES:
+        if data.__class__ is not np.ndarray or data.dtype.type is not np.float64:
             # numpy scalars (full reductions) become 0-d arrays, so a
-            # replay can refresh them in place; non-float results coerce
+            # replay can refresh them in place; other dtypes coerce
             data = np.asarray(data)
-            if data.dtype.type not in _FLOAT_TYPES:
-                data = data.astype(_DEFAULT_DTYPE)
+            if data.dtype.type is not np.float64:
+                data = data.astype(np.float64)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.requires_grad = requires
@@ -428,7 +380,7 @@ class Tensor:
             grad = np.ones_like(self.data)
             record = plan is not None and plan.begin(grad)
         else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
+            grad = np.asarray(grad, dtype=np.float64)
 
         order = self._topological_order()
 
@@ -737,10 +689,9 @@ class Tensor:
 
     def __getitem__(self, index):
         shape = self.shape
-        dtype = self.data.dtype
 
         def backward(g):
-            return ((self, _k(_scatter_into, g, index, shape, dtype)),)
+            return ((self, _k(_scatter_into, g, index, shape)),)
 
         return self._view_or_copy(self.data[index], backward, operator.getitem, index)
 

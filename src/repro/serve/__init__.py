@@ -17,8 +17,8 @@ servable system:
   batch serving with an LRU result cache.
 * :mod:`repro.serve.cache` -- the thread-safe LRU cache primitive.
 * :mod:`repro.serve.scale` -- the horizontally scaled tier:
-  :class:`WorkerPool` (N warm thread replicas, one shared pipeline and
-  engine runner) behind :class:`AsyncExplanationService` (asyncio
+  :class:`WorkerPool` (N warm in-process replicas answering their shards
+  in turn, one shared pipeline and engine runner) behind :class:`AsyncExplanationService` (asyncio
   request coalescing).
 * :mod:`repro.serve.routing` -- consistent-hash request routing that
   keeps replica-local caches hot as the pool scales.

@@ -7,8 +7,8 @@ key; keying on the fingerprint automatically invalidates every entry when
 the underlying artifact changes, so no explicit flush is needed on reload.
 
 Every operation is atomic under an internal lock, so one cache instance
-can be shared by concurrent request threads (the scaled serving tier
-drives one service per replica from a thread pool): a ``get`` can never
+can be shared by concurrent request threads (for instance two threads
+calling one service's ``explain_batch``): a ``get`` can never
 observe a half-applied ``put``, eviction bookkeeping cannot double-count,
 and :attr:`stats` returns a consistent snapshot of all counters.
 """
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+
+from ..utils.validation import check_count
 
 __all__ = ["LRUResultCache"]
 
@@ -32,10 +34,7 @@ class LRUResultCache:
     """
 
     def __init__(self, capacity=4096):
-        capacity = int(capacity)
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
+        self.capacity = check_count(capacity, "capacity", 0)
         self.hits = 0
         self.misses = 0
         self.evictions = 0

@@ -31,6 +31,7 @@ fleet.  Two pieces compose:
 from __future__ import annotations
 
 import asyncio
+import math
 
 import numpy as np
 
@@ -95,15 +96,13 @@ class WorkerPool:
     ):
         if backend != "thread":
             raise ValueError(
-                f'backend={backend!r} was removed; replicas run on threads')
+                f"backend={backend!r} was removed; replicas answer their "
+                "shards one after another on the caller's thread")
         if shared_weights:
             raise ValueError(
                 "shared_weights=True was removed; replicas share one "
                 "in-process copy of the weights")
-        n_replicas = int(n_replicas)
-        if n_replicas < 1:
-            raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-        self.n_replicas = n_replicas
+        self.n_replicas = n_replicas = check_count(n_replicas, "n_replicas", 1)
         flush_kwargs = dict(flush_kwargs or {})
         unknown = sorted(set(flush_kwargs) - {"n_candidates"})
         if unknown:
@@ -275,17 +274,16 @@ class AsyncExplanationService:
 
     def __init__(self, pool, coalesce_window=0.002, max_batch=256):
         coalesce_window = float(coalesce_window)
-        if coalesce_window < 0:
+        # a NaN or infinite window would never fire, so a batch short of
+        # max_batch would never drain
+        if not math.isfinite(coalesce_window) or coalesce_window < 0:
             raise ValueError(
-                f"coalesce_window must be >= 0, got {coalesce_window}")
-        max_batch = int(max_batch)
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+                f"coalesce_window must be finite and >= 0, got {coalesce_window}")
+        self.max_batch = check_count(max_batch, "max_batch", 1)
         self.pool = pool
         #: encoded width every request row must have
         self._width = pool.encoder.n_encoded
         self.coalesce_window = coalesce_window
-        self.max_batch = max_batch
         self._queue = []
         #: The armed drain callback's handle (None while nothing is queued).
         self._drain_handle = None

@@ -97,6 +97,7 @@ class ExplanationService:
         robust_quorum=0.5,
     ):
         check_count(density_candidates, "density_candidates", 1)
+        check_count(cache_size, "cache_size", 0)
         self.pipeline = pipeline
         self.explainer = pipeline.explainer
         self.strategy = strategy

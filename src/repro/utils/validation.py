@@ -139,11 +139,10 @@ def check_2d_fast(array, name="array"):
     small forward pass and would be paid on *every* predict call.  Batch
     entry points (``fit``, ``explain``) still run the full check, so
     non-finite data is caught before it reaches the repeated-call paths.
-    Float inputs keep their dtype (float32 stays float32 so the fast
-    mode is not silently up-cast); everything else coerces to float64.
+    The result is float64 (a float64 input is returned as it is).
     """
     array = np.asarray(array)
-    if array.dtype.kind != "f":
+    if array.dtype.type is not np.float64:
         array = array.astype(np.float64)
     if array.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {array.shape}")

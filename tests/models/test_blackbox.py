@@ -130,24 +130,3 @@ class TestOnBenchmarkData:
                          rng=np.random.default_rng(0))
         base_rate = max(y_test.mean(), 1 - y_test.mean())
         assert accuracy(model, x_test, y_test) > base_rate + 0.05
-
-    def test_float32_clone_keeps_hard_predictions(self):
-        """A float32 copy of a trained classifier (the serving fast mode)
-        flips no prediction whose float64 logit is clear of zero."""
-        from repro.data import load_dataset
-        from repro.nn import dtype_scope
-        bundle = load_dataset("adult", n_instances=1500, seed=0)
-        x_train, y_train = bundle.split("train")
-        model = BlackBoxClassifier(bundle.encoder.n_encoded, np.random.default_rng(1))
-        train_classifier(model, x_train[:512], y_train[:512], epochs=6,
-                         batch_size=128, rng=np.random.default_rng(2))
-        with dtype_scope("float32"):
-            fast = BlackBoxClassifier(model.n_features, np.random.default_rng(0),
-                                      hidden=model.hidden)
-        fast.load_state_dict(model.state_dict())
-        fast.eval()
-        rows = bundle.encoded
-        fast_predicted = fast.predict(rows.astype(np.float32))
-        assert fast.predict_logits(rows.astype(np.float32)).dtype == np.float32
-        disagree = fast_predicted != model.predict(rows)
-        assert not np.any(disagree & (np.abs(model.predict_logits(rows)) > 1e-4))

@@ -5,10 +5,9 @@ compiled step held eager (``tests.helpers.autograd_ref.eager_steps``
 makes each loop's trace refuse, so the loop runs the library's own eager
 fallback), once compiled — traced per batch shape, then replayed in
 place.  It compares every ``state_dict()`` array, the loss history and
-the produced counterfactuals byte for byte, in float64 and under
-``dtype_scope("float32")``, with row counts that leave a partial last
-batch (its own traces, replayed from the third epoch on).  The compiled
-side must replay and must not be refused.  Its backward is a plan
+the produced counterfactuals byte for byte, with row counts that leave a
+partial last batch (its own traces, replayed from the third epoch on).
+The compiled side must replay and must not be refused.  Its backward is a plan
 recorded on a shape's second batch and replayed from the third on
 (``repro.nn.compile.BackwardPlan``); the cases at the end pin the plan's
 leaf-binding and fallback rules and its lifetime, that the benchmark's
@@ -41,12 +40,13 @@ from repro.models import (
     train_classifier,
     train_reconstruction_vae,
 )
-from repro.nn import SGD, Tensor, dtype_scope, linear
+from repro.nn import SGD, Tensor, linear
 from repro.nn.compile import REFUSALS, BackwardPlan, CompiledStep, StepTrace
 from tests.helpers.autograd_ref import eager_steps
 from tests.nn.test_tape_parity import assert_bits_equal
 
-DTYPES = ["float64", "float32"]
+# the one float type of repro.nn: each case checks its trained state is of it
+DTYPES = ["float64"]
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +76,14 @@ def replays(monkeypatch):
 
 def assert_compiled_parity(run, dtype, replays):
     """``run()`` eager, then compiled; pin the bytes and that it replayed."""
-    with dtype_scope(dtype), eager_steps():
+    with eager_steps():
         expected = run()
     assert replays["replays"] == 0
-    with dtype_scope(dtype):
-        actual = run()
+    actual = run()
     assert REFUSALS == {}
     assert replays["replays"] > 0
     assert_bits_equal(expected, actual)
+    assert {value.dtype for value in actual[0].values()} == {np.dtype(dtype)}
     return actual
 
 

@@ -1,4 +1,4 @@
-"""Fast-path engine parity: fused kernels, graph-free inference, dtypes.
+"""Fast-path engine parity: fused kernels, graph-free inference, float64.
 
 Three guarantees pinned here:
 
@@ -8,14 +8,13 @@ Three guarantees pinned here:
 2. ``Module.forward_array`` (the graph-free inference path) reproduces
    the ``no_grad`` graph path bit for bit, layer by layer and through
    whole networks — including training-mode dropout given the same rng.
-3. The configurable dtype: float32 fast mode produces float32 tensors
-   and parameters, scopes restore cleanly, and float64 stays the
-   gradcheck-grade default.
+3. One float type: float32, int and bool inputs come back float64.
 """
 
 import numpy as np
 import pytest
 
+from repro.models import ConditionalVAE
 from repro.nn import (
     Dropout,
     Linear,
@@ -23,13 +22,10 @@ from repro.nn import (
     ReLU,
     Sequential,
     Tensor,
-    as_tensor,
-    dtype_scope,
-    get_default_dtype,
     linear,
     no_grad,
-    set_default_dtype,
 )
+from repro.utils.validation import check_2d_fast
 
 RNG = np.random.default_rng(11)
 EPS = 1e-6
@@ -192,56 +188,13 @@ class TestForwardArrayParity:
         np.testing.assert_array_equal(module.forward_array(x), x * 2.0 + 1.0)
 
 
-class TestDtypeConfig:
-    def teardown_method(self):
-        set_default_dtype(np.float64)
-
-    def test_default_is_float64(self):
-        assert get_default_dtype() is np.float64
-        assert as_tensor([1.0, 2.0]).data.dtype == np.float64
-
-    def test_float32_fast_mode(self):
-        set_default_dtype("float32")
-        layer = Linear(4, 3, np.random.default_rng(0))
-        assert layer.weight.data.dtype == np.float32
-        # graph mode follows numpy promotion: float32 in -> float32 out
-        out = layer(np.ones((2, 4), dtype=np.float32))
-        assert out.data.dtype == np.float32
-        # forward_array casts inputs to the parameter dtype itself
-        assert layer.forward_array(np.ones((2, 4))).dtype == np.float32
-
-    def test_scope_restores(self):
-        with dtype_scope("float32"):
-            assert get_default_dtype() is np.float32
-            with dtype_scope("float64"):
-                assert get_default_dtype() is np.float64
-            assert get_default_dtype() is np.float32
-        assert get_default_dtype() is np.float64
-
-    def test_rejects_non_float(self):
-        with pytest.raises(ValueError):
-            set_default_dtype(np.int64)
-
-    def test_float32_training_step_stays_float32(self):
-        set_default_dtype("float32")
-        layer = Linear(3, 1, np.random.default_rng(1))
-        out = layer(np.ones((4, 3), dtype=np.float32)).sum()
-        out.backward()
-        assert layer.weight.grad.dtype == np.float32
-
-    def test_float32_graph_mode_outside_scope(self):
-        """A float32 model stays float32 in graph mode after the scope ends."""
-        with dtype_scope("float32"):
-            layer = Linear(4, 3, np.random.default_rng(0))
-        out = layer(np.ones((2, 4), dtype=np.float32))
-        assert out.data.dtype == np.float32
-        out.sum().backward()
-        assert layer.weight.grad.dtype == np.float32
-
-    def test_float32_close_to_float64(self):
-        x = RNG.normal(size=(5, 4))
-        ref = Linear(4, 2, np.random.default_rng(9))
-        with dtype_scope("float32"):
-            fast = Linear(4, 2, np.random.default_rng(9))
-        np.testing.assert_allclose(fast.forward_array(x.astype(np.float32)),
-                                   ref.forward_array(x), rtol=1e-5, atol=1e-5)
+def test_float32_int_and_bool_inputs_come_back_float64():
+    """float64 is the one float type: every entry point converts to it."""
+    layer = Linear(4, 3, np.random.default_rng(0))
+    vae = ConditionalVAE(4, np.random.default_rng(1))
+    base = np.arange(8).reshape(2, 4) % 2
+    for x in (base.astype(np.float32), base, base.astype(bool)):
+        assert Tensor(x).data.dtype == np.float64
+        assert layer.forward_array(x).dtype == np.float64
+        assert all(out.dtype == np.float64 for out in vae.encode_array(x, [0, 1]))
+        assert check_2d_fast(x).dtype == np.float64

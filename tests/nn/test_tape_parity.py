@@ -8,9 +8,9 @@ same seed in this process — once on the verbatim historical tape and
 per-parameter optimisers (``tests/helpers/autograd_ref.py``), rebuilding
 the graph every step, once on the library, whose training loops replay a
 compiled step — and compares every ``state_dict()`` array, the loss history and
-the produced counterfactuals byte for byte, in float64 and under
-``dtype_scope("float32")``.  No golden files: both sides run on the same
-numpy build, so the comparison holds across the CI numpy matrix.
+the produced counterfactuals byte for byte.  No golden files: both sides
+run on the same numpy build, so the comparison holds across the CI numpy
+matrix.
 """
 
 from dataclasses import replace
@@ -29,11 +29,12 @@ from repro.models import (
     train_classifier,
     train_reconstruction_vae,
 )
-from repro.nn import Tensor, dtype_scope
+from repro.nn import Tensor
 from tests.helpers.autograd_ref import reference_tape
 from tests.helpers.parity import _compare
 
-DTYPES = ["float64", "float32"]
+# the one float type of repro.nn: each case checks its trained state is of it
+DTYPES = ["float64"]
 
 
 @pytest.fixture(scope="module")
@@ -55,11 +56,11 @@ def assert_bits_equal(expected, actual):
 
 def assert_tape_parity(run, dtype):
     """Run ``run()`` on the historical tape, then on the library; pin them."""
-    with dtype_scope(dtype), reference_tape():
+    with reference_tape():
         expected = run()
-    with dtype_scope(dtype):
-        actual = run()
+    actual = run()
     assert_bits_equal(expected, actual)
+    assert {value.dtype for value in actual[0].values()} == {np.dtype(dtype)}
     return actual
 
 
@@ -87,8 +88,7 @@ def test_classifier_training(adult, dtype, optimizer):
                                    rng=np.random.default_rng(1))
         return model.state_dict(), history
 
-    state, _ = assert_tape_parity(run, dtype)
-    assert {value.dtype for value in state.values()} == {np.dtype(dtype)}
+    assert_tape_parity(run, dtype)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

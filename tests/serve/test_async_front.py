@@ -2,6 +2,7 @@
 
 import asyncio
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,6 +180,13 @@ class TestAsyncFront:
         assert front._drain_handle is None
         assert front.stats["front"]["requests"] == 0
         assert front.stats["front"]["queued"] == 0
+
+    @pytest.mark.parametrize("window", [float("nan"), float("inf")])
+    def test_non_finite_coalesce_window_is_rejected(self, window):
+        # such a window never fires: a batch short of max_batch would hang
+        pool = SimpleNamespace(encoder=SimpleNamespace(n_encoded=4))
+        with pytest.raises(ValueError, match="coalesce_window must be finite"):
+            AsyncExplanationService(pool, coalesce_window=window)
 
     def test_batch_is_flushed_on_the_event_loop_thread(self, store, explain_rows,
                                                        monkeypatch):

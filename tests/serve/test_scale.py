@@ -1,12 +1,19 @@
 """Tests for the scaled serving tier (repro.serve.scale WorkerPool)."""
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.engine import CoreCFStrategy
-from repro.serve import ArtifactStore, ExplanationService, WorkerPool
+from repro.serve import (
+    ArtifactStore,
+    AsyncExplanationService,
+    ExplanationService,
+    LRUResultCache,
+    WorkerPool,
+)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +53,21 @@ class TestWorkerPool:
         # checked here, or a bad value would fail every request of the first batch
         with pytest.raises(ValueError, match=match):
             WorkerPool(store, "tiny", flush_kwargs=flush_kwargs)
+
+    @pytest.mark.parametrize("value", [2.7, True])
+    @pytest.mark.parametrize("name", ["n_replicas", "cache_size", "capacity", "max_batch"])
+    def test_serving_counts_are_checked_not_truncated(
+            self, store, tiny_pipeline, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            if name == "n_replicas":
+                WorkerPool(store, "tiny", n_replicas=value).close()
+            elif name == "cache_size":
+                ExplanationService(tiny_pipeline, cache_size=value)
+            elif name == "capacity":
+                LRUResultCache(value)
+            else:
+                stub = SimpleNamespace(encoder=SimpleNamespace(n_encoded=4))
+                AsyncExplanationService(stub, max_batch=value)
 
     def test_batch_parity_with_single_service(
             self, store, sync_service, explain_rows):
