@@ -79,50 +79,25 @@ class ConstraintSet:
         return len(self.constraints)
 
     def satisfied(self, x, x_cf):
-        """Row-wise AND over all member constraints.
-
-        This is the *loop evaluator*: one vectorized ``satisfied`` call per
-        member constraint.  It is kept as the parity reference for the
-        compiled kernel (see :meth:`compile`); hot paths should compile the
-        set once and evaluate through the kernel instead.
-        """
-        x = np.asarray(x)
-        flags = np.ones(len(x), dtype=bool)
-        for constraint in self.constraints:
-            flags &= constraint.satisfied(x, x_cf)
-        return flags
+        """Row-wise AND over all member constraints, one flag per row of ``x_cf``."""
+        return self.compile().satisfied(x, x_cf)
 
     def satisfied_matrix(self, x, x_cf):
-        """Per-constraint ``(n, k)`` satisfaction mask via the loop evaluator.
-
-        Column ``j`` is ``constraints[j].satisfied(x, x_cf)``.  The compiled
-        kernel reproduces this matrix bit-for-bit in a single fused pass;
-        parity tests compare the two.
-        """
-        x = np.asarray(x)
-        x_cf = np.asarray(x_cf)
-        if not self.constraints:
-            return np.ones((len(x), 0), dtype=bool)
-        return np.column_stack(
-            [constraint.satisfied(x, x_cf) for constraint in self.constraints])
+        """Per-constraint ``(n, k)`` mask; column ``j`` is ``constraints[j].satisfied``."""
+        return self.compile().satisfied_matrix(x, x_cf)
 
     def satisfaction_rate(self, x, x_cf):
         """Fraction of rows satisfying *every* constraint."""
-        if not self.constraints:
-            return 1.0
-        flags = np.asarray(self.satisfied(x, x_cf))
-        return float(np.mean(flags)) if flags.size else 1.0
+        return self.compile().satisfaction_rate(x, x_cf)
 
     def compile(self):
-        """Lower the set into a :class:`repro.engine.CompiledConstraintSet`.
+        """The set as a :class:`repro.engine.CompiledConstraintSet`.
 
-        The compiled kernel evaluates every member constraint in one fused
-        vectorized pass — returning the full ``(n, k)`` satisfaction mask,
-        the row-wise AND and per-constraint rates — and supports tiled
-        candidate sweeps (``n * m`` counterfactual rows against ``n``
-        inputs) without materialising ``np.repeat(x, m)``.  Unknown
-        constraint types fall back to their own ``satisfied`` method, so
-        compilation never changes semantics.
+        It holds the one loop over member constraints: each mask row is
+        that member's ``satisfied``.  Beyond aligned rows it evaluates
+        tiled candidate sweeps (``n * m`` counterfactual rows against
+        ``n`` inputs, ``np.repeat`` layout) and returns the full mask,
+        the row-wise AND and per-constraint rates from one pass.
         """
         from ..engine.kernel import CompiledConstraintSet
 

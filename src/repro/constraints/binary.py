@@ -92,18 +92,19 @@ class OrdinalImplicationConstraint(Constraint):
 
         ``cause`` strictly up requires ``effect`` strictly up; ``cause``
         unchanged requires ``effect`` non-decreasing; ``cause`` down is
-        outside the implication, hence vacuously satisfied.
+        outside the implication, hence vacuously satisfied.  Each case
+        is a positive comparison, so a NaN change satisfies none of
+        them and the row is infeasible.
         """
         x = np.asarray(x)
         x_cf = np.asarray(x_cf)
         delta_cause = self._cause_values_np(x_cf) - self._cause_values_np(x)
         delta_effect = x_cf[:, self._effect_column] - x[:, self._effect_column]
 
-        cause_up = delta_cause > self.tolerance
-        cause_same = np.abs(delta_cause) <= self.tolerance
-        ok_up = ~cause_up | (delta_effect > self.tolerance)
-        ok_same = ~cause_same | (delta_effect >= -self.tolerance)
-        return ok_up & ok_same
+        tol = self.tolerance
+        return ((delta_effect > tol)
+                | ((delta_cause <= tol) & (delta_effect >= -tol))
+                | (delta_cause < -tol))
 
     # -- learning ----------------------------------------------------------------
     def penalty(self, x, x_cf):

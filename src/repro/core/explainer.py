@@ -67,7 +67,6 @@ class FeasibleCFExplainer:
         self.blackbox = blackbox
         self.projector = ImmutableProjector(encoder)
         self.generator = None
-        self._compiled = None
         self._runner = None
 
     @classmethod
@@ -162,18 +161,6 @@ class FeasibleCFExplainer:
         return self.generator.history
 
     # -- engine integration -----------------------------------------------------
-    @property
-    def compiled_constraints(self):
-        """Compiled feasibility kernel over this explainer's constraint set.
-
-        Compiled once and cached; bit-identical to the per-constraint
-        loop (``self.constraints.satisfied``), which remains available as
-        the parity reference.
-        """
-        if self._compiled is None:
-            self._compiled = self.constraints.compile()
-        return self._compiled
-
     def as_strategy(self, name=None, n_candidates=1, rng=None):
         """Expose this explainer through the engine's strategy API.
 
@@ -192,7 +179,7 @@ class FeasibleCFExplainer:
         if self._runner is None or self._runner.blackbox is not self.blackbox:
             self._runner = EngineRunner(
                 self.encoder, self.blackbox,
-                constraints=self.compiled_constraints)
+                constraints=self.constraints)
         return self._runner
 
     # -- explanation ------------------------------------------------------------

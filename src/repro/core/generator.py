@@ -79,11 +79,11 @@ class CFVAEGenerator:
         return generator
 
     # -- helpers -----------------------------------------------------------
-    def _generate_batch(self, x, desired, perturb):
-        """One differentiable pass input -> counterfactual Tensor."""
+    def _generate_batch(self, x, desired):
+        """One differentiable pass input -> counterfactual Tensor (noisy latent)."""
         mu, log_var = self.vae.encode(Tensor(x), desired)
         z = self.vae.reparameterize(mu, log_var)
-        if perturb and self.config.latent_noise:
+        if self.config.latent_noise:
             z = z + host(self.rng.normal, 0.0, self.config.latent_noise, z.shape)
         decoded = self.vae.decode(z, desired)
         projected = self.projector.project_tensor(x, decoded)
@@ -178,8 +178,7 @@ class CFVAEGenerator:
                             momentum=cfg.momentum)
 
         def step(x_batch, desired_batch):
-            x_cf, mu, log_var = self._generate_batch(
-                x_batch, desired_batch, perturb=True)
+            x_cf, mu, log_var = self._generate_batch(x_batch, desired_batch)
             total, _ = self.loss_fn(x_batch, x_cf, desired_batch, mu, log_var)
             # a replay does not call the loss: its parts are re-read from
             # the part nodes
@@ -221,14 +220,13 @@ class CFVAEGenerator:
         return self
 
     # -- generation -----------------------------------------------------------
-    def generate(self, x, desired=None, perturb=False):
+    def generate(self, x, desired=None):
         """Generate counterfactuals for encoded rows ``x`` (ndarray out).
 
-        Uses the deterministic posterior mean (plus optional perturbation
-        when ``perturb=True``) and projects immutable attributes back to
-        their input values — the paper's "incorporated them again in the
-        final prediction".  Runs entirely on the graph-free fast path:
-        no autograd node is allocated.
+        Uses the deterministic posterior mean and projects immutable
+        attributes back to their input values — the paper's
+        "incorporated them again in the final prediction".  Runs entirely
+        on the graph-free fast path: no autograd node is allocated.
         """
         if not self._fitted:
             raise RuntimeError("generator is not fitted; call fit() first")
@@ -236,7 +234,5 @@ class CFVAEGenerator:
         desired = resolve_desired(self.blackbox, x, desired)
         self.vae.eval()
         z, _ = self.vae.encode_array(x, desired)
-        if perturb and self.config.latent_noise:
-            z = z + self.rng.normal(0.0, self.config.latent_noise, size=z.shape)
         decoded = self.vae.decode_array(z, desired)
         return self.projector.project(x, decoded)

@@ -76,7 +76,7 @@ class DensityCFSelector:
             raise RuntimeError("selector has no reference; call fit_reference()")
         explainer = self.explainer
         runner = EngineRunner(explainer.encoder, explainer.blackbox,
-                              constraints=explainer.compiled_constraints,
+                              constraints=explainer.constraints,
                               density=self.density_model, density_weight=self.density_weight)
         strategy = explainer.as_strategy(n_candidates=n_candidates, rng=rng)
         result, diagnostics = runner.run(strategy, x, desired, return_diagnostics=True)

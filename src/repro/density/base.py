@@ -12,10 +12,10 @@ nor the serving layer knew density existed at all.
 * ``fit(reference)`` — index a reference population once,
 * ``score(candidates)`` — a per-row *region-sparsity cost* (lower means
   denser), shape ``(n,)``,
-* ``score_tiled(candidates)`` — the compiled sweep path: a full
+* ``score_tiled(candidates)`` — the sweep path: a full
   ``(n_rows, n_candidates, d)`` candidate tensor scored in ONE backend
-  query (mirroring ``CompiledConstraintSet``'s tiled evaluation),
-  bit-identical to one query per input row for per-point backends,
+  query, bit-identical to one query per input row for per-point
+  backends,
 * ``get_state`` / ``from_state`` — a flat, array-or-scalar state dict
   the artifact store persists, plus a :meth:`DensityModel.fingerprint`
   over it so stale density state is rejected exactly like stale model

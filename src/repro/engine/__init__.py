@@ -3,11 +3,11 @@
 The engine layer is where the paper's joint evaluation of causality,
 sparsity and density actually runs:
 
-* :mod:`repro.engine.kernel` — the compiled feasibility kernel:
-  ``ConstraintSet.compile()`` lowers a constraint set into one fused
-  vectorized evaluator returning the full ``(n, k)`` satisfaction mask
-  and per-constraint rates in a single pass, with tiled candidate-sweep
-  support.
+* :mod:`repro.engine.kernel` — feasibility evaluation:
+  ``ConstraintSet.compile()`` wraps a constraint set in one evaluator
+  that runs each member's own ``satisfied`` once per batch and returns
+  the full ``(n, k)`` satisfaction mask and per-constraint rates, with
+  tiled candidate-sweep support.
 * :mod:`repro.engine.strategy` — one ``CFStrategy`` API implemented by
   the core CF-VAE generator and all six Table IV baselines, plus the
   ``build_strategy`` factory they share.

@@ -1,33 +1,23 @@
-"""Compiled feasibility kernel: one fused pass over every constraint.
+"""Feasibility evaluation: every constraint of a set in one pass over a batch.
 
-The paper evaluates causality (constraint satisfaction) *jointly* with
-sparsity and density over candidate counterfactuals, yet the seed code
-evaluated it piecemeal: ``ConstraintSet.satisfied`` iterated Python-level
-over member constraints, the Table IV metrics rebuilt one constraint set
-per kind and re-evaluated overlapping constraints, and the candidate
-sweep materialised ``np.repeat(x, n_candidates)`` just to feed those
-per-constraint calls.
-
-``CompiledConstraintSet`` lowers a :class:`repro.constraints.ConstraintSet`
-once into flat index/weight arrays and then answers every feasibility
-question in a single vectorized pass:
+The paper scores causality (constraint satisfaction) jointly with
+sparsity and density over candidate counterfactuals.
+``CompiledConstraintSet`` wraps a :class:`repro.constraints.ConstraintSet`
+and answers every feasibility question about a batch from one
+``(k, n_cf)`` satisfaction mask:
 
 * the full ``(n_cf, k)`` per-constraint satisfaction mask,
 * the row-wise AND (the paper's feasibility flag),
-* per-constraint and subset (unary/binary kind) satisfaction rates,
+* per-constraint and subset (unary/binary kind) satisfaction rates.
 
-and it evaluates *tiled* candidate sweeps — ``n * m`` counterfactual rows
-against ``n`` input rows — by broadcasting input-side terms instead of
-materialising the repeated input matrix.  Internally the mask is stored
-transposed (``(k, n_cf)``, one contiguous row per constraint) so the
-AND-reduction and every rate are contiguous-memory operations.
-
-Bit-parity contract: the mask equals ``ConstraintSet.satisfied_matrix``
-(the per-constraint loop, kept as the parity reference) element for
-element on every registry dataset; ``tests/engine/test_kernel_parity.py``
-enforces this property-style.  Constraint types without a registered
-lowering fall back to their own ``satisfied`` method inside the same
-pass, so compilation never changes semantics.
+Each mask row is its constraint's own ``satisfied`` on aligned rows —
+the only implementation of each predicate — so any
+:class:`~repro.constraints.base.Constraint` subclass is evaluated the
+same way.  A *tiled* candidate sweep (``n * m`` counterfactual rows
+against ``n`` input rows, ``np.repeat`` layout) repeats the inputs once
+per call and feeds that one matrix to every member.  The mask is stored
+transposed (one contiguous row per constraint) so the AND-reduction and
+every rate are contiguous-memory operations.
 """
 
 from __future__ import annotations
@@ -35,9 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..constraints.base import ConstraintSet
-from ..constraints.binary import OrdinalImplicationConstraint
-from ..constraints.immutables import ImmutablesRespected
-from ..constraints.unary import MonotonicIncreaseConstraint
 
 __all__ = ["CompiledConstraintSet", "FeasibilityReport"]
 
@@ -133,126 +120,13 @@ def _and_rows(mask_t):
     return flags
 
 
-class _MonotonicTerm:
-    """All monotonic-increase constraints of a set, one slot each."""
-
-    def __init__(self, slots, constraints):
-        self.entries = [(slot, c.column, c.tolerance) for slot, c in zip(slots, constraints)]
-
-    def evaluate(self, x, x_cf, n, m, mask_t):
-        # identical elementwise ops to MonotonicIncreaseConstraint.satisfied:
-        # x_cf[:, col] >= x[:, col] - tol, with the input side broadcast
-        # over the m candidates of each row
-        for slot, column, tolerance in self.entries:
-            lower = x[:, column] - tolerance
-            if m == 1:
-                np.greater_equal(x_cf[:, column], lower, out=mask_t[slot])
-            else:
-                np.greater_equal(
-                    x_cf[:, column].reshape(n, m),
-                    lower[:, None],
-                    out=mask_t[slot].reshape(n, m),
-                )
-
-
-class _OrdinalTerm:
-    """One ordinal-implication ("cause up => effect up") constraint."""
-
-    def __init__(self, slot, constraint):
-        self.slot = slot
-        self.categorical = constraint._cause_is_categorical
-        if self.categorical:
-            self.block = constraint._cause_block
-            self.weights = constraint._rank_weights
-        else:
-            self.cause_column = constraint._cause_column
-        self.effect_column = constraint._effect_column
-        self.tolerance = constraint.tolerance
-
-    def _cause_values(self, rows):
-        if self.categorical:
-            return rows[:, self.block] @ self.weights
-        return rows[:, self.cause_column]
-
-    def evaluate(self, x, x_cf, n, m, mask_t):
-        tol = self.tolerance
-        cause_after = self._cause_values(x_cf)
-        effect_after = x_cf[:, self.effect_column]
-        if m == 1:
-            dc = cause_after - self._cause_values(x)
-            de = effect_after - x[:, self.effect_column]
-        else:
-            # input-side terms computed once per input row, broadcast over m
-            dc = cause_after.reshape(n, m) - self._cause_values(x)[:, None]
-            de = effect_after.reshape(n, m) - x[:, self.effect_column][:, None]
-        # equivalent to OrdinalImplicationConstraint.satisfied's case split:
-        # cause up needs effect strictly up, cause unchanged needs effect
-        # non-decreasing, cause down is vacuously satisfied
-        ok = (de > tol) | ((dc <= tol) & (de >= -tol)) | (dc < -tol)
-        mask_t[self.slot] = ok.reshape(-1)
-
-
-class _ImmutableTerm:
-    """One immutables-respected audit constraint (max drift per row)."""
-
-    def __init__(self, slot, constraint):
-        self.slot = slot
-        self.columns = np.flatnonzero(constraint.mask)
-        self.tolerance = constraint.tolerance
-
-    def evaluate(self, x, x_cf, n, m, mask_t):
-        if len(self.columns) == 0:
-            mask_t[self.slot] = True
-            return
-        after = x_cf[:, self.columns]
-        before = x[:, self.columns]
-        if m == 1:
-            drift = np.abs(after - before)
-            mask_t[self.slot] = (drift <= self.tolerance).all(axis=1)
-        else:
-            drift = np.abs(after.reshape(n, m, -1) - before[:, None, :])
-            mask_t[self.slot] = (drift <= self.tolerance).all(axis=2).reshape(-1)
-
-
-class _OpaqueTerm:
-    """Fallback for constraint types without a registered lowering."""
-
-    def __init__(self, slot, constraint):
-        self.slot = slot
-        self.constraint = constraint
-
-    def evaluate(self, x, x_cf, n, m, mask_t):
-        inputs = x if m == 1 else np.repeat(x, m, axis=0)
-        mask_t[self.slot] = self.constraint.satisfied(inputs, x_cf)
-
-
-def _lower(constraints):
-    """Group/lower constraints into evaluation terms with mask slots."""
-    terms = []
-    monotonic = [
-        (i, c) for i, c in enumerate(constraints) if type(c) is MonotonicIncreaseConstraint
-    ]
-    if monotonic:
-        terms.append(_MonotonicTerm([i for i, _ in monotonic], [c for _, c in monotonic]))
-    for i, constraint in enumerate(constraints):
-        if type(constraint) is MonotonicIncreaseConstraint:
-            continue
-        if type(constraint) is OrdinalImplicationConstraint:
-            terms.append(_OrdinalTerm(i, constraint))
-        elif type(constraint) is ImmutablesRespected:
-            terms.append(_ImmutableTerm(i, constraint))
-        else:
-            terms.append(_OpaqueTerm(i, constraint))
-    return terms
-
-
 class CompiledConstraintSet:
-    """A :class:`ConstraintSet` lowered into one vectorized evaluator.
+    """A :class:`ConstraintSet` evaluated into one ``(k, n_cf)`` mask per call.
 
-    Build it through :meth:`ConstraintSet.compile`; evaluation then runs
-    in a single fused pass with no per-constraint Python dispatch, no
-    per-call constraint rebuilding, and no materialised input repetition
-    for candidate sweeps.
+    Build it through :meth:`ConstraintSet.compile`.  Every evaluation
+    method runs :meth:`_mask_t`, the one loop over member constraints;
+    ``ConstraintSet.satisfied``, ``satisfied_matrix`` and
+    ``satisfaction_rate`` answer through it too.
     """
 
     def __init__(self, constraint_set):
@@ -261,7 +135,6 @@ class CompiledConstraintSet:
         self.source = constraint_set
         self.constraints = constraint_set.constraints
         self.names = tuple(c.name for c in self.constraints)
-        self._terms = _lower(self.constraints)
 
     def __len__(self):
         return len(self.constraints)
@@ -274,46 +147,43 @@ class CompiledConstraintSet:
         return self.names.index(name)
 
     # -- evaluation ---------------------------------------------------------
-    @staticmethod
-    def _tiling(x, x_cf):
-        """Validate shapes; returns ``(x, x_cf, n, m)`` with ``n_cf = n * m``."""
+    def _mask_t(self, x, x_cf):
+        """``(k, n_cf)`` mask: row ``j`` is member ``j``'s ``satisfied``.
+
+        ``x_cf`` holds one row per input row, or ``m`` candidates per
+        input row in ``np.repeat`` layout; the inputs are then repeated
+        once for every member.
+        """
         x = np.asarray(x)
         x_cf = np.asarray(x_cf)
         n, n_cf = len(x), len(x_cf)
-        if n == n_cf:
-            return x, x_cf, n, 1
-        if n == 0 or n_cf % n != 0:
-            raise ValueError(
-                f"x_cf rows ({n_cf}) must equal or be a multiple of x rows "
-                f"({n}) for tiled evaluation"
-            )
-        return x, x_cf, n, n_cf // n
-
-    def _mask_t(self, x, x_cf):
-        x, x_cf, n, m = self._tiling(x, x_cf)
-        mask_t = np.empty((len(self.constraints), len(x_cf)), dtype=bool)
-        for term in self._terms:
-            term.evaluate(x, x_cf, n, m, mask_t)
+        if n != n_cf:
+            if n == 0 or n_cf % n != 0:
+                raise ValueError(
+                    f"x_cf rows ({n_cf}) must equal or be a multiple of x rows "
+                    f"({n}) for tiled evaluation"
+                )
+            x = np.repeat(x, n_cf // n, axis=0)
+        mask_t = np.empty((len(self.constraints), n_cf), dtype=bool)
+        for row, constraint in zip(mask_t, self.constraints):
+            row[:] = constraint.satisfied(x, x_cf)
         return mask_t
 
     def satisfied_matrix(self, x, x_cf):
-        """Fused ``(n_cf, k)`` satisfaction mask.
+        """``(n_cf, k)`` satisfaction mask; column ``j`` is member ``j``.
 
         ``x_cf`` may hold one counterfactual per input row or a tiled
         candidate sweep (``np.repeat`` layout: candidate rows
-        ``i*m .. (i+1)*m - 1`` belong to input row ``i``) — the kernel
-        broadcasts input-side terms instead of requiring the caller to
-        repeat ``x``.  Bit-identical to
-        :meth:`ConstraintSet.satisfied_matrix` on the repeated inputs.
+        ``i*m .. (i+1)*m - 1`` belong to input row ``i``).
         """
         return self._mask_t(x, x_cf).T
 
     def satisfied(self, x, x_cf):
-        """Row-wise AND over all constraints (drop-in for the loop path)."""
+        """Row-wise AND over all constraints (the paper's feasibility flag)."""
         return _and_rows(self._mask_t(x, x_cf))
 
     def satisfaction_rate(self, x, x_cf):
-        """Fraction of rows satisfying every constraint."""
+        """Fraction of rows satisfying every constraint (1.0 when empty)."""
         if not self.constraints:
             return 1.0
         flags = self.satisfied(x, x_cf)

@@ -13,8 +13,8 @@ one way to turn rows into counterfactuals — the explain chain:
    broadcast assignment,
 3. causally repair the projected batch in one ``repair_batch`` pass when
    the runner hosts a fitted :class:`repro.causal.CausalModel`,
-4. run ONE black-box validity call and ONE compiled-kernel feasibility
-   pass over all candidates,
+4. run ONE black-box validity call and ONE feasibility pass
+   (:class:`CompiledConstraintSet`) over all candidates,
 5. select a winner per row (closest valid & feasible, mirroring the
    serving policy — or the Figure 3 proximity+density score when the
    runner hosts a fitted :class:`repro.density.DensityModel`) and
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..constraints import ConstraintSet, ImmutableProjector, build_constraints
+from ..constraints import ImmutableProjector, build_constraints
 from ..core.result import CFBatchResult
 from ..utils.validation import check_encoded_rows, check_positive
 from .kernel import CompiledConstraintSet, FeasibilityReport
@@ -55,8 +55,7 @@ class EngineRunner:
         Constraint set defining feasibility.  Defaults to the *union*
         catalog set for the encoder's dataset (the binary-kind set, which
         contains the unary constraints), so one kernel pass can answer
-        both Table IV feasibility columns.  A
-        :class:`CompiledConstraintSet` is accepted directly.
+        both Table IV feasibility columns.
     density:
         Optional *fitted* :class:`repro.density.DensityModel`.  When
         hosted, every strategy's multi-candidate batches are selected by
@@ -109,12 +108,7 @@ class EngineRunner:
         self.blackbox = blackbox
         if constraints is None:
             constraints = build_constraints(encoder, "binary")
-        if isinstance(constraints, CompiledConstraintSet):
-            self.kernel = constraints
-        else:
-            if not isinstance(constraints, ConstraintSet):
-                constraints = ConstraintSet(constraints)
-            self.kernel = constraints.compile()
+        self.kernel = CompiledConstraintSet(constraints)
         self.projector = ImmutableProjector(encoder)
         self.density = density
         self.density_weight = check_positive(density_weight, "density_weight")
@@ -129,17 +123,22 @@ class EngineRunner:
     def flag_indices(self, strategy):
         """Mask columns defining a strategy's own feasibility flags.
 
-        Strategies trained against a specific constraint set (the core
-        method, Mahajan) are flagged against exactly that set; everything
-        else is flagged against the full kernel.
+        A strategy trained against a specific constraint set (the core
+        method, Mahajan) is flagged against exactly that set; everything
+        else is flagged against the full kernel.  Raises ``ValueError`` when
+        the strategy's set holds a constraint the kernel does not, since
+        no flag of this runner could answer for it.
         """
         constraints = getattr(strategy, "constraints", None)
         if constraints is None:
             return list(range(len(self.kernel)))
-        try:
-            return [self.kernel.index_of(c.name) for c in constraints]
-        except ValueError:
-            return list(range(len(self.kernel)))
+        missing = [c.name for c in constraints if c.name not in self.kernel.names]
+        if missing:
+            raise ValueError(
+                f"strategy {strategy.name!r} is flagged against constraints the "
+                f"runner does not evaluate: {missing}; build the runner with "
+                f"constraints=... including them")
+        return [self.kernel.index_of(c.name) for c in constraints]
 
     # -- core pipeline ------------------------------------------------------
     def project(self, x, candidates):
@@ -165,6 +164,7 @@ class EngineRunner:
         per-call state, so threads may share one.
         """
         x = check_encoded_rows(x, self.encoder, "x")
+        flag_indices = self.flag_indices(strategy)
         batch = strategy.propose(x, desired)
         x, desired = batch.x, batch.desired
         n, m, d = batch.candidates.shape
@@ -180,7 +180,7 @@ class EngineRunner:
 
         predicted = self.blackbox.predict(flat)
         report = self.kernel.evaluate(x, flat)
-        flags = report.subset_satisfied(self.flag_indices(strategy))
+        flags = report.subset_satisfied(flag_indices)
         valid = predicted == np.repeat(desired, m)
 
         density = None

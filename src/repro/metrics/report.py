@@ -96,9 +96,9 @@ def evaluate_counterfactuals(method_name, x, x_cf, desired, blackbox, encoder,
         report of the run being scored): a requested kind whose
         constraints are all in the report is answered from it without
         re-evaluating anything.  Kinds the report does not cover — or
-        every kind, when no report is given — fall back to the
-        per-constraint loop (the parity reference).  Rates are identical
-        either way.
+        every kind, when no report is given — are evaluated afresh with
+        ``ConstraintSet.satisfaction_rate``.  Rates are identical either
+        way.
     predicted:
         Optional precomputed black-box classes of ``x_cf``; skips the
         validity-column predict call.

@@ -51,7 +51,10 @@ class ExplanationService:
     strategy:
         Optional fitted :class:`repro.engine.CFStrategy`.  When given,
         cache-miss rows and pool-flushed blocks are explained by that
-        strategy instead of the pipeline's core CF-VAE strategy.
+        strategy instead of the pipeline's core CF-VAE strategy.  A
+        strategy with its own ``constraints`` must be flagged against
+        constraints of the dataset's catalog (see
+        :meth:`repro.engine.EngineRunner.flag_indices`).
     density:
         Optional fitted :class:`repro.density.DensityModel`.  When
         given, the engine runner hosts it: multi-candidate batches are
@@ -119,6 +122,8 @@ class ExplanationService:
         #: hosted, else the one-shot deterministic decode.
         self.served_strategy = strategy or CoreCFStrategy(
             self.explainer, n_candidates=density_candidates if density is not None else 1)
+        # a strategy flagged against constraints the runner lacks fails here
+        self.runner.flag_indices(self.served_strategy)
         self._init_serving_state(cache_size)
 
     def _init_serving_state(self, cache_size):

@@ -62,15 +62,6 @@ class TestGeneratorBranches:
         with pytest.raises(ValueError):
             generator.fit(x_train[:100], desired=np.ones(3, dtype=int))
 
-    def test_generate_with_perturbation_differs(self, pieces):
-        bundle, blackbox, x_train = pieces
-        generator = make_generator(bundle, blackbox, fast_config(epochs=2))
-        generator.fit(x_train[:300])
-        x = x_train[:10]
-        deterministic = generator.generate(x)
-        perturbed = generator.generate(x, perturb=True)
-        assert not np.allclose(deterministic, perturbed)
-
     def test_sgd_optimizer_branch(self, pieces):
         bundle, blackbox, x_train = pieces
         config = replace(fast_config(epochs=1), optimizer="sgd",

@@ -77,7 +77,7 @@ class TestRunnerParity:
 
         runner = EngineRunner(
             explainer.encoder, explainer.blackbox,
-            constraints=explainer.compiled_constraints,
+            constraints=explainer.constraints,
             density=selector.density_model, density_weight=2.0)
         result, expected = runner.run(
             explainer.as_strategy(n_candidates=7, rng=np.random.default_rng(3)),

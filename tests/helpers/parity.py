@@ -1,11 +1,11 @@
 """Shared batched-vs-loop parity harness.
 
 Every vectorization PR in this repo keeps the per-row loop it replaced
-as a parity reference (``tests.helpers.loops``, or the library's own
-per-constraint evaluator for the feasibility kernel) and pins the
-batched path bit-identical to it on all registry datasets (the compiled
-feasibility kernel, the density selector, the t-SNE perplexity search,
-the causal repair pass).  The
+as a parity reference (``tests.helpers.loops``, or each constraint's own
+``satisfied`` on aligned rows for tiled feasibility evaluation) and pins
+the batched path bit-identical to it on all registry datasets (tiled
+feasibility, the density selector, the t-SNE perplexity search, the
+causal repair pass).  The
 pattern used to be copy-pasted per test module; this module is the one
 home for it:
 
@@ -249,7 +249,7 @@ def staged_runner(runner):
     from repro.engine import EngineRunner
 
     twin = EngineRunner(
-        runner.encoder, runner.blackbox, constraints=runner.kernel,
+        runner.encoder, runner.blackbox, constraints=runner.kernel.source,
         density=runner.density, density_weight=runner.density_weight,
         causal=runner.causal,
         ensemble=runner.ensemble, robust_quorum=runner.robust_quorum)

@@ -136,7 +136,7 @@ class TestCorePathParity:
                  "feasible": served.feasible},
                 {"desired": desired, "x_cf": x_cf,
                  "predicted": explainer.blackbox.predict(x_cf),
-                 "feasible": explainer.compiled_constraints.satisfied(rows, x_cf)},
+                 "feasible": explainer.constraints.satisfied(rows, x_cf)},
                 context="explain_batch vs generate+predict+kernel")
         # the overlapping batch answers its repeated requests from cache
         assert repeats > 0

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.constraints import MonotonicIncreaseConstraint
+from repro.core import FeasibleCFExplainer
 from repro.engine import EngineRunner, build_strategy
 from repro.serve import ArtifactStore, ExplanationService, WorkerPool
 
@@ -125,3 +127,32 @@ class TestStrategyServing:
         result = service.explain_batch(explain_rows)
         assert result.x_cf.shape == explain_rows.shape
         assert service.strategy is strategy
+
+
+class TestStrategyConstraintsChecked:
+    """A strategy flagged against constraints the runner lacks is refused."""
+
+    @pytest.fixture(scope="class")
+    def never_feasible(self, tiny_pipeline):
+        # the pipeline's trained models, flagged against an unsatisfiable
+        # constraint outside the Adult catalog
+        encoder = tiny_pipeline.encoder
+        explainer = FeasibleCFExplainer(
+            encoder, constraints=[MonotonicIncreaseConstraint(
+                encoder, "hours_per_week", tolerance=-1.0)],
+            blackbox=tiny_pipeline.blackbox)
+        explainer.generator = tiny_pipeline.explainer.generator
+        return explainer
+
+    def test_explain_uses_its_own_constraints(self, never_feasible, explain_rows):
+        assert not never_feasible.explain(explain_rows).feasible.any()
+
+    def test_runner_raises_naming_missing_constraints(
+            self, tiny_pipeline, never_feasible, explain_rows):
+        runner = EngineRunner(tiny_pipeline.encoder, tiny_pipeline.blackbox)
+        with pytest.raises(ValueError, match=r"unary\[hours_per_week non-decreasing\]"):
+            runner.run(never_feasible.as_strategy(), explain_rows)
+
+    def test_service_raises_at_construction(self, tiny_pipeline, never_feasible):
+        with pytest.raises(ValueError, match="hours_per_week"):
+            ExplanationService(tiny_pipeline, strategy=never_feasible.as_strategy())

@@ -28,6 +28,8 @@ def test_serve_quickstart_runs():
     assert "coalesced 8 single-row requests into 1 sweep(s)" in run_example("serve_quickstart")
 
 
-@pytest.mark.parametrize("name", ["quickstart", "loan_approval", "constraint_discovery"])
+@pytest.mark.parametrize("name", [
+    "quickstart", "loan_approval", "constraint_discovery", "census_audit", "law_school_recourse",
+])
 def test_example_runs(name):
     run_example(name)
